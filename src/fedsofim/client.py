@@ -23,13 +23,21 @@ class ClientRelease:
     round: int
 
 
+# Rescaling passes the ulp correction may take before giving up.  One pass
+# settles every norm seen in practice; a norm that keeps exceeding the radius
+# means the norm itself is broken (non-monotone in the scale), and looping on
+# would never end.
+MAX_ULP_PASSES = 8
+
+
 def clip_gradient(g: np.ndarray, c_g: float) -> np.ndarray:
     """Scale g onto the l2 ball of radius c_g; vectors inside pass unchanged.
 
     A vector needing clipping is rescaled and then nudged by at most a few
     ulps until its recomputed norm is <= c_g: plain multiplication by
     c_g/||g|| overshoots the radius by ~1e-16 relative about a quarter of the
-    time, and downstream norm guarantees are stated without slack.
+    time, and downstream norm guarantees are stated without slack.  Raises
+    RuntimeError if MAX_ULP_PASSES nudges do not bring the norm inside.
     """
     if c_g <= 0:
         raise ValueError("c_g must be positive")
@@ -39,31 +47,60 @@ def clip_gradient(g: np.ndarray, c_g: float) -> np.ndarray:
         return g
     out = g * (c_g / norm)
     new_norm = float(np.linalg.norm(out))
+    passes = 0
     while new_norm > c_g:
+        if passes == MAX_ULP_PASSES:
+            raise RuntimeError(f"clipped norm still exceeds c_g after {MAX_ULP_PASSES} rescaling passes")
         out = out * (c_g / new_norm)
         new_norm = float(np.linalg.norm(out))
+        passes += 1
     return out
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # The reduction np.linalg.norm(x, axis=1) performs, without its dispatch,
+    # so the bits match it exactly.
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     """Row-wise clip_gradient over an (m, d) stack, vectorized.
 
-    Rows already inside the ball are multiplied by exactly 1.0 (a no-op in
-    IEEE arithmetic), so they come back bit-identical.
+    Rows inside the ball come back bit-identical, and when every row is
+    inside, the stack itself is returned rather than a copy.  A stack whose
+    rows all alias one row (stride 0, as a quadratic shard's gradients do)
+    is clipped once and returned as a read-only repetition of that row.
+    Raises RuntimeError if MAX_ULP_PASSES nudges leave a row outside.
     """
     if c_g <= 0:
         raise ValueError("c_g must be positive")
     grads = np.asarray(grads, dtype=np.float64)
-    norms = np.linalg.norm(grads, axis=1)
+    if grads.shape[0] > 1 and grads.strides[0] == 0:
+        first = grads[:1]
+        row = clip_rows(first, c_g)
+        return grads if row is first else np.broadcast_to(row, grads.shape)
+    norms = _row_norms(grads)
+    inside = norms <= c_g
+    if inside.all():
+        return grads
+    # Rows inside the ball are multiplied by exactly 1.0, a no-op in IEEE
+    # arithmetic; rows with a NaN norm fail the test above and become NaN.
     scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))
     out = grads * scale[:, None]
-    # Same ulp correction as the scalar path, restricted to rows that still
-    # poke past the radius after rescaling.
-    over = np.flatnonzero(np.linalg.norm(out, axis=1) > c_g)
+    # Same ulp correction as the scalar path.  Only rescaled rows can poke
+    # past the radius; gathering them pays off while they are a minority.
+    rows = np.flatnonzero(~inside)
+    if 2 * rows.size <= grads.shape[0]:
+        over = rows[_row_norms(out[rows]) > c_g]
+    else:
+        over = np.flatnonzero(_row_norms(out) > c_g)
+    passes = 0
     while over.size:
-        sub_norms = np.linalg.norm(out[over], axis=1)
-        out[over] = out[over] * (c_g / sub_norms)[:, None]
-        over = over[np.linalg.norm(out[over], axis=1) > c_g]
+        if passes == MAX_ULP_PASSES:
+            raise RuntimeError(f"clipped row norms still exceed c_g after {MAX_ULP_PASSES} rescaling passes")
+        out[over] = out[over] * (c_g / _row_norms(out[over]))[:, None]
+        over = over[_row_norms(out[over]) > c_g]
+        passes += 1
     return out
 
 
@@ -104,7 +141,8 @@ def private_release(
         grads = task.per_example_gradients(theta, dataset)
     count = grads.shape[0]
 
-    summed = clip_rows(grads, c_g).sum(axis=0)
+    summed = np.add.reduce(clip_rows(grads, c_g), axis=0)
     if sigma_g > 0:
-        summed = summed + stream.normal(0.0, c_g * sigma_g / math.sqrt(n), size=summed.shape)
-    return ClientRelease(vector=summed / count, client_id=client_id, round=round_index)
+        summed += stream.normal(0.0, c_g * sigma_g / math.sqrt(n), size=summed.shape)
+    summed /= count
+    return ClientRelease(vector=summed, client_id=client_id, round=round_index)

@@ -9,6 +9,7 @@ work is scheduled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -134,6 +135,14 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@functools.lru_cache(maxsize=4096)
+def _client_prefix(master_seed: int, client_id: int) -> int:
+    """The (master_seed, client_id) words absorbed; a run reuses each prefix
+    every round, so it is cached."""
+    h = _mix64((master_seed & _MASK64) + _GOLDEN)
+    return _mix64(h ^ ((client_id + 2 * _GOLDEN) & _MASK64))
+
+
 def derive_stream_seed(master_seed: int, client_id: int, round_index: int) -> int:
     """Mix (master_seed, client_id, round) into a single 64-bit stream seed.
 
@@ -142,10 +151,7 @@ def derive_stream_seed(master_seed: int, client_id: int, round_index: int) -> in
     collide trivially.  Pure function; identical triples give identical
     seeds, distinct triples give distinct seeds for all realistic grids.
     """
-    h = _mix64((master_seed & _MASK64) + _GOLDEN)
-    h = _mix64(h ^ ((client_id + 2 * _GOLDEN) & _MASK64))
-    h = _mix64(h ^ ((round_index + 3 * _GOLDEN) & _MASK64))
-    return h
+    return _mix64(_client_prefix(master_seed, client_id) ^ ((round_index + 3 * _GOLDEN) & _MASK64))
 
 
 def derive_noise_stream(master_seed: int, client_id: int, round_index: int) -> np.random.Generator:

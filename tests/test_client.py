@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fedsofim.client import ClientRelease, clip_gradient, clip_rows, private_release
+import fedsofim.client as client_module
+from fedsofim.client import MAX_ULP_PASSES, ClientRelease, clip_gradient, clip_rows, private_release
 from fedsofim.core import derive_noise_stream
 from fedsofim.task import FeatureDataset, SoftmaxHeadTask, make_synthetic_quadratic
 
@@ -93,6 +94,115 @@ class TestClipGradient:
             clip_gradient(np.ones(2), 0.0)
         with pytest.raises(ValueError, match="c_g must be positive"):
             clip_rows(np.ones((2, 2)), -1.0)
+
+
+def reference_clip_rows(grads, c_g):
+    """clip_rows as it was before its fast paths: every row scaled (by exactly
+    1.0 when inside), every row's norm rechecked.  The oracle for bit-identity."""
+    grads = np.asarray(grads, dtype=np.float64)
+    norms = np.linalg.norm(grads, axis=1)
+    scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))
+    out = grads * scale[:, None]
+    over = np.flatnonzero(np.linalg.norm(out, axis=1) > c_g)
+    while over.size:
+        sub_norms = np.linalg.norm(out[over], axis=1)
+        out[over] = out[over] * (c_g / sub_norms)[:, None]
+        over = over[np.linalg.norm(out[over], axis=1) > c_g]
+    return out
+
+
+def random_stack(rng, radius_range):
+    """(m, d) stack with row norms uniform over radius_range; widths span
+    the short rows summed sequentially and the long ones summed pairwise."""
+    m = int(rng.integers(1, 200))
+    d = int(rng.integers(1, 40))
+    rows = rng.normal(size=(m, d))
+    rows *= (rng.uniform(*radius_range, size=m) / np.linalg.norm(rows, axis=1))[:, None]
+    return rows
+
+
+def assert_matches_reference(grads, c_g):
+    got = clip_rows(grads, c_g)
+    np.testing.assert_array_equal(got, reference_clip_rows(grads, c_g))
+    # The release sums the clipped stack; its bits must match the sum over
+    # the reference's contiguous output, stride-0 repetitions included.
+    np.testing.assert_array_equal(
+        np.add.reduce(got, axis=0), reference_clip_rows(grads, c_g).sum(axis=0)
+    )
+    return got
+
+
+class TestClipRowsMatchesReference:
+    def test_all_rows_inside_return_the_stack_itself(self):
+        rng = np.random.default_rng(101)
+        for _ in range(300):
+            c_g = float(rng.uniform(0.1, 10.0))
+            grads = random_stack(rng, (0.0, c_g))
+            assert assert_matches_reference(grads, c_g) is grads
+
+    def test_some_rows_outside(self):
+        rng = np.random.default_rng(103)
+        for _ in range(300):
+            c_g = float(rng.uniform(0.1, 10.0))
+            # Upper ends from just past the radius to far past it move the
+            # scaled share across the whole range, both post-check branches.
+            grads = random_stack(rng, (0.0, c_g * rng.uniform(1.01, 20.0)))
+            out = assert_matches_reference(grads, c_g)
+            assert np.all(np.linalg.norm(out, axis=1) <= c_g)
+
+    def test_rows_exactly_on_the_boundary(self):
+        assert_matches_reference(np.array([[3.0, 4.0], [6.0, 8.0], [0.3, 0.4]]), 5.0)
+        rng = np.random.default_rng(107)
+        for _ in range(300):
+            grads = random_stack(rng, (0.5, 2.0))
+            c_g = float(np.linalg.norm(grads, axis=1)[rng.integers(grads.shape[0])])
+            assert_matches_reference(grads, c_g)
+
+    def test_stride_zero_stacks(self):
+        rng = np.random.default_rng(109)
+        for _ in range(300):
+            d = int(rng.integers(1, 40))
+            row = rng.normal(size=d) * rng.uniform(0.01, 20.0)
+            grads = np.broadcast_to(row, (int(rng.integers(1, 300)), d))
+            c_g = float(rng.uniform(0.1, 10.0))
+            out = assert_matches_reference(grads, c_g)
+            assert out.shape == grads.shape
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_rows_holding_nan_or_inf(self):
+        rng = np.random.default_rng(113)
+        for bad in (np.nan, np.inf, -np.inf):
+            for _ in range(50):
+                grads = random_stack(rng, (0.0, 4.0))
+                grads[rng.integers(grads.shape[0]), rng.integers(grads.shape[1])] = bad
+                assert_matches_reference(grads, 2.0)
+            assert_matches_reference(np.broadcast_to([bad, 1.0], (5, 2)), 2.0)
+
+    def test_input_is_never_modified(self):
+        grads = np.array([[3.0, 4.0], [0.1, 0.2]])
+        before = grads.copy()
+        clip_rows(grads, 1.0)
+        np.testing.assert_array_equal(grads, before)
+
+
+class TestUlpCorrectionIsBounded:
+    def test_scalar_path_raises_when_the_norm_never_settles(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", lambda x: 2.0)
+        with pytest.raises(RuntimeError, match=f"after {MAX_ULP_PASSES} rescaling passes"):
+            clip_gradient(np.array([3.0, 4.0]), 1.0)
+
+    def test_row_path_raises_when_the_norm_never_settles(self, monkeypatch):
+        calls = []
+
+        def stuck_norms(x):
+            calls.append(x.shape[0])
+            return np.full(x.shape[0], 2.0)
+
+        monkeypatch.setattr(client_module, "_row_norms", stuck_norms)
+        with pytest.raises(RuntimeError, match=f"after {MAX_ULP_PASSES} rescaling passes"):
+            clip_rows(np.array([[3.0, 4.0], [0.0, 5.0]]), 1.0)
+        # the initial norms, the first recheck, then two per rescaling pass
+        assert len(calls) == 2 + 2 * MAX_ULP_PASSES
 
 
 class TestPrivateReleaseNoiseless:

@@ -50,6 +50,14 @@ class TestAggregate:
         )
         np.testing.assert_allclose(got, oracle, rtol=1e-14, atol=1e-16)
 
+    def test_bit_identical_to_numpy_mean(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 70))
+            vectors = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3)
+            got = aggregate([release(v, i) for i, v in enumerate(vectors)], n)
+            np.testing.assert_array_equal(got, np.mean(list(vectors), axis=0))
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="no releases to aggregate"):
             aggregate([])
