@@ -286,10 +286,14 @@ def load_frozen_features(path) -> tuple:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {classes})")
         labels.append(label)
         features.append(row)
-    dataset = FeatureDataset(
-        np.asarray(features, dtype=np.float64).reshape(len(labels), dim),
-        np.asarray(labels, dtype=np.int64),
-    )
+    matrix = np.asarray(features, dtype=np.float64).reshape(len(labels), dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        # A nan or inf would otherwise surface later as an inf loss, which
+        # reads like a diverged run rather than bad data.
+        row_lines = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise ValueError(f"line {row_lines[int(np.argmin(finite))]}: non-finite feature value")
+    dataset = FeatureDataset(matrix, np.asarray(labels, dtype=np.int64))
     metadata = {"feature_dim": dim, "num_classes": classes, "count": dataset.size}
     return dataset, metadata
 

@@ -328,6 +328,16 @@ class TestFrozenFeatureFiles:
         with pytest.raises(ValueError, match="line 2: unparseable numeric value"):
             load_frozen_features(path)
 
+    def test_non_finite_value_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "bad.features"
+        path.write_text("dim=2,classes=3\n0,nan,1.0\n1,inf,2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: non-finite feature value"):
+            load_frozen_features(path)
+        # blank lines are skipped but still counted
+        path.write_text("dim=1,classes=2\n0,1.0\n\n1,-inf\n0,2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 4: non-finite feature value"):
+            load_frozen_features(path)
+
     def test_write_then_read_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         dataset = FeatureDataset(
