@@ -77,8 +77,13 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape[0] > 1 and grads.strides[0] == 0:
         first = grads[:1]
-        row = clip_rows(first, c_g)
+        row = _clip_stack(first, c_g)
         return grads if row is first else np.broadcast_to(row, grads.shape)
+    return _clip_stack(grads, c_g)
+
+
+def _clip_stack(grads: np.ndarray, c_g: float) -> np.ndarray:
+    """clip_rows on a float64 stack, every row clipped on its own."""
     norms = _row_norms(grads)
     inside = norms <= c_g
     if inside.all():
