@@ -137,8 +137,8 @@ def _mix64(z: int) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _client_prefix(master_seed: int, client_id: int) -> int:
-    """The (master_seed, client_id) words absorbed; a run reuses each prefix
-    every round, so it is cached."""
+    """Mix state after absorbing master_seed and client_id.  Every round of
+    a run reuses it, so it is cached."""
     h = _mix64((master_seed & _MASK64) + _GOLDEN)
     return _mix64(h ^ ((client_id + 2 * _GOLDEN) & _MASK64))
 

@@ -123,12 +123,11 @@ def random_stack(rng, radius_range):
 
 def assert_matches_reference(grads, c_g):
     got = clip_rows(grads, c_g)
-    np.testing.assert_array_equal(got, reference_clip_rows(grads, c_g))
+    expected = reference_clip_rows(grads, c_g)
+    np.testing.assert_array_equal(got, expected)
     # The release sums the clipped stack; its bits must match the sum over
     # the reference's contiguous output, stride-0 repetitions included.
-    np.testing.assert_array_equal(
-        np.add.reduce(got, axis=0), reference_clip_rows(grads, c_g).sum(axis=0)
-    )
+    np.testing.assert_array_equal(np.add.reduce(got, axis=0), expected.sum(axis=0))
     return got
 
 

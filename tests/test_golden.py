@@ -10,7 +10,6 @@ exact only for the numpy version recorded in ``golden/numpy_version.txt``.
 """
 
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,16 +92,12 @@ CASES = {
 }
 
 
-def recorded_numpy_version() -> str:
-    return NUMPY_VERSION_FILE.read_text(encoding="utf-8").strip()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trace_is_byte_identical(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
     actual = CASES[name](tmp_path)
     assert actual == expected, (
         f"{name} differs from its golden file; the files were generated with numpy "
-        f"{recorded_numpy_version()} and this run uses numpy {np.__version__}. "
-        f"If the change is intended, rewrite them with `python {os.path.join('tests', 'golden', 'regen.py')}`."
+        f"{NUMPY_VERSION_FILE.read_text(encoding='utf-8').strip()} and this run uses numpy {np.__version__}. "
+        "If the change is intended, rewrite them with `python tests/golden/regen.py`."
     )
