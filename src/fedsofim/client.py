@@ -94,8 +94,8 @@ def _clip_stack(grads: np.ndarray, c_g: float) -> np.ndarray:
     out = grads * scale[:, None]
     # Same ulp correction as the scalar path.  Only rescaled rows can poke
     # past the radius; gathering them pays off while they are a minority.
-    rows = np.flatnonzero(~inside)
-    if 2 * rows.size <= grads.shape[0]:
+    if 2 * np.count_nonzero(inside) >= inside.size:
+        rows = np.flatnonzero(~inside)
         over = rows[_row_norms(out[rows]) > c_g]
     else:
         over = np.flatnonzero(_row_norms(out) > c_g)

@@ -104,6 +104,26 @@ class TestSoftmaxGradient:
         singles = np.stack([per_example_gradient(theta, ex, task) for ex in dataset.examples])
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
+    def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
+        # The column-chain row maximum and the preallocated augmented matrix
+        # must give exactly what max(axis=1) and np.hstack give, ties and
+        # non-finite logits included.
+        rng = np.random.default_rng(17)
+        for classes in (2, 4, 10):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
+            features = rng.normal(size=(40, 5)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
+            features[3] = features[4]
+            features[5, 0] = np.inf
+            theta = rng.normal(size=task.dim)
+            theta[: task.feature_dim + 1] = theta[task.feature_dim + 1: 2 * (task.feature_dim + 1)]
+            x_aug = np.hstack([features, np.ones((40, 1))])
+            np.testing.assert_array_equal(task._augment(features), x_aug)
+            with np.errstate(invalid="ignore"):
+                logits = x_aug @ theta.reshape(classes, 6).T
+                logits -= logits.max(axis=1, keepdims=True)
+                expected = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+                np.testing.assert_array_equal(task._log_probs(theta, x_aug), expected)
+
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
         with pytest.raises(ValueError, match="theta must have dimension 6"):
@@ -233,6 +253,15 @@ class TestQuadraticTask:
         with pytest.raises(ValueError, match="heterogeneity must be nonnegative"):
             make_synthetic_quadratic(4, 2, mu=0.5, L=1.0, heterogeneity=-1.0, seed=0)
 
+    def test_per_example_gradients_are_a_read_only_repetition_of_one_row(self):
+        task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
+        theta = np.random.default_rng(4).normal(size=5)
+        rows = task.per_example_gradients(theta, shards[1])
+        grad = shards[1].a_matrix @ (theta - shards[1].center)
+        np.testing.assert_array_equal(rows, np.broadcast_to(grad, (7, 5)))
+        assert rows.strides == (0, 8)
+        assert not rows.flags.writeable
+
     def test_shards_report_their_size(self):
         _, shards = make_synthetic_quadratic(4, 3, mu=0.5, L=1.0, heterogeneity=0.0,
                                              seed=0, shard_size=7)
@@ -349,6 +378,28 @@ class TestFrozenFeatureFiles:
         np.testing.assert_array_equal(loaded.features, dataset.features)
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
         assert meta["num_classes"] == 3
+
+    def test_repeated_loads_share_one_read_only_parse(self, tmp_path):
+        path = tmp_path / "shared.features"
+        path.write_text("dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
+        first, meta = load_frozen_features(path)
+        second, _ = load_frozen_features(path)
+        assert second is first
+        assert not first.features.flags.writeable
+        assert not first.labels.flags.writeable
+        meta["count"] = -1
+        assert load_frozen_features(path)[1]["count"] == 2
+
+    def test_edited_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "edited.features"
+        path.write_text("dim=2,classes=2\n0,1.0,2.0\n", encoding="utf-8")
+        before, _ = load_frozen_features(path)
+        # same length, so only the content tells the two apart
+        path.write_text("dim=2,classes=2\n1,5.0,2.0\n", encoding="utf-8")
+        after, _ = load_frozen_features(path)
+        np.testing.assert_array_equal(before.features, [[1.0, 2.0]])
+        np.testing.assert_array_equal(after.features, [[5.0, 2.0]])
+        np.testing.assert_array_equal(after.labels, [1])
 
 
 class TestAnisotropicFeatures:
