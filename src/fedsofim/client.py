@@ -85,20 +85,15 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
 def _clip_stack(grads: np.ndarray, c_g: float) -> np.ndarray:
     """clip_rows on a float64 stack, every row clipped on its own."""
     norms = _row_norms(grads)
-    inside = norms <= c_g
-    if inside.all():
+    if (norms <= c_g).all():
         return grads
     # Rows inside the ball are multiplied by exactly 1.0, a no-op in IEEE
     # arithmetic; rows with a NaN norm fail the test above and become NaN.
     scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))
     out = grads * scale[:, None]
-    # Same ulp correction as the scalar path.  Only rescaled rows can poke
-    # past the radius; gathering them pays off while they are a minority.
-    if 2 * np.count_nonzero(inside) >= inside.size:
-        rows = np.flatnonzero(~inside)
-        over = rows[_row_norms(out[rows]) > c_g]
-    else:
-        over = np.flatnonzero(_row_norms(out) > c_g)
+    # Same ulp correction as the scalar path, restricted to rows that still
+    # poke past the radius after rescaling.
+    over = np.flatnonzero(_row_norms(out) > c_g)
     passes = 0
     while over.size:
         if passes == MAX_ULP_PASSES:

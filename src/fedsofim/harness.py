@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -420,25 +419,6 @@ class GridSpec:
             raise ValueError("beta grid, when given, must be nonempty")
 
 
-# A sweep fans its runs out over worker processes only when each worker gets
-# at least this many runs; a smaller sweep runs in this process, where the
-# pool's start-up and the idle tail of its last wave would eat the gain.
-MIN_RUNS_PER_SWEEP_WORKER = 4
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _final_accuracy_and_loss(plan: ExperimentPlan) -> tuple:
-    table = run_experiment(plan)
-    return table.final_accuracy(), table.final_loss()
-
-
 def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tuple:
     """Sweep the grid, averaging final test accuracy over ``seeds`` reruns.
 
@@ -447,60 +427,41 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     ties break toward smaller eta, then smaller clip_cg (then smaller rho and
     beta when those are swept).  Returns (best_config, sweep_rows) where each
     sweep row records the cell and its mean final accuracy/loss.
-
-    The (cell, seed) runs are independent and each is deterministic from its
-    own master seed, so they run in worker processes, one per available CPU,
-    without changing a bit of the result; fewer workers are used when one
-    would get under MIN_RUNS_PER_SWEEP_WORKER runs, and a sweep that would
-    get one worker runs in this process.
     """
     validate_plan(base_plan)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     rho_grid = grid.rhos if grid.rhos is not None else (base_plan.config.rho,)
     beta_grid = grid.betas if grid.betas is not None else (base_plan.config.beta,)
-    cells = [
-        (eta, c_g, rho, beta)
-        for eta in grid.etas
-        for c_g in grid.clip_cgs
-        for rho in rho_grid
-        for beta in beta_grid
-    ]
-    plans = [
-        replace(
-            base_plan,
-            config=with_updates(
-                base_plan.config,
-                eta=eta,
-                clip_cg=c_g,
-                rho=rho,
-                beta=beta,
-                master_seed=base_plan.config.master_seed + k,
-            ),
-            output_path=None,
-        )
-        for eta, c_g, rho, beta in cells
-        for k in range(seeds)
-    ]
-    workers = min(available_cpus(), len(plans) // MIN_RUNS_PER_SWEEP_WORKER)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_final_accuracy_and_loss, plans))
-    else:
-        results = [_final_accuracy_and_loss(plan) for plan in plans]
     sweep = []
-    for i, (eta, c_g, rho, beta) in enumerate(cells):
-        runs = results[i * seeds:(i + 1) * seeds]
-        sweep.append(
-            {
-                "eta": eta,
-                "clip_cg": c_g,
-                "rho": rho,
-                "beta": beta,
-                "mean_final_accuracy": float(np.mean([acc for acc, _ in runs])),
-                "mean_final_loss": float(np.mean([loss for _, loss in runs])),
-            }
-        )
+    for eta in grid.etas:
+        for c_g in grid.clip_cgs:
+            for rho in rho_grid:
+                for beta in beta_grid:
+                    accs, losses = [], []
+                    for k in range(seeds):
+                        config = with_updates(
+                            base_plan.config,
+                            eta=eta,
+                            clip_cg=c_g,
+                            rho=rho,
+                            beta=beta,
+                            master_seed=base_plan.config.master_seed + k,
+                        )
+                        plan = replace(base_plan, config=config, output_path=None)
+                        table = run_experiment(plan)
+                        accs.append(table.final_accuracy())
+                        losses.append(table.final_loss())
+                    sweep.append(
+                        {
+                            "eta": eta,
+                            "clip_cg": c_g,
+                            "rho": rho,
+                            "beta": beta,
+                            "mean_final_accuracy": float(np.mean(accs)),
+                            "mean_final_loss": float(np.mean(losses)),
+                        }
+                    )
     best = min(sweep, key=lambda r: (-r["mean_final_accuracy"], r["eta"], r["clip_cg"], r["rho"], r["beta"]))
     best_config = with_updates(
         base_plan.config,

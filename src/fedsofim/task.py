@@ -134,7 +134,7 @@ class SoftmaxHeadTask:
         for k in range(1, self.num_classes):
             row_max = np.maximum(row_max, logits[:, k])
         logits -= row_max[:, None]
-        return logits - np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
         """All per-example gradients at theta, stacked as an (m, d) array."""

@@ -13,7 +13,6 @@ import gc
 import math
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import accountant
 from .client import clip_rows, private_release
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_stream
-from .harness import TaskBundle, available_cpus, clipped_aggregate, global_gradient, run_round
+from .harness import TaskBundle, clipped_aggregate, global_gradient, run_round
 from .oracles import dense_preconditioner
 from .server import aggregate, precondition_apply, sofim_step
 from .task import QuadraticShard, make_synthetic_quadratic
@@ -292,18 +291,10 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
 
 def suite_noise_floor(seed: int = 0, draws: int = 100_000) -> VerifyReport:
     c_g, sigma_g = 10.0, 2.0
-    profiles = (("equal_sizes", [10, 10, 10, 10]), ("mixed_sizes", [5, 10, 20, 40]))
-    # The profiles are independent Monte Carlo runs on their own streams, so
-    # with a second CPU they run side by side and measure the same bits.
-    args = [(sizes, c_g, sigma_g, draws, seed) for _, sizes in profiles]
-    if available_cpus() > 1:
-        with ProcessPoolExecutor(max_workers=len(profiles)) as pool:
-            variances = list(pool.map(_aggregate_noise_variance, *zip(*args)))
-    else:
-        variances = [_aggregate_noise_variance(*a) for a in args]
     checks = []
-    for (label, sizes), measured in zip(profiles, variances):
+    for label, sizes in (("equal_sizes", [10, 10, 10, 10]), ("mixed_sizes", [5, 10, 20, 40])):
         nu_sq, uniform = accountant.noise_floor(c_g, sigma_g, len(sizes), sizes)
+        measured = _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed)
         rel_err = abs(measured - nu_sq) / nu_sq
         checks.append(
             _check_max(

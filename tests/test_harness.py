@@ -1,11 +1,8 @@
 """Round loop, experiment orchestration, metrics IO, and grid search."""
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
-import fedsofim.harness as harness_module
 from fedsofim.accountant import calibrate_sigma
 from fedsofim.core import (
     FederatedConfig,
@@ -326,25 +323,6 @@ class TestGridSearch:
     def test_seed_count_validated(self):
         with pytest.raises(ValueError, match="seeds must be >= 1"):
             grid_search(quad_plan(), GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=0)
-
-    def test_worker_processes_reproduce_the_in_process_sweep(self, monkeypatch):
-        plan = quad_plan(config=quad_config(T=5, sigma_g=1.0, clip_cg=2.0))
-        grid = GridSpec(etas=(0.05, 0.2, 40.0), clip_cgs=(0.5, 2.0))
-        monkeypatch.setattr(harness_module, "available_cpus", lambda: 1)
-        serial = grid_search(plan, grid, seeds=2)
-        pools = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(harness_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness_module, "available_cpus", lambda: 2)
-        fanned = grid_search(plan, grid, seeds=2)
-        # 12 runs give each of two workers at least MIN_RUNS_PER_SWEEP_WORKER
-        assert pools == [2]
-        assert fanned == serial
 
 
 class TestDiagnostics:

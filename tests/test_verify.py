@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fedsofim.accountant import noise_floor
 from fedsofim.verify import (
     SUITES,
     CheckResult,
     VerifyReport,
-    _aggregate_noise_variance,
     _quadrature_delta,
-    suite_noise_floor,
     verify_theory,
 )
 
@@ -98,13 +95,3 @@ class TestVerifyTheory:
             assert isinstance(check.measured, float)
             assert isinstance(check.bound, float)
             assert check.passed == (check.measured <= check.bound)
-
-
-class TestNoiseFloorSuite:
-    def test_profiles_measure_the_same_bits_as_one_in_process_run_each(self):
-        report = suite_noise_floor(seed=3, draws=50)
-        for label, sizes in (("equal_sizes", [10, 10, 10, 10]), ("mixed_sizes", [5, 10, 20, 40])):
-            measured = _aggregate_noise_variance(sizes, 10.0, 2.0, 50, 3)
-            nu_sq, _ = noise_floor(10.0, 2.0, 4, sizes)
-            check = next(c for c in report.checks if c.name == f"{label}_variance_rel_err")
-            assert check.measured == abs(measured - nu_sq) / nu_sq
