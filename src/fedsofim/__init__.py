@@ -10,7 +10,6 @@ divergence of the resulting Gaussian mechanism in closed form.
 """
 
 from .accountant import (
-    PrivacySpec,
     calibrate_sigma,
     compose_adaptive,
     composed_delta,
@@ -48,7 +47,6 @@ from .harness import (
 )
 from .server import aggregate, fedgd_step, precondition_apply, sofim_step, update_momentum
 from .task import (
-    Example,
     FeatureDataset,
     QuadraticShard,
     QuadraticTask,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClientRelease",
-    "Example",
     "ExperimentPlan",
     "FeatureDataset",
     "FeatureTaskBinding",
@@ -72,7 +69,6 @@ __all__ = [
     "GridSpec",
     "MetricsTable",
     "Optimizer",
-    "PrivacySpec",
     "QuadraticShard",
     "QuadraticTask",
     "QuadraticTaskBinding",

@@ -19,7 +19,6 @@ anything else overflows at tight budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 _SQRT2 = math.sqrt(2.0)
@@ -29,27 +28,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # noise-multiplier search.
 CALIBRATION_BRACKET = (1e-3, 1e6)
 CALIBRATION_RTOL = 1e-3
-
-
-@dataclass(frozen=True)
-class PrivacySpec:
-    epsilon: float
-    delta: float
-    rounds: int
-    n: int
-    d_min: int
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0,1)")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.d_min < 1:
-            raise ValueError("d_min must be >= 1")
 
 
 def normal_cdf(x: float) -> float:

@@ -23,9 +23,8 @@ from .harness import (
     ExperimentPlan,
     FeatureTaskBinding,
     GridSpec,
-    MetricsTable,
     QuadraticTaskBinding,
-    _COLUMNS,
+    emit_metrics,
     grid_search,
     run_experiment,
 )
@@ -81,16 +80,6 @@ def _resolve_binding(args: argparse.Namespace):
     )
 
 
-def _print_table(table: MetricsTable) -> None:
-    print(",".join(_COLUMNS))
-    for row in table.rows:
-        gap = "" if row.suboptimality_gap is None else repr(float(row.suboptimality_gap))
-        print(
-            f"{row.round},{float(row.train_loss)!r},{float(row.test_accuracy)!r},"
-            f"{float(row.aggregate_grad_norm)!r},{gap},{float(row.elapsed)!r}"
-        )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     plan = ExperimentPlan(
         config=_resolve_config(args),
@@ -100,7 +89,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eval_every=args.eval_every,
         output_path=args.output,
         record_timing=args.timing,
-        workers=args.workers,
     )
     table = run_experiment(plan)
     for key, value in table.header.items():
@@ -108,7 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.output is not None:
         print(f"wrote {len(table.rows)} metric rows to {args.output}")
     else:
-        _print_table(table)
+        emit_metrics(table, sys.stdout)
     return 0
 
 
@@ -137,7 +125,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         delta=args.delta,
         eval_every=args.eval_every,
-        workers=args.workers,
     )
     grid = GridSpec(
         etas=_parse_float_list(args.etas, "--etas"),
@@ -193,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--delta", type=float, default=None)
     p_run.add_argument("--eval-every", type=int, default=10)
     p_run.add_argument("--output", default=None, metavar="PATH", help="metrics file (stdout when omitted)")
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--timing", action="store_true", help="record wall-clock in the elapsed column")
     p_run.set_defaults(handler=_cmd_run)
 
@@ -210,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--epsilon", type=float, default=None)
     p_grid.add_argument("--delta", type=float, default=None)
     p_grid.add_argument("--eval-every", type=int, default=10)
-    p_grid.add_argument("--workers", type=int, default=1)
     p_grid.add_argument("--etas", required=True, help="comma-separated step sizes")
     p_grid.add_argument("--clip_cgs", required=True, help="comma-separated clipping radii")
     p_grid.add_argument("--rhos", default=None)

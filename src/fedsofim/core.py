@@ -3,8 +3,7 @@
 Everything downstream (clients, server, harness) depends on the types here.
 Randomness is derived, never shared: each (master_seed, client, round) triple
 maps to its own generator through a fixed 64-bit avalanche mix, so runs are
-reproducible bit-for-bit within one numpy version regardless of how client
-work is scheduled.
+reproducible bit-for-bit within one numpy version.
 """
 
 from __future__ import annotations

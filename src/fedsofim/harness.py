@@ -1,25 +1,22 @@
 """Experiment orchestration: round loop, plans, grid search, metrics emission.
 
 A plan resolves to (task bundle, config) deterministically from the master
-seed; every client-round draws from its own derived stream, so the round loop
-produces identical results whether releases are computed serially or by a
-thread pool.  Nothing in this module may import ``fedsofim.oracles`` — the
-dense preconditioner must stay unreachable from production runs.
+seed, and every client-round draws from its own derived stream.  Nothing in
+this module may import ``fedsofim.oracles`` — the dense preconditioner must
+stay unreachable from production runs.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .accountant import calibrate_sigma
-from .client import ClientRelease, private_release
+from .client import private_release
 from .core import (
     FederatedConfig,
     Optimizer,
@@ -36,8 +33,8 @@ from .core import (
 from .server import aggregate, fedgd_step, sofim_step
 from .task import (
     FeatureDataset,
-    QuadraticTask,
     SoftmaxHeadTask,
+    Task,
     load_frozen_features,
     make_synthetic_quadratic,
     partition_iid,
@@ -82,7 +79,7 @@ TaskBinding = Union[FeatureTaskBinding, QuadraticTaskBinding]
 class TaskBundle:
     """A task plus its per-client shards and evaluation data."""
 
-    task: Union[SoftmaxHeadTask, QuadraticTask]
+    task: Task
     train: tuple
     test: Optional[FeatureDataset] = None
 
@@ -91,29 +88,8 @@ class TaskBundle:
         return self.task.dim
 
     def evaluate(self, theta: np.ndarray) -> tuple:
-        """(train_loss, test_accuracy, suboptimality_gap or None) at theta.
-
-        Divergent iterates are reported as (inf, 0.0, inf-or-None) rather
-        than raising, so grid search can rank them as worst.
-        """
-        if not np.all(np.isfinite(theta)):
-            gap = math.inf if isinstance(self.task, QuadraticTask) else None
-            return math.inf, 0.0, gap
-        if isinstance(self.task, QuadraticTask):
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = self.task.global_value(theta)
-                gap = self.task.gap(theta)
-            if not math.isfinite(loss):
-                return math.inf, 0.0, math.inf
-            return loss, math.exp(-gap), gap
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The federated objective is the unweighted mean of client means.
-            client_losses = [self.task.loss_and_accuracy(theta, ds)[0] for ds in self.train]
-            loss = float(np.mean(client_losses))
-            _, accuracy = self.task.loss_and_accuracy(theta, self.test)
-        if not math.isfinite(loss) or not math.isfinite(accuracy):
-            return math.inf, 0.0, None
-        return loss, accuracy, None
+        """(train_loss, test_accuracy, suboptimality_gap or None) at theta."""
+        return self.task.evaluate(theta, self.train, self.test)
 
 
 def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
@@ -173,7 +149,6 @@ class ExperimentPlan:
     eval_every: int = 10
     output_path: Optional[str] = None
     record_timing: bool = False
-    workers: int = 1
 
 
 def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
@@ -186,8 +161,6 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
             raise ValueError("set either a privacy target or an explicit sigma_g, not both")
     if plan.eval_every < 1:
         raise ValueError("eval_every must be >= 1")
-    if plan.workers < 1:
-        raise ValueError("workers must be >= 1")
     return plan
 
 
@@ -210,26 +183,21 @@ def run_round(
     config: FederatedConfig,
     round_index: int,
     evaluate: bool = True,
-    workers: int = 1,
-    eta: Optional[float] = None,
-    elapsed: float = 0.0,
 ) -> tuple:
     """Execute one full round: n releases, aggregate, optimizer step.
 
-    Deterministic given (config, round_index); the thread pool only
-    parallelizes the per-client releases, whose streams are independent by
-    construction.  Returns (new_state, RoundMetrics or None).
+    Deterministic given (config, round_index): each client's release draws
+    from its own derived stream.  Returns (new_state, RoundMetrics or None).
     """
     if not 0 <= round_index < config.T:
         raise ValueError(f"round {round_index} outside [0, {config.T})")
-    step_eta = config.eta if eta is None else eta
     needs_stream = config.sigma_g > 0 or config.batch_size > 0
-
-    def one_release(client_id: int) -> ClientRelease:
+    releases = []
+    for client_id in range(config.n):
         stream = (
             derive_noise_stream(config.master_seed, client_id, round_index) if needs_stream else None
         )
-        return private_release(
+        releases.append(private_release(
             bundle.train[client_id],
             state.theta,
             config.clip_cg,
@@ -240,37 +208,24 @@ def run_round(
             client_id=client_id,
             round_index=round_index,
             batch_size=config.batch_size,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            releases = list(pool.map(one_release, range(config.n)))
-    else:
-        releases = [one_release(i) for i in range(config.n)]
+        ))
 
     g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
-            if eta is None:
-                new_state = sofim_step(state, g, config)
-            else:
-                new_state = sofim_step(state, g, with_updates(config, eta=step_eta))
+            new_state = sofim_step(state, g, config)
         else:
-            new_state = fedgd_step(state, g, step_eta)
+            new_state = fedgd_step(state, g, config.eta)
 
     metrics = None
     if evaluate:
         train_loss, test_accuracy, gap = bundle.evaluate(new_state.theta)
-        grad_norm = float(np.linalg.norm(g))
-        if not math.isfinite(grad_norm):
-            grad_norm = math.inf
         metrics = RoundMetrics(
             round=round_index + 1,
             train_loss=train_loss,
             test_accuracy=test_accuracy,
-            aggregate_grad_norm=grad_norm,
+            aggregate_grad_norm=float(np.linalg.norm(g)),
             suboptimality_gap=gap,
-            elapsed=elapsed,
         )
     return new_state, metrics
 
@@ -293,16 +248,11 @@ class MetricsTable:
         return self.rows[-1].train_loss
 
 
-def run_experiment(
-    plan: ExperimentPlan,
-    eta_schedule: Optional[Callable[[int], float]] = None,
-) -> MetricsTable:
+def run_experiment(plan: ExperimentPlan) -> MetricsTable:
     """Run a full T-round experiment from a validated plan.
 
-    eta_schedule optionally maps round index -> step size (the hook exists
-    for experimentation; the default is the constant config.eta, which is
-    what the convergence analysis covers).  Metrics are evaluated every
-    eval_every rounds and always at the final round.
+    Metrics are evaluated every eval_every rounds and always at the final
+    round.
     """
     config = resolve_sigma(plan)
     bundle = build_bundle(plan.binding, config.n, config.master_seed)
@@ -311,17 +261,7 @@ def run_experiment(
     start = time.perf_counter()
     for t in range(config.T):
         evaluate = ((t + 1) % plan.eval_every == 0) or (t == config.T - 1)
-        elapsed = (time.perf_counter() - start) if plan.record_timing else 0.0
-        state, metrics = run_round(
-            bundle,
-            state,
-            config,
-            t,
-            evaluate=evaluate,
-            workers=plan.workers,
-            eta=None if eta_schedule is None else eta_schedule(t),
-            elapsed=elapsed,
-        )
+        state, metrics = run_round(bundle, state, config, t, evaluate=evaluate)
         if metrics is not None:
             if plan.record_timing:
                 metrics = replace(metrics, elapsed=time.perf_counter() - start)
@@ -343,7 +283,8 @@ def run_experiment(
     }
     table = MetricsTable(rows=tuple(rows), header=header)
     if plan.output_path is not None:
-        emit_metrics(table, plan.output_path)
+        with open(plan.output_path, "w", encoding="utf-8") as fh:
+            emit_metrics(table, fh)
     return table
 
 
@@ -353,21 +294,20 @@ def run_experiment(
 _COLUMNS = ("round", "train_loss", "test_accuracy", "aggregate_grad_norm", "suboptimality_gap", "elapsed")
 
 
-def emit_metrics(table, path) -> None:
-    """Write metrics as comma-separated text with one fixed-order header row.
+def emit_metrics(table: MetricsTable, fh) -> None:
+    """Write metrics to an open text stream as comma-separated text with one
+    fixed-order header row.
 
     An absent suboptimality gap becomes an empty cell.  Floats are written
     with repr so a round-trip parse reproduces the table exactly.
     """
-    rows = table.rows if isinstance(table, MetricsTable) else tuple(table)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_COLUMNS) + "\n")
-        for row in rows:
-            gap = "" if row.suboptimality_gap is None else repr(float(row.suboptimality_gap))
-            fh.write(
-                f"{row.round},{float(row.train_loss)!r},{float(row.test_accuracy)!r},"
-                f"{float(row.aggregate_grad_norm)!r},{gap},{float(row.elapsed)!r}\n"
-            )
+    fh.write(",".join(_COLUMNS) + "\n")
+    for row in table.rows:
+        gap = "" if row.suboptimality_gap is None else repr(float(row.suboptimality_gap))
+        fh.write(
+            f"{row.round},{float(row.train_loss)!r},{float(row.test_accuracy)!r},"
+            f"{float(row.aggregate_grad_norm)!r},{gap},{float(row.elapsed)!r}\n"
+        )
 
 
 def read_metrics(path) -> tuple:
@@ -484,14 +424,6 @@ def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.n
         for i, ds in enumerate(bundle.train)
     ]
     return aggregate(releases, len(bundle.train))
-
-
-def global_gradient(bundle: TaskBundle, theta: np.ndarray) -> np.ndarray:
-    """Unclipped federated gradient: mean over clients of client-mean gradients."""
-    if isinstance(bundle.task, QuadraticTask):
-        return bundle.task.global_gradient(theta)
-    per_client = [bundle.task.per_example_gradients(theta, ds).mean(axis=0) for ds in bundle.train]
-    return np.mean(per_client, axis=0)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

@@ -8,25 +8,13 @@ import chain reachable from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .client import ClientRelease
 from .core import FederatedConfig, ServerState
-
-
-@dataclass(frozen=True)
-class PreconditionerParams:
-    rho: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if not 0 <= self.beta < 1:
-            raise ValueError("beta must lie in [0,1)")
 
 
 def aggregate(releases: Sequence[ClientRelease], expected_n: int = None) -> np.ndarray:

@@ -12,15 +12,9 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Example:
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -44,18 +38,8 @@ class FeatureDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def examples(self) -> list:
-        return [Example(self.features[i], int(self.labels[i])) for i in range(self.size)]
-
     def subset(self, indices: np.ndarray) -> "FeatureDataset":
         return FeatureDataset(self.features[indices], self.labels[indices])
-
-    @classmethod
-    def from_examples(cls, examples: Sequence[Example]) -> "FeatureDataset":
-        feats = np.asarray([np.asarray(e.features, dtype=np.float64) for e in examples])
-        labels = np.asarray([e.label for e in examples], dtype=np.int64)
-        return cls(feats, labels)
 
 
 @dataclass(frozen=True)
@@ -79,10 +63,6 @@ class QuadraticShard:
 
 
 ClientDataset = Union[FeatureDataset, QuadraticShard]
-
-
-def dataset_size(dataset: ClientDataset) -> int:
-    return dataset.size
 
 
 class SoftmaxHeadTask:
@@ -147,13 +127,6 @@ class SoftmaxHeadTask:
             grads += self.l2_lambda * theta
         return grads
 
-    def per_example_gradient(self, theta: np.ndarray, example: Example) -> np.ndarray:
-        single = FeatureDataset(
-            np.asarray(example.features, dtype=np.float64)[None, :],
-            np.asarray([example.label], dtype=np.int64),
-        )
-        return self.per_example_gradients(theta, single)[0]
-
     def loss_and_accuracy(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
         theta = self._check_theta(theta)
         if dataset.size == 0:
@@ -167,6 +140,23 @@ class SoftmaxHeadTask:
         predictions = np.argmax(log_probs, axis=1)
         accuracy = float(np.mean(predictions == dataset.labels))
         return loss, accuracy
+
+    def evaluate(self, theta: np.ndarray, train: tuple, test: FeatureDataset) -> tuple:
+        """(train_loss, test_accuracy, None) at theta.
+
+        Divergent iterates are reported as (inf, 0.0, None) rather than
+        raising, so grid search can rank them as worst.
+        """
+        if not np.all(np.isfinite(theta)):
+            return math.inf, 0.0, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The federated objective is the unweighted mean of client means.
+            client_losses = [self.loss_and_accuracy(theta, ds)[0] for ds in train]
+            loss = float(np.mean(client_losses))
+            _, accuracy = self.loss_and_accuracy(theta, test)
+        if not math.isfinite(loss) or not math.isfinite(accuracy):
+            return math.inf, 0.0, None
+        return loss, accuracy, None
 
 
 class QuadraticTask:
@@ -222,40 +212,37 @@ class QuadraticTask:
         rows.flags.writeable = False
         return rows
 
-    def per_example_gradient(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
-        return self.per_example_gradients(theta, shard)[0].copy()
-
-    def loss_and_accuracy(self, theta: np.ndarray, dataset) -> tuple:
-        """Mean loss over one shard or a sequence of shards, plus exp(-gap)."""
+    def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
+        """Loss on one shard, plus exp(-gap)."""
         theta = np.asarray(theta, dtype=np.float64)
-        shards = [dataset] if isinstance(dataset, QuadraticShard) else list(dataset)
-        if not shards:
-            raise ValueError("empty dataset")
-        loss = float(np.mean([
-            0.5 * float((theta - s.center) @ (s.a_matrix @ (theta - s.center))) for s in shards
-        ]))
+        loss = 0.5 * float((theta - shard.center) @ (shard.a_matrix @ (theta - shard.center)))
         return loss, math.exp(-self.gap(theta))
+
+    def evaluate(self, theta: np.ndarray, train: tuple, test: Optional[FeatureDataset]) -> tuple:
+        """(global_value, exp(-gap), gap) at theta; the shards are not needed.
+
+        Divergent iterates are reported as (inf, 0.0, inf) rather than
+        raising, so grid search can rank them as worst.
+        """
+        if not np.all(np.isfinite(theta)):
+            return math.inf, 0.0, math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = self.global_value(theta)
+            gap = self.gap(theta)
+        if not math.isfinite(loss):
+            return math.inf, 0.0, math.inf
+        return loss, math.exp(-gap), gap
 
 
 Task = Union[SoftmaxHeadTask, QuadraticTask]
 
 
-def per_example_gradient(theta: np.ndarray, example, task: Task) -> np.ndarray:
-    """Gradient of one example's loss at theta, l2 term included."""
-    return task.per_example_gradient(theta, example)
-
-
-def loss_and_accuracy(theta: np.ndarray, dataset, task: Task) -> tuple:
-    return task.loss_and_accuracy(theta, dataset)
-
-
-def partition_iid(examples, n: int, seed: int) -> list:
+def partition_iid(dataset: FeatureDataset, n: int, seed: int) -> list:
     """Seeded uniform shuffle split into n shards with sizes differing by <= 1.
 
-    Accepts a FeatureDataset or a sequence of Example.  When the count is not
-    divisible by n, the earlier shards take the extra example.
+    When the count is not divisible by n, the earlier shards take the extra
+    example.
     """
-    dataset = examples if isinstance(examples, FeatureDataset) else FeatureDataset.from_examples(examples)
     if dataset.size < n:
         raise ValueError(f"cannot partition {dataset.size} examples across {n} clients")
     if n < 1:

@@ -20,7 +20,7 @@ import numpy as np
 from . import accountant
 from .client import clip_rows, private_release
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_stream
-from .harness import TaskBundle, clipped_aggregate, global_gradient, run_round
+from .harness import TaskBundle, clipped_aggregate, run_round
 from .oracles import dense_preconditioner
 from .server import aggregate, precondition_apply, sofim_step
 from .task import QuadraticShard, make_synthetic_quadratic
@@ -379,7 +379,7 @@ def suite_convergence_floor(seed: int = 0, num_seeds: int = 20, rounds: int = 50
         )
         state = ServerState.initial(np.zeros(d))
         for t in range(rounds):
-            grad = global_gradient(bundle, state.theta)
+            grad = bundle.task.global_gradient(state.theta)
             g_max = max(g_max, float(np.linalg.norm(grad)))
             zeta = clipped_aggregate(bundle, state.theta, c_g) - grad
             zeta_max = max(zeta_max, float(np.linalg.norm(zeta)))

@@ -22,7 +22,6 @@ from fedsofim.harness import (
     QuadraticTaskBinding,
     build_bundle,
     clipped_aggregate,
-    global_gradient,
     grid_search,
     run_round,
 )
@@ -174,7 +173,7 @@ def test_criterion_09_noiseless_per_round_contraction():
     for t in range(config.T):
         agg = clipped_aggregate(bundle, state.theta, c_g)
         g_max = max(g_max, float(np.linalg.norm(agg)))
-        zeta = float(np.linalg.norm(agg - global_gradient(bundle, state.theta)))
+        zeta = float(np.linalg.norm(agg - bundle.task.global_gradient(state.theta)))
         zeta_max = max(zeta_max, zeta)
         state, _ = run_round(bundle, state, config, t, evaluate=False)
         gaps.append(bundle.task.gap(state.theta))

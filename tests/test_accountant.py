@@ -16,7 +16,6 @@ from scipy import integrate
 from scipy import stats
 
 from fedsofim.accountant import (
-    PrivacySpec,
     calibrate_sigma,
     compose_adaptive,
     composed_delta,
@@ -342,17 +341,3 @@ class TestTheoreticalFloor:
             theoretical_floor(**dict(p, eta=1e9))
         with pytest.raises(ValueError, match="tau1 and tau2 must be positive"):
             theoretical_floor(**dict(p, tau1=0.0))
-
-
-class TestPrivacySpec:
-    def test_valid_spec(self):
-        spec = PrivacySpec(epsilon=1.0, delta=1e-5, rounds=70, n=20, d_min=5)
-        assert spec.rounds == 70
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            PrivacySpec(epsilon=0.0, delta=1e-5, rounds=1, n=1, d_min=1)
-        with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
-            PrivacySpec(epsilon=1.0, delta=0.0, rounds=1, n=1, d_min=1)
-        with pytest.raises(ValueError, match="d_min must be >= 1"):
-            PrivacySpec(epsilon=1.0, delta=1e-5, rounds=1, n=1, d_min=0)

@@ -38,6 +38,16 @@ class TestRunCommand:
         assert "round,train_loss,test_accuracy,aggregate_grad_norm," \
                "suboptimality_gap,elapsed" in stdout
 
+    def test_stdout_table_matches_the_output_file_byte_for_byte(self, tmp_path, capsys):
+        args = ["run", *QUAD_FLAGS, "--sigma_g", "1.0", "--eval-every", "2"]
+        out = tmp_path / "metrics.csv"
+        assert cli.main([*args, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        header_end = next(i for i, line in enumerate(lines) if " = " not in line)
+        assert "".join(lines[header_end:]).encode("utf-8") == out.read_bytes()
+
     def test_flags_override_the_config_file(self, tmp_path, capsys):
         config = tmp_path / "settings.txt"
         config.write_text(textwrap.dedent("""

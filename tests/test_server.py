@@ -9,7 +9,6 @@ from fedsofim.client import ClientRelease
 from fedsofim.core import FederatedConfig, Optimizer, ServerState, validate_config
 from fedsofim.oracles import dense_preconditioner
 from fedsofim.server import (
-    PreconditionerParams,
     aggregate,
     fedgd_step,
     precondition_apply,
@@ -273,15 +272,3 @@ class TestFedgdStep:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             fedgd_step(ServerState.initial(np.zeros(2)), np.zeros(4), eta=0.1)
-
-
-class TestPreconditionerParams:
-    def test_valid_params(self):
-        params = PreconditionerParams(rho=0.5, beta=0.9)
-        assert params.rho == 0.5
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match="rho must be positive"):
-            PreconditionerParams(rho=0.0, beta=0.9)
-        with pytest.raises(ValueError, match=r"beta must lie in \[0,1\)"):
-            PreconditionerParams(rho=0.5, beta=1.0)

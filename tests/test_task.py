@@ -11,18 +11,14 @@ import numpy as np
 import pytest
 
 from fedsofim.task import (
-    Example,
     FeatureDataset,
     QuadraticShard,
     QuadraticTask,
     SoftmaxHeadTask,
-    dataset_size,
     load_frozen_features,
-    loss_and_accuracy,
     make_anisotropic_features,
     make_synthetic_quadratic,
     partition_iid,
-    per_example_gradient,
     save_frozen_features,
 )
 
@@ -55,8 +51,7 @@ class TestSoftmaxGradient:
     def test_zero_theta_gives_uniform_softmax_residual(self):
         task = SoftmaxHeadTask(num_classes=3, feature_dim=2, l2_lambda=0.0)
         x = np.array([2.0, -1.0])
-        example = Example(features=x, label=1)
-        grad = per_example_gradient(np.zeros(task.dim), example, task)
+        grad = task.per_example_gradients(np.zeros(task.dim), single_example_dataset(x, 1))[0]
         x_aug = np.array([2.0, -1.0, 1.0])
         expected = np.concatenate(
             [((1.0 / 3.0) - (1.0 if c == 1 else 0.0)) * x_aug for c in range(3)]
@@ -68,10 +63,10 @@ class TestSoftmaxGradient:
         task_plain = SoftmaxHeadTask(num_classes=2, feature_dim=2, l2_lambda=0.0)
         rng = np.random.default_rng(3)
         theta = rng.normal(size=task_reg.dim)
-        example = Example(features=rng.normal(size=2), label=0)
-        diff = per_example_gradient(theta, example, task_reg) - per_example_gradient(
-            theta, example, task_plain
-        )
+        example = single_example_dataset(rng.normal(size=2), 0)
+        diff = task_reg.per_example_gradients(theta, example)[0] - task_plain.per_example_gradients(
+            theta, example
+        )[0]
         np.testing.assert_allclose(diff, 0.5 * theta, rtol=1e-12)
 
     def test_matches_central_finite_differences(self):
@@ -82,13 +77,12 @@ class TestSoftmaxGradient:
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=1e-4)
             assert task.dim <= 30
             theta = rng.normal(scale=0.8, size=task.dim)
-            example = Example(features=rng.normal(size=feat), label=int(rng.integers(classes)))
-            dataset = single_example_dataset(example.features, example.label)
+            dataset = single_example_dataset(rng.normal(size=feat), int(rng.integers(classes)))
 
             def loss_at(point):
-                return loss_and_accuracy(point, dataset, task)[0]
+                return task.loss_and_accuracy(point, dataset)[0]
 
-            grad = per_example_gradient(theta, example, task)
+            grad = task.per_example_gradients(theta, dataset)[0]
             oracle = finite_difference_gradient(loss_at, theta)
             err = np.linalg.norm(grad - oracle) / max(np.linalg.norm(oracle), 1e-12)
             assert err <= 1e-5, f"trial {trial}: finite-difference mismatch {err:.2e}"
@@ -101,7 +95,10 @@ class TestSoftmaxGradient:
         )
         theta = rng.normal(size=task.dim)
         batch = task.per_example_gradients(theta, dataset)
-        singles = np.stack([per_example_gradient(theta, ex, task) for ex in dataset.examples])
+        singles = np.stack([
+            task.per_example_gradients(theta, single_example_dataset(x, label))[0]
+            for x, label in zip(dataset.features, dataset.labels)
+        ])
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
     def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
@@ -127,7 +124,7 @@ class TestSoftmaxGradient:
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
         with pytest.raises(ValueError, match="theta must have dimension 6"):
-            per_example_gradient(np.zeros(5), Example(np.zeros(2), 0), task)
+            task.per_example_gradients(np.zeros(5), single_example_dataset(np.zeros(2), 0))
 
 
 class TestSoftmaxLossAndAccuracy:
@@ -135,16 +132,16 @@ class TestSoftmaxLossAndAccuracy:
         for k in (2, 3, 7):
             task = SoftmaxHeadTask(num_classes=k, feature_dim=3, l2_lambda=0.0)
             dataset = single_example_dataset([0.4, -0.2, 1.0], label=k - 1)
-            loss, _ = loss_and_accuracy(np.zeros(task.dim), dataset, task)
+            loss, _ = task.loss_and_accuracy(np.zeros(task.dim), dataset)
             np.testing.assert_allclose(loss, math.log(k), rtol=1e-14)
 
     def test_argmax_ties_resolve_to_lowest_class(self):
         task = SoftmaxHeadTask(num_classes=3, feature_dim=2, l2_lambda=0.0)
         dataset = single_example_dataset([1.0, 1.0], label=0)
-        _, acc0 = loss_and_accuracy(np.zeros(task.dim), dataset, task)
+        _, acc0 = task.loss_and_accuracy(np.zeros(task.dim), dataset)
         assert acc0 == 1.0
         dataset_other = single_example_dataset([1.0, 1.0], label=2)
-        _, acc2 = loss_and_accuracy(np.zeros(task.dim), dataset_other, task)
+        _, acc2 = task.loss_and_accuracy(np.zeros(task.dim), dataset_other)
         assert acc2 == 0.0
 
     def test_matches_example_by_example_recomputation(self):
@@ -154,16 +151,16 @@ class TestSoftmaxLossAndAccuracy:
             features=rng.normal(size=(17, 4)), labels=rng.integers(0, 3, size=17)
         )
         theta = rng.normal(size=task.dim)
-        loss, acc = loss_and_accuracy(theta, dataset, task)
+        loss, acc = task.loss_and_accuracy(theta, dataset)
 
         weights = theta.reshape(3, 5)
         per_example_losses = []
         hits = 0
-        for ex in dataset.examples:
-            logits = weights @ np.append(ex.features, 1.0)
+        for x, label in zip(dataset.features, dataset.labels):
+            logits = weights @ np.append(x, 1.0)
             log_norm = math.log(math.fsum(math.exp(z) for z in logits))
-            per_example_losses.append(log_norm - logits[ex.label])
-            if int(np.argmax(logits)) == ex.label:
+            per_example_losses.append(log_norm - logits[label])
+            if int(np.argmax(logits)) == label:
                 hits += 1
         expected_loss = math.fsum(per_example_losses) / 17 + 0.5 * 1e-2 * float(theta @ theta)
         np.testing.assert_allclose(loss, expected_loss, rtol=1e-12)
@@ -173,7 +170,7 @@ class TestSoftmaxLossAndAccuracy:
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
         empty = FeatureDataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty dataset"):
-            loss_and_accuracy(np.zeros(task.dim), empty, task)
+            task.loss_and_accuracy(np.zeros(task.dim), empty)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="num_classes must be >= 2"):
@@ -205,7 +202,7 @@ class TestQuadraticTask:
     def test_gradient_vanishes_at_shard_center(self):
         task, shards = make_synthetic_quadratic(4, 3, mu=0.2, L=2.0, heterogeneity=1.0, seed=0)
         shard = shards[0]
-        grad = per_example_gradient(shard.center, shard, task)
+        grad = task.per_example_gradients(shard.center, shard)[0]
         np.testing.assert_allclose(grad, np.zeros(4), atol=1e-12)
 
     def test_global_gradient_matches_finite_differences(self):
@@ -265,7 +262,7 @@ class TestQuadraticTask:
     def test_shards_report_their_size(self):
         _, shards = make_synthetic_quadratic(4, 3, mu=0.5, L=1.0, heterogeneity=0.0,
                                              seed=0, shard_size=7)
-        assert all(dataset_size(s) == 7 for s in shards)
+        assert all(s.size == 7 for s in shards)
 
 
 class TestPartition:
