@@ -60,52 +60,3 @@ from .task import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClientRelease",
-    "ExperimentPlan",
-    "FeatureDataset",
-    "FeatureTaskBinding",
-    "FederatedConfig",
-    "GridSpec",
-    "MetricsTable",
-    "Optimizer",
-    "QuadraticShard",
-    "QuadraticTask",
-    "QuadraticTaskBinding",
-    "RoundMetrics",
-    "ServerState",
-    "SoftmaxHeadTask",
-    "TaskBundle",
-    "aggregate",
-    "build_bundle",
-    "calibrate_sigma",
-    "clip_gradient",
-    "clip_rows",
-    "compose_adaptive",
-    "composed_delta",
-    "derive_noise_stream",
-    "derive_stream_seed",
-    "emit_metrics",
-    "fedgd_step",
-    "grid_search",
-    "load_config",
-    "load_frozen_features",
-    "make_anisotropic_features",
-    "make_synthetic_quadratic",
-    "noise_floor",
-    "parse_config_text",
-    "partition_iid",
-    "precondition_apply",
-    "private_release",
-    "read_metrics",
-    "run_experiment",
-    "run_round",
-    "save_frozen_features",
-    "sensitivity",
-    "single_round_delta",
-    "sofim_step",
-    "theoretical_floor",
-    "update_momentum",
-    "validate_config",
-    "with_updates",
-]

@@ -88,7 +88,7 @@ def single_round_delta(epsilon: float, delta_sens: float, sigma_release: float) 
         raise ValueError("sigma_release must be positive")
     if not delta_sens > 0:
         raise ValueError("delta_sens must be positive")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     return _hockey_stick(epsilon, sigma_release / delta_sens)
 
@@ -104,7 +104,7 @@ def composed_delta(epsilon: float, sigma_g: float, n: int, T: int) -> float:
         raise ValueError("sigma_g must be positive")
     if n < 1 or T < 1:
         raise ValueError("n and T must be >= 1")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     # q = 1/(2*ratio): reuse the single-round kernel with ratio = sigma_g/(2 sqrt(nT)).
     return _hockey_stick(epsilon, sigma_g / (2.0 * math.sqrt(n * T)))

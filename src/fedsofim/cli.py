@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
 from .accountant import calibrate_sigma, composed_delta
-from .core import FederatedConfig, load_config, parse_config_text
+from .core import CONFIG_TYPES, load_config, parse_config_text
 from .harness import (
+    GRID_AXES,
     ExperimentPlan,
     FeatureTaskBinding,
     GridSpec,
@@ -30,20 +32,13 @@ from .harness import (
 )
 from .task import make_anisotropic_features, save_frozen_features
 
-_CONFIG_FLAG_KEYS = ("n", "T", "eta", "clip_cg", "sigma_g", "beta", "rho", "master_seed", "optimizer", "batch_size")
-_INT_KEYS = {"n", "T", "master_seed", "batch_size"}
 
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by run and grid: one per config key (kept as text, so the
+    config parser is the one place that casts), the task, and the privacy target."""
     p.add_argument("--config", default=None, metavar="PATH", help="key = value settings file")
-    for key in _CONFIG_FLAG_KEYS:
-        if key == "optimizer":
-            p.add_argument("--optimizer", choices=["SOFIM", "FEDGD", "sofim", "fedgd"], default=None)
-        else:
-            p.add_argument(f"--{key}", type=int if key in _INT_KEYS else float, default=None)
-
-
-def _add_task_flags(p: argparse.ArgumentParser) -> None:
+    for key in CONFIG_TYPES:
+        p.add_argument(f"--{key}", default=None)
     p.add_argument("--features", default=None, metavar="PATH", help="frozen-feature training file")
     p.add_argument("--test-features", default=None, metavar="PATH", help="held-out feature file")
     p.add_argument("--l2-lambda", type=float, default=1e-4)
@@ -55,13 +50,25 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=float, default=5.0)
     p.add_argument("--heterogeneity", type=float, default=1.0)
     p.add_argument("--shard-size", type=int, default=10)
+    p.add_argument("--epsilon", type=float, default=None, help="privacy target (requires --delta, sigma_g = 0)")
+    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--eval-every", type=int, default=10)
 
 
-def _resolve_config(args: argparse.Namespace) -> FederatedConfig:
-    overrides = {k: getattr(args, k) for k in _CONFIG_FLAG_KEYS if getattr(args, k) is not None}
+def _resolve_plan(args: argparse.Namespace, **extra) -> ExperimentPlan:
+    overrides = {key: getattr(args, key) for key in CONFIG_TYPES}
     if args.config is not None:
-        return load_config(args.config, overrides)
-    return parse_config_text("", overrides)
+        config = load_config(args.config, overrides)
+    else:
+        config = parse_config_text("", overrides)
+    return ExperimentPlan(
+        config=config,
+        binding=_resolve_binding(args),
+        epsilon=args.epsilon,
+        delta=args.delta,
+        eval_every=args.eval_every,
+        **extra,
+    )
 
 
 def _resolve_binding(args: argparse.Namespace):
@@ -81,16 +88,7 @@ def _resolve_binding(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    plan = ExperimentPlan(
-        config=_resolve_config(args),
-        binding=_resolve_binding(args),
-        epsilon=args.epsilon,
-        delta=args.delta,
-        eval_every=args.eval_every,
-        output_path=args.output,
-        record_timing=args.timing,
-    )
-    table = run_experiment(plan)
+    table = run_experiment(_resolve_plan(args, output_path=args.output, record_timing=args.timing))
     for key, value in table.header.items():
         print(f"{key} = {value}")
     if args.output is not None:
@@ -119,30 +117,18 @@ def _parse_float_list(text: str, flag: str) -> tuple:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    plan = ExperimentPlan(
-        config=_resolve_config(args),
-        binding=_resolve_binding(args),
-        epsilon=args.epsilon,
-        delta=args.delta,
-        eval_every=args.eval_every,
-    )
-    grid = GridSpec(
-        etas=_parse_float_list(args.etas, "--etas"),
-        clip_cgs=_parse_float_list(args.clip_cgs, "--clip_cgs"),
-        rhos=None if args.rhos is None else _parse_float_list(args.rhos, "--rhos"),
-        betas=None if args.betas is None else _parse_float_list(args.betas, "--betas"),
-    )
+    plan = _resolve_plan(args)
+    grid = GridSpec(**{
+        f.name: _parse_float_list(getattr(args, f.name), f"--{f.name}")
+        for f in fields(GridSpec) if getattr(args, f.name) is not None
+    })
     best, sweep = grid_search(plan, grid, seeds=args.seeds)
     for row in sweep:
-        print(
-            f"eta={row['eta']!r} clip_cg={row['clip_cg']!r} rho={row['rho']!r} beta={row['beta']!r} "
-            f"accuracy={row['mean_final_accuracy']!r} loss={row['mean_final_loss']!r}"
-        )
+        cell = " ".join(f"{axis}={row[axis]!r}" for axis in GRID_AXES)
+        print(f"{cell} accuracy={row['mean_final_accuracy']!r} loss={row['mean_final_loss']!r}")
     print("best:")
-    print(f"eta = {best.eta!r}")
-    print(f"clip_cg = {best.clip_cg!r}")
-    print(f"rho = {best.rho!r}")
-    print(f"beta = {best.beta!r}")
+    for axis in GRID_AXES:
+        print(f"{axis} = {getattr(best, axis)!r}")
     return 0
 
 
@@ -174,11 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one federated experiment")
-    _add_config_flags(p_run)
-    _add_task_flags(p_run)
-    p_run.add_argument("--epsilon", type=float, default=None, help="privacy target (requires --delta, sigma_g = 0)")
-    p_run.add_argument("--delta", type=float, default=None)
-    p_run.add_argument("--eval-every", type=int, default=10)
+    _add_plan_flags(p_run)
     p_run.add_argument("--output", default=None, metavar="PATH", help="metrics file (stdout when omitted)")
     p_run.add_argument("--timing", action="store_true", help="record wall-clock in the elapsed column")
     p_run.set_defaults(handler=_cmd_run)
@@ -191,15 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(handler=_cmd_calibrate)
 
     p_grid = sub.add_parser("grid", help="sweep tuning grids and print the selected settings")
-    _add_config_flags(p_grid)
-    _add_task_flags(p_grid)
-    p_grid.add_argument("--epsilon", type=float, default=None)
-    p_grid.add_argument("--delta", type=float, default=None)
-    p_grid.add_argument("--eval-every", type=int, default=10)
-    p_grid.add_argument("--etas", required=True, help="comma-separated step sizes")
-    p_grid.add_argument("--clip_cgs", required=True, help="comma-separated clipping radii")
-    p_grid.add_argument("--rhos", default=None)
-    p_grid.add_argument("--betas", default=None)
+    _add_plan_flags(p_grid)
+    for f in fields(GridSpec):
+        p_grid.add_argument(f"--{f.name}", required=f.default is MISSING,
+                            help=f"comma-separated {f.name[:-1]} values")
     p_grid.add_argument("--seeds", type=int, default=1)
     p_grid.set_defaults(handler=_cmd_grid)
 

@@ -127,7 +127,7 @@ def private_release(
     """
     if dataset.size < 1:
         raise ValueError("empty dataset")
-    if sigma_g < 0:
+    if not sigma_g >= 0:
         raise ValueError("sigma_g must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -9,7 +9,9 @@ reproducible bit-for-bit within one numpy version.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+import math
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -63,16 +65,16 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("n must be a positive integer")
     if not isinstance(raw.T, int) or raw.T < 1:
         problems.append("T must be a positive integer")
-    if not raw.eta > 0:
-        problems.append("eta must be positive")
-    if not raw.clip_cg > 0:
-        problems.append("clip_cg must be positive")
-    if raw.sigma_g < 0:
-        problems.append("sigma_g must be nonnegative")
+    if not 0 < raw.eta < math.inf:
+        problems.append("eta must be positive and finite")
+    if not 0 < raw.clip_cg < math.inf:
+        problems.append("clip_cg must be positive and finite")
+    if not 0 <= raw.sigma_g < math.inf:
+        problems.append("sigma_g must be nonnegative and finite")
     if not 0 <= raw.beta < 1:
         problems.append("beta must lie in [0,1)")
-    if not raw.rho > 0:
-        problems.append("rho must be positive")
+    if not 0 < raw.rho < math.inf:
+        problems.append("rho must be positive and finite")
     if not isinstance(raw.optimizer, Optimizer):
         problems.append("optimizer must be SOFIM or FEDGD")
     if not isinstance(raw.batch_size, int) or raw.batch_size < 0:
@@ -170,18 +172,10 @@ TASK_STREAM_TAG = (1 << 32) + 1
 HOLDOUT_STREAM_TAG = (1 << 32) + 2
 
 
-_CONFIG_FIELD_TYPES = {
-    "n": int,
-    "T": int,
-    "eta": float,
-    "clip_cg": float,
-    "sigma_g": float,
-    "beta": float,
-    "rho": float,
-    "master_seed": int,
-    "optimizer": str,
-    "batch_size": int,
-}
+# Every FederatedConfig key with its type, in declaration order: the config
+# file, the CLI flags and the run header all read their key lists from here.
+CONFIG_TYPES = typing.get_type_hints(FederatedConfig)
+_REQUIRED_KEYS = tuple(f.name for f in fields(FederatedConfig) if f.default is MISSING)
 
 
 def parse_config_text(text: str, overrides: Optional[dict] = None) -> FederatedConfig:
@@ -199,25 +193,25 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> FederatedC
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = stripped.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_FIELD_TYPES:
+        if key not in CONFIG_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         values[key] = val
     if overrides:
         for key, val in overrides.items():
             if val is None:
                 continue
-            if key not in _CONFIG_FIELD_TYPES:
+            if key not in CONFIG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = val
 
-    missing = [k for k in ("n", "T", "eta", "clip_cg", "sigma_g", "beta", "rho") if k not in values]
+    missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ValueError("missing config keys: " + ", ".join(missing))
 
     kwargs: dict = {}
     for key, val in values.items():
-        caster = _CONFIG_FIELD_TYPES[key]
-        if key == "optimizer":
+        caster = CONFIG_TYPES[key]
+        if caster is Optimizer:
             try:
                 kwargs[key] = Optimizer(str(val).upper())
             except ValueError:

@@ -8,6 +8,7 @@ stay unreachable from production runs.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass, replace
@@ -18,6 +19,7 @@ import numpy as np
 from .accountant import calibrate_sigma
 from .client import private_release
 from .core import (
+    CONFIG_TYPES,
     FederatedConfig,
     Optimizer,
     RoundMetrics,
@@ -268,15 +270,7 @@ def run_experiment(plan: ExperimentPlan) -> MetricsTable:
             rows.append(metrics)
     header = {
         "optimizer": config.optimizer.value,
-        "n": config.n,
-        "T": config.T,
-        "eta": config.eta,
-        "clip_cg": config.clip_cg,
-        "sigma_g": config.sigma_g,
-        "beta": config.beta,
-        "rho": config.rho,
-        "master_seed": config.master_seed,
-        "batch_size": config.batch_size,
+        **{key: getattr(config, key) for key in CONFIG_TYPES if key != "optimizer"},
         "eval_every": plan.eval_every,
         "epsilon": plan.epsilon,
         "delta": plan.delta,
@@ -340,6 +334,11 @@ def read_metrics(path) -> tuple:
 # Grid search
 
 
+# The tuned settings, in sweep order (the last varies fastest) and tie-break
+# order.  GridSpec holds the candidates for each under the plural name.
+GRID_AXES = ("eta", "clip_cg", "rho", "beta")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate step sizes and clipping radii (plus optional rho/beta sweeps
@@ -364,53 +363,28 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 
     Seed k shifts the master seed by k, changing noise, partition, and task
     draws together.  Selection is the argmax of mean final accuracy; exact
-    ties break toward smaller eta, then smaller clip_cg (then smaller rho and
-    beta when those are swept).  Returns (best_config, sweep_rows) where each
-    sweep row records the cell and its mean final accuracy/loss.
+    ties break toward smaller eta, then smaller clip_cg, rho and beta (an
+    axis left out of the grid keeps the base config's value).  Returns
+    (best_config, sweep_rows) where each sweep row records the cell and its
+    mean final accuracy/loss.
     """
     validate_plan(base_plan)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    rho_grid = grid.rhos if grid.rhos is not None else (base_plan.config.rho,)
-    beta_grid = grid.betas if grid.betas is not None else (base_plan.config.beta,)
+    candidates = [getattr(grid, axis + "s") or (getattr(base_plan.config, axis),) for axis in GRID_AXES]
     sweep = []
-    for eta in grid.etas:
-        for c_g in grid.clip_cgs:
-            for rho in rho_grid:
-                for beta in beta_grid:
-                    accs, losses = [], []
-                    for k in range(seeds):
-                        config = with_updates(
-                            base_plan.config,
-                            eta=eta,
-                            clip_cg=c_g,
-                            rho=rho,
-                            beta=beta,
-                            master_seed=base_plan.config.master_seed + k,
-                        )
-                        plan = replace(base_plan, config=config, output_path=None)
-                        table = run_experiment(plan)
-                        accs.append(table.final_accuracy())
-                        losses.append(table.final_loss())
-                    sweep.append(
-                        {
-                            "eta": eta,
-                            "clip_cg": c_g,
-                            "rho": rho,
-                            "beta": beta,
-                            "mean_final_accuracy": float(np.mean(accs)),
-                            "mean_final_loss": float(np.mean(losses)),
-                        }
-                    )
-    best = min(sweep, key=lambda r: (-r["mean_final_accuracy"], r["eta"], r["clip_cg"], r["rho"], r["beta"]))
-    best_config = with_updates(
-        base_plan.config,
-        eta=best["eta"],
-        clip_cg=best["clip_cg"],
-        rho=best["rho"],
-        beta=best["beta"],
-    )
-    return best_config, sweep
+    for values in itertools.product(*candidates):
+        cell = dict(zip(GRID_AXES, values))
+        accs, losses = [], []
+        for k in range(seeds):
+            config = with_updates(base_plan.config, **cell, master_seed=base_plan.config.master_seed + k)
+            table = run_experiment(replace(base_plan, config=config, output_path=None))
+            accs.append(table.final_accuracy())
+            losses.append(table.final_loss())
+        sweep.append({**cell, "mean_final_accuracy": float(np.mean(accs)),
+                      "mean_final_loss": float(np.mean(losses))})
+    best = min(sweep, key=lambda r: (-r["mean_final_accuracy"], *(r[axis] for axis in GRID_AXES)))
+    return with_updates(base_plan.config, **{axis: best[axis] for axis in GRID_AXES}), sweep
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,9 @@ class TestSingleRoundDelta:
             single_round_delta(1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="delta_sens must be positive"):
             single_round_delta(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
-            single_round_delta(-0.5, 1.0, 1.0)
+        for epsilon in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+                single_round_delta(epsilon, 1.0, 1.0)
 
 
 class TestComposedDelta:
@@ -227,6 +228,8 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 0.0, 20, 70)
         with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
             calibrate_sigma(1.0, 1.0, 20, 70)
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            calibrate_sigma(math.nan, 1e-5, 20, 70)
 
 
 class TestComposeAdaptive:

@@ -9,7 +9,8 @@ import pytest
 
 from fedsofim import cli
 from fedsofim.accountant import calibrate_sigma, composed_delta
-from fedsofim.harness import read_metrics
+from fedsofim.core import FederatedConfig
+from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, read_metrics
 from fedsofim.task import load_frozen_features
 
 QUAD_FLAGS = [
@@ -81,6 +82,14 @@ class TestRunCommand:
         assert code == 2
         assert "choose exactly one task" in capsys.readouterr().err
 
+    def test_bad_setting_flags_get_the_config_file_message(self, capsys):
+        for flag, value, message in (
+            ("--eta", "fast", "error: config key 'eta': cannot parse 'fast' as float"),
+            ("--optimizer", "adam", "error: optimizer must be SOFIM or FEDGD, got 'adam'"),
+        ):
+            assert cli.main(["run", *QUAD_FLAGS, flag, value]) == 2
+            assert capsys.readouterr().err.strip() == message
+
     def test_missing_config_keys_fail_cleanly(self, capsys):
         code = cli.main(["run", "--quadratic", "--n", "4", "--T", "8"])
         assert code == 2
@@ -128,10 +137,19 @@ class TestGridCommand:
             "--etas", "0.05,0.2", "--clip_cgs", "100",
         ])
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert stdout.count("accuracy=") == 2
-        assert "best:" in stdout
-        assert "eta = " in stdout
+        lines = capsys.readouterr().out.splitlines()
+        config = FederatedConfig(n=4, T=8, eta=0.2, clip_cg=100.0, sigma_g=0.0, beta=0.9,
+                                 rho=1.0, master_seed=3)
+        plan = ExperimentPlan(config=config, binding=QuadraticTaskBinding(d=6, mu=0.5, L=2.0),
+                              eval_every=8)
+        best, sweep = grid_search(plan, GridSpec(etas=(0.05, 0.2), clip_cgs=(100.0,)))
+        assert len(lines) == 7
+        assert lines[0] == (
+            f"eta=0.05 clip_cg=100.0 rho=1.0 beta=0.9 "
+            f"accuracy={sweep[0]['mean_final_accuracy']!r} loss={sweep[0]['mean_final_loss']!r}"
+        )
+        assert lines[1].startswith("eta=0.2 clip_cg=100.0 rho=1.0 beta=0.9 accuracy=")
+        assert lines[2:] == ["best:", f"eta = {best.eta!r}", "clip_cg = 100.0", "rho = 1.0", "beta = 0.9"]
 
     def test_bad_grid_list_fails_cleanly(self, capsys):
         code = cli.main([

@@ -277,8 +277,9 @@ class TestPrivateReleaseNoiseless:
             stub_release([], c_g=1.0)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
-            stub_release([[1.0, 0.0]], c_g=1.0, sigma_g=-1.0)
+        for sigma_g in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
+                stub_release([[1.0, 0.0]], c_g=1.0, sigma_g=sigma_g)
 
     def test_release_carries_client_and_round_ids(self):
         release = private_release(

@@ -54,6 +54,14 @@ class TestValidateConfig:
         assert "clip_cg must be positive" in message
         assert "rho must be positive" in message
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_settings_rejected_together(self, bad):
+        with pytest.raises(ValueError) as err:
+            validate_config(make_config(eta=bad, clip_cg=bad, sigma_g=bad, rho=bad))
+        message = str(err.value)
+        for field in ("eta", "clip_cg", "sigma_g", "rho"):
+            assert f"{field} must be" in message and "finite" in message
+
     def test_sigma_zero_is_valid_non_private_mode(self):
         validate_config(make_config(sigma_g=0.0))
 

@@ -198,6 +198,10 @@ class TestRunExperiment:
     def test_header_echoes_the_resolved_configuration(self):
         plan = quad_plan(config=quad_config(T=5), epsilon=2.0, delta=1e-5, eval_every=5)
         table = run_experiment(plan)
+        assert list(table.header) == [
+            "optimizer", "n", "T", "eta", "clip_cg", "sigma_g", "beta", "rho",
+            "master_seed", "batch_size", "eval_every", "epsilon", "delta",
+        ]
         assert table.header["optimizer"] == "SOFIM"
         assert table.header["sigma_g"] == calibrate_sigma(2.0, 1e-5, 4, 5)
         assert table.header["epsilon"] == 2.0
