@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .task import ClientDataset, Task
+if TYPE_CHECKING:  # task.py imports clip_rows from here
+    from .task import ClientDataset, Task
 
 
 @dataclass(frozen=True)
@@ -30,33 +32,6 @@ class ClientRelease:
 MAX_ULP_PASSES = 8
 
 
-def clip_gradient(g: np.ndarray, c_g: float) -> np.ndarray:
-    """Scale g onto the l2 ball of radius c_g; vectors inside pass unchanged.
-
-    A vector needing clipping is rescaled and then nudged by at most a few
-    ulps until its recomputed norm is <= c_g: plain multiplication by
-    c_g/||g|| overshoots the radius by ~1e-16 relative about a quarter of the
-    time, and downstream norm guarantees are stated without slack.  Raises
-    RuntimeError if MAX_ULP_PASSES nudges do not bring the norm inside.
-    """
-    if c_g <= 0:
-        raise ValueError("c_g must be positive")
-    g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm <= c_g:
-        return g
-    out = g * (c_g / norm)
-    new_norm = float(np.linalg.norm(out))
-    passes = 0
-    while new_norm > c_g:
-        if passes == MAX_ULP_PASSES:
-            raise RuntimeError(f"clipped norm still exceeds c_g after {MAX_ULP_PASSES} rescaling passes")
-        out = out * (c_g / new_norm)
-        new_norm = float(np.linalg.norm(out))
-        passes += 1
-    return out
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     # The reduction np.linalg.norm(x, axis=1) performs, without its dispatch,
     # so the bits match it exactly.
@@ -64,7 +39,8 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
-    """Row-wise clip_gradient over an (m, d) stack, vectorized.
+    """Scale each row of an (m, d) stack onto the l2 ball of radius c_g, and
+    nudge clipped rows by a few ulps until their recomputed norms are <= c_g.
 
     Rows inside the ball come back bit-identical, and when every row is
     inside, the stack itself is returned rather than a copy.  A stack whose
@@ -91,8 +67,8 @@ def _clip_stack(grads: np.ndarray, c_g: float) -> np.ndarray:
     # arithmetic; rows with a NaN norm fail the test above and become NaN.
     scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))
     out = grads * scale[:, None]
-    # Same ulp correction as the scalar path, restricted to rows that still
-    # poke past the radius after rescaling.
+    # The ulp correction, restricted to rows that still poke past the radius
+    # after rescaling.
     over = np.flatnonzero(_row_norms(out) > c_g)
     passes = 0
     while over.size:
@@ -118,12 +94,12 @@ def private_release(
 ) -> ClientRelease:
     """One client's noisy normalized update for one round.
 
-    Computes (S + E) / |D| where S sums the individually clipped per-example
-    gradients at theta and E ~ N(0, (c_g sigma_g)^2 / n * I_d).  With
-    sigma_g = 0 the draw is skipped entirely, so non-private runs never touch
-    the stream.  A positive batch_size sub-samples that many examples for the
-    round (drawn from the same stream, before the noise) and normalizes by
-    the batch count; the accountant grants no amplification credit for it.
+    Computes (S + E) / |D| where S = task.clipped_sum sums the individually
+    clipped per-example gradients at theta and E ~ N(0, (c_g sigma_g)^2 / n I).
+    With sigma_g = 0 the draw is skipped entirely, so non-private runs never
+    touch the stream.  A positive batch_size sub-samples that many examples
+    (drawn from the same stream, before the noise) and normalizes by the
+    batch count; the accountant grants no amplification credit for it.
     """
     if dataset.size < 1:
         raise ValueError("empty dataset")
@@ -135,14 +111,10 @@ def private_release(
     if batch_size and batch_size < dataset.size:
         if stream is None:
             raise ValueError("mini-batch selection requires a stream")
-        indices = stream.choice(dataset.size, size=batch_size, replace=False)
-        grads = task.per_example_gradients(theta, dataset)[np.sort(indices)]
-    else:
-        grads = task.per_example_gradients(theta, dataset)
-    count = grads.shape[0]
+        dataset = dataset.subset(np.sort(stream.choice(dataset.size, size=batch_size, replace=False)))
 
-    summed = np.add.reduce(clip_rows(grads, c_g), axis=0)
+    summed = task.clipped_sum(theta, dataset, c_g)
     if sigma_g > 0:
         summed += stream.normal(0.0, c_g * sigma_g / math.sqrt(n), size=summed.shape)
-    summed /= count
+    summed /= dataset.size
     return ClientRelease(vector=summed, client_id=client_id, round=round_index)

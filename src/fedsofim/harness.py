@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -40,6 +41,7 @@ from .task import (
     load_frozen_features,
     make_synthetic_quadratic,
     partition_iid,
+    quadratic_problems,
 )
 
 logger = logging.getLogger(__name__)
@@ -62,6 +64,15 @@ class FeatureTaskBinding:
     l2_lambda: float = 1e-4
     holdout_fraction: float = 0.2
 
+    def __post_init__(self):
+        problems = []
+        if not 0 <= self.l2_lambda < math.inf:
+            problems.append("l2_lambda must be nonnegative and finite")
+        if not 0 <= self.holdout_fraction < 1:
+            problems.append("holdout_fraction must lie in [0, 1)")
+        if problems:
+            raise ValueError("; ".join(problems))
+
 
 @dataclass(frozen=True)
 class QuadraticTaskBinding:
@@ -72,6 +83,11 @@ class QuadraticTaskBinding:
     L: float
     heterogeneity: float = 1.0
     shard_size: int = 10
+
+    def __post_init__(self):
+        problems = quadratic_problems(self.d, self.mu, self.L, self.heterogeneity, self.shard_size)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 TaskBinding = Union[FeatureTaskBinding, QuadraticTaskBinding]

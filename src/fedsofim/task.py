@@ -16,6 +16,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .client import clip_rows
+
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class FeatureDataset:
@@ -61,6 +65,10 @@ class QuadraticShard:
         if self.a_matrix.shape != (self.center.shape[0], self.center.shape[0]):
             raise ValueError("a_matrix must be square and match the center dimension")
 
+    def subset(self, indices: np.ndarray) -> "QuadraticShard":
+        """The shard with len(indices) samples; its samples are all alike."""
+        return QuadraticShard(self.a_matrix, self.center, len(indices))
+
 
 ClientDataset = Union[FeatureDataset, QuadraticShard]
 
@@ -75,12 +83,15 @@ class SoftmaxHeadTask:
     """
 
     def __init__(self, num_classes: int, feature_dim: int, l2_lambda: float = 1e-4):
-        if num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        if l2_lambda < 0:
-            raise ValueError("l2_lambda must be nonnegative")
+        problems = []
+        if not num_classes >= 2:
+            problems.append("num_classes must be >= 2")
+        if not feature_dim >= 1:
+            problems.append("feature_dim must be >= 1")
+        if not 0 <= l2_lambda < math.inf:
+            problems.append("l2_lambda must be nonnegative and finite")
+        if problems:
+            raise ValueError("; ".join(problems))
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.l2_lambda = l2_lambda
@@ -104,7 +115,8 @@ class SoftmaxHeadTask:
         x_aug[:, -1] = 1.0
         return x_aug
 
-    def _log_probs(self, theta: np.ndarray, x_aug: np.ndarray) -> np.ndarray:
+    def _log_probs(self, theta: np.ndarray, x_aug: np.ndarray) -> tuple:
+        """(logits, log-softmax of the logits), per example."""
         weights = theta.reshape(self.num_classes, self.feature_dim + 1)
         logits = x_aug @ weights.T
         # Row maxima as a chain over the class columns: a maximum is exact,
@@ -113,26 +125,56 @@ class SoftmaxHeadTask:
         row_max = logits[:, 0]
         for k in range(1, self.num_classes):
             row_max = np.maximum(row_max, logits[:, k])
-        logits -= row_max[:, None]
-        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        shifted = logits - row_max[:, None]
+        return logits, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def _residuals(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
+        """(X, Z, R): augmented features, logits and R = softmax(Z) - onehot."""
+        x_aug = self._augment(dataset.features)
+        logits, log_probs = self._log_probs(theta, x_aug)
+        residuals = np.exp(log_probs)
+        residuals[np.arange(dataset.size), dataset.labels] -= 1.0
+        return x_aug, logits, residuals
 
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
-        """All per-example gradients at theta, stacked as an (m, d) array."""
+        """All per-example gradients at theta as an (m, d) array; clipped_sum's oracle."""
         theta = self._check_theta(theta)
-        x_aug = self._augment(dataset.features)
-        probs = np.exp(self._log_probs(theta, x_aug))
-        probs[np.arange(dataset.size), dataset.labels] -= 1.0
-        grads = np.einsum("mk,mp->mkp", probs, x_aug).reshape(dataset.size, self.dim)
+        x_aug, _, residuals = self._residuals(theta, dataset)
+        grads = np.einsum("mk,mp->mkp", residuals, x_aug).reshape(dataset.size, self.dim)
         if self.l2_lambda:
             grads += self.l2_lambda * theta
         return grads
+
+    def clipped_sum(self, theta: np.ndarray, dataset: FeatureDataset, c_g: float) -> np.ndarray:
+        """Sum of the per-example gradients g_i = vec(r_i x_i') + l2_lambda theta,
+        each clipped to norm c_g, from the factors (ghost clipping) without
+        building them: vec((s R)' X) + l2_lambda theta sum(s)."""
+        if c_g <= 0:
+            raise ValueError("c_g must be positive")
+        theta = self._check_theta(theta)
+        x_aug, logits, residuals = self._residuals(theta, dataset)
+        scale = self._clip_scales(theta, x_aug, logits, residuals, c_g)
+        summed = ((residuals * scale[:, None]).T @ x_aug).reshape(self.dim)
+        summed += (self.l2_lambda * float(np.add.reduce(scale))) * theta
+        return summed
+
+    def _clip_scales(self, theta, x_aug, logits, residuals, c_g) -> np.ndarray:
+        """min(1, c_g/||g_i||), ||g_i||^2 = ||r_i||^2 ||x_i||^2 + 2 lam r_i.z_i
+        + lam^2 ||theta||^2, less 4 ulps times how far the cross term cancels
+        the squares, so that no scaled row leaves the ball."""
+        lam = self.l2_lambda
+        squares = np.einsum("ij,ij->i", residuals, residuals) * np.einsum("ij,ij->i", x_aug, x_aug)
+        squares += lam * lam * float(theta @ theta)
+        sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("ij,ij->i", residuals, logits), _TINY)
+        safety = 1.0 - 4.0 * _EPS * np.maximum(1.0, squares / sq_norms)
+        # A NaN norm gives a NaN scale, as a NaN row norm does in clip_rows.
+        return np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
 
     def loss_and_accuracy(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
         theta = self._check_theta(theta)
         if dataset.size == 0:
             raise ValueError("empty dataset")
-        x_aug = self._augment(dataset.features)
-        log_probs = self._log_probs(theta, x_aug)
+        _, log_probs = self._log_probs(theta, self._augment(dataset.features))
         nll = -log_probs[np.arange(dataset.size), dataset.labels]
         loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
         # np.argmax resolves ties toward the lowest class index, which is the
@@ -211,6 +253,10 @@ class QuadraticTask:
         rows = np.ndarray((shard.size, self.dim), dtype=grad.dtype, buffer=grad, strides=(0, grad.itemsize))
         rows.flags.writeable = False
         return rows
+
+    def clipped_sum(self, theta: np.ndarray, shard: QuadraticShard, c_g: float) -> np.ndarray:
+        """Sum of the per-example gradients, each clipped to norm c_g."""
+        return np.add.reduce(clip_rows(self.per_example_gradients(theta, shard), c_g), axis=0)
 
     def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
         """Loss on one shard, plus exp(-gap)."""
@@ -337,6 +383,24 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
             fh.write(f"{int(dataset.labels[i])},{row}\n")
 
 
+def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_size: int) -> list:
+    """What is wrong with these synthetic quadratic settings, one message each."""
+    problems = []
+    if not 1 <= d <= 64:
+        problems.append("d must lie in [1, 64]")
+    if not 0 < mu < math.inf:
+        problems.append("mu must be positive and finite")
+    if not abs(L) < math.inf:
+        problems.append("L must be finite")
+    elif mu > L:
+        problems.append("mu must not exceed L")
+    if not 0 <= heterogeneity < math.inf:
+        problems.append("heterogeneity must be nonnegative and finite")
+    if not shard_size >= 1:
+        problems.append("shard_size must be >= 1")
+    return problems
+
+
 def make_synthetic_quadratic(
     d: int,
     n: int,
@@ -353,16 +417,11 @@ def make_synthetic_quadratic(
     client centers around a common draw (0 makes all centers equal).  Returns
     (QuadraticTask, list of QuadraticShard).
     """
-    if mu > L:
-        raise ValueError("mu must not exceed L")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if d < 1 or d > 64:
-        raise ValueError("d must lie in [1, 64]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if heterogeneity < 0:
-        raise ValueError("heterogeneity must be nonnegative")
+    problems = quadratic_problems(d, mu, L, heterogeneity, shard_size)
+    if not n >= 1:
+        problems.append("n must be >= 1")
+    if problems:
+        raise ValueError("; ".join(problems))
     rng = np.random.default_rng(seed)
     eigvals = np.geomspace(mu, L, d)
     basis, _ = np.linalg.qr(rng.normal(size=(d, d)))

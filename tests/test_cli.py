@@ -101,6 +101,20 @@ class TestRunCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_task_flags_fail_naming_the_setting(self, tmp_path, capsys):
+        features = tmp_path / "train.features"
+        assert cli.main(["gen-task", "--examples", "40", "--dim", "3", "--classes", "2",
+                         "--output", str(features)]) == 0
+        capsys.readouterr()
+        feature_flags = ["--features", str(features), *QUAD_FLAGS[7:]]
+        for flags, message in (
+            ([*feature_flags, "--l2-lambda", "nan"], "error: l2_lambda must be nonnegative and finite"),
+            ([*feature_flags, "--holdout-fraction", "nan"], "error: holdout_fraction must lie in [0, 1)"),
+            ([*QUAD_FLAGS, "--mu", "nan"], "error: mu must be positive and finite"),
+        ):
+            assert cli.main(["run", *flags]) == 2
+            assert capsys.readouterr().err.strip() == message
+
     def test_privacy_flags_resolve_the_noise_multiplier(self, capsys):
         code = cli.main([
             "run", *QUAD_FLAGS, "--epsilon", "5", "--delta", "1e-5", "--eval-every", "8",

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import fedsofim.client as client_module
+import fedsofim.task as task_module
 from fedsofim.accountant import calibrate_sigma
 from fedsofim.core import (
     FederatedConfig,
@@ -30,7 +32,7 @@ from fedsofim.harness import (
     run_round,
     validate_plan,
 )
-from fedsofim.task import FeatureDataset, save_frozen_features
+from fedsofim.task import FeatureDataset, SoftmaxHeadTask, save_frozen_features
 
 
 def quad_config(**overrides):
@@ -94,6 +96,27 @@ class TestBuildBundle:
         test = write_feature_file(tmp_path, dim=4, name="b.features")
         with pytest.raises(ValueError, match="train and test feature dimensions differ"):
             build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
+
+    def test_bindings_reject_non_finite_and_out_of_range_settings(self):
+        for settings, message in (
+            (dict(l2_lambda=math.nan), "l2_lambda must be nonnegative and finite"),
+            (dict(holdout_fraction=math.nan), "holdout_fraction must lie in [0, 1)"),
+            (dict(l2_lambda=-1.0, holdout_fraction=1.0),
+             "l2_lambda must be nonnegative and finite; holdout_fraction must lie in [0, 1)"),
+        ):
+            with pytest.raises(ValueError) as info:
+                FeatureTaskBinding(train_path="unused", **settings)
+            assert str(info.value) == message
+        for settings, message in (
+            (dict(mu=math.nan), "mu must be positive and finite"),
+            (dict(L=math.nan), "L must be finite"),
+            (dict(d=0, mu=3.0, heterogeneity=math.inf, shard_size=0),
+             "d must lie in [1, 64]; mu must not exceed L; heterogeneity must be nonnegative and finite; "
+             "shard_size must be >= 1"),
+        ):
+            with pytest.raises(ValueError) as info:
+                QuadraticTaskBinding(**{**dict(d=4, mu=0.5, L=2.0), **settings})
+            assert str(info.value) == message
 
     def test_holdout_must_leave_training_data(self, tmp_path):
         path = write_feature_file(tmp_path, count=10)
@@ -232,6 +255,24 @@ class TestRunExperiment:
         table = run_experiment(plan)
         assert all(r.suboptimality_gap is None for r in table.rows)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in table.rows)
+
+
+class TestSoftmaxRunPath:
+    def test_runs_never_build_or_clip_the_per_example_tensor(self, tmp_path, monkeypatch):
+        # Softmax releases take their clipped sums from the factors; the
+        # materialized gradients and the row clip stay test oracles.
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-example tensor built on the run path")
+
+        monkeypatch.setattr(SoftmaxHeadTask, "per_example_gradients", refuse)
+        monkeypatch.setattr(client_module, "clip_rows", refuse)
+        monkeypatch.setattr(task_module, "clip_rows", refuse)
+        path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
+        plan = ExperimentPlan(config=quad_config(T=4, n=4, clip_cg=0.5, batch_size=0),
+                              binding=FeatureTaskBinding(train_path=path), epsilon=5.0, delta=1e-5, eval_every=2)
+        assert len(run_experiment(plan).rows) == 2
+        best, sweep = grid_search(plan, GridSpec(etas=(0.3,), clip_cgs=(0.5,)))
+        assert len(sweep) == 1 and best.eta == 0.3
 
 
 class TestMetricsIO:

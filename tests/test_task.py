@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from fedsofim.client import clip_rows, private_release
 from fedsofim.task import (
     FeatureDataset,
     QuadraticShard,
@@ -19,6 +20,7 @@ from fedsofim.task import (
     make_anisotropic_features,
     make_synthetic_quadratic,
     partition_iid,
+    quadratic_problems,
     save_frozen_features,
 )
 
@@ -119,7 +121,7 @@ class TestSoftmaxGradient:
                 logits = x_aug @ theta.reshape(classes, 6).T
                 logits -= logits.max(axis=1, keepdims=True)
                 expected = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-                np.testing.assert_array_equal(task._log_probs(theta, x_aug), expected)
+                np.testing.assert_array_equal(task._log_probs(theta, x_aug)[1], expected)
 
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
@@ -177,6 +179,122 @@ class TestSoftmaxLossAndAccuracy:
             SoftmaxHeadTask(num_classes=1, feature_dim=2)
         with pytest.raises(ValueError, match="l2_lambda must be nonnegative"):
             SoftmaxHeadTask(num_classes=2, feature_dim=2, l2_lambda=-1.0)
+
+    def test_non_finite_regularizer_rejected_with_every_other_problem(self):
+        for l2_lambda in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="l2_lambda must be nonnegative and finite"):
+                SoftmaxHeadTask(num_classes=2, feature_dim=2, l2_lambda=l2_lambda)
+        with pytest.raises(ValueError) as info:
+            SoftmaxHeadTask(num_classes=1, feature_dim=0, l2_lambda=math.nan)
+        assert str(info.value) == (
+            "num_classes must be >= 2; feature_dim must be >= 1; l2_lambda must be nonnegative and finite"
+        )
+
+
+def stationary_theta(task, x, label):
+    """theta at which one example's regularized gradient vec(r x') + lam theta
+    vanishes: theta = -vec(r x')/lam, with r the residual at that theta.
+
+    By symmetry r is p on every other class and -(k-1) p on the label, and
+    the logits there are -a r with a = ||x_aug||^2 / lam, so p solves
+    p = 1/(exp(a k p) + k - 1); bisection finds it to the last bit.
+    """
+    k, lam = task.num_classes, task.l2_lambda
+    x_aug = np.append(x, 1.0)
+    a = float(x_aug @ x_aug) / lam
+    lo, hi = 0.0, 1.0 / k
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid > 1.0 / (math.exp(min(a * k * mid, 700.0)) + k - 1):
+            hi = mid
+        else:
+            lo = mid
+    residual = np.full(k, lo)
+    residual[label] = -(k - 1) * lo
+    return -np.outer(residual, x_aug).reshape(-1) / lam
+
+
+def ghost_scales(task, theta, dataset, c_g):
+    """clipped_sum's per-example scales s_i."""
+    x_aug, logits, residuals = task._residuals(theta, dataset)
+    return task._clip_scales(theta, x_aug, logits, residuals, c_g)
+
+
+class TestGhostClipping:
+    """SoftmaxHeadTask.clipped_sum against the materialized oracle,
+    per_example_gradients clipped by clip_rows and summed."""
+
+    def test_scaled_rows_stay_inside_the_ball_and_match_the_materialized_sum(self):
+        rng = np.random.default_rng(61)
+        lambdas = (0.0, 1e-4, 0.1, 10.0)
+        for case in range(2400):
+            classes = 2 if case % 3 == 0 else int(rng.integers(3, 7))
+            feat = int(rng.integers(1, 20))
+            count = int(rng.integers(1, 40))
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=lambdas[case % 4])
+            features = rng.normal(size=(count, feat)) * rng.uniform(0.1, 10.0)
+            labels = rng.integers(0, classes, size=count)
+            if case % 5 == 0:  # aligned rows: identical examples sharing one label
+                features[:] = features[0]
+                labels[:] = labels[0]
+            dataset = FeatureDataset(features, labels)
+            theta = rng.normal(size=task.dim) * 10.0 ** rng.uniform(-3.0, 2.0)
+            c_g = 10.0 ** rng.uniform(-4.0, 1.0)
+
+            grads = task.per_example_gradients(theta, dataset)
+            scales = ghost_scales(task, theta, dataset, c_g)
+            for s, g in zip(scales, grads):
+                assert np.linalg.norm(s * g) <= c_g, f"case {case}"
+            release = private_release(dataset, theta, c_g, 0.0, 1, None, task)
+            assert np.linalg.norm(release.vector) <= c_g, f"case {case}"
+
+            # Entries of the sum may cancel, so the error is measured against
+            # the sizes of the two factors every scaled row is made of.
+            x_aug, _, residuals = task._residuals(theta, dataset)
+            magnitude = np.sum(scales * (np.linalg.norm(residuals, axis=1) * np.linalg.norm(x_aug, axis=1)
+                                         + task.l2_lambda * np.linalg.norm(theta)))
+            with np.errstate(over="ignore"):  # c_g / tiny for a zero row
+                oracle = np.add.reduce(clip_rows(grads, c_g), axis=0)
+            error = np.linalg.norm(task.clipped_sum(theta, dataset, c_g) - oracle)
+            assert error <= 1e-14 * magnitude, f"case {case}"
+
+    def test_rows_whose_factors_cancel_stay_inside_the_ball(self):
+        # Near a single example's stationary point the cross term cancels
+        # the squares, and the factored norm is only as good as the rounding
+        # of the terms it subtracts; the scales must still hold the bound.
+        rng = np.random.default_rng(67)
+        for case in range(600):
+            classes = int(rng.integers(2, 6))
+            feat = int(rng.integers(1, 20))
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=(1e-4, 0.1, 10.0)[case % 3])
+            x = rng.normal(size=feat) * rng.uniform(0.1, 10.0)
+            label = int(rng.integers(classes))
+            count = int(rng.integers(1, 10))
+            dataset = FeatureDataset(np.tile(x, (count, 1)), np.full(count, label))
+            theta = stationary_theta(task, x, label) * (1.0 + rng.normal() * 10.0 ** rng.uniform(-16.0, -6.0))
+            grads = task.per_example_gradients(theta, dataset)
+            c_g = float(np.linalg.norm(grads[0])) * 10.0 ** rng.uniform(-2.0, 0.5)
+            if c_g == 0.0:
+                continue
+            with np.errstate(over="ignore"):
+                scales = ghost_scales(task, theta, dataset, c_g)
+            for s, g in zip(scales, grads):
+                assert np.linalg.norm(s * g) <= c_g, f"case {case}"
+
+    def test_rows_inside_the_ball_are_summed_unscaled(self):
+        rng = np.random.default_rng(71)
+        task = SoftmaxHeadTask(num_classes=3, feature_dim=4, l2_lambda=1e-3)
+        dataset = FeatureDataset(rng.normal(size=(12, 4)), rng.integers(0, 3, size=12))
+        theta = rng.normal(size=task.dim)
+        grads = task.per_example_gradients(theta, dataset)
+        c_g = 2.0 * float(np.linalg.norm(grads, axis=1).max())
+        np.testing.assert_array_equal(ghost_scales(task, theta, dataset, c_g), np.ones(12))
+        np.testing.assert_allclose(task.clipped_sum(theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
+
+    def test_radius_must_be_positive(self):
+        task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
+        with pytest.raises(ValueError, match="c_g must be positive"):
+            task.clipped_sum(np.zeros(task.dim), single_example_dataset([1.0, 2.0], 0), 0.0)
 
 
 class TestQuadraticTask:
@@ -249,6 +367,21 @@ class TestQuadraticTask:
             make_synthetic_quadratic(65, 2, mu=0.5, L=1.0, heterogeneity=0.0, seed=0)
         with pytest.raises(ValueError, match="heterogeneity must be nonnegative"):
             make_synthetic_quadratic(4, 2, mu=0.5, L=1.0, heterogeneity=-1.0, seed=0)
+
+    def test_non_finite_settings_are_named_together(self):
+        assert quadratic_problems(4, math.nan, 1.0, 0.0, 10) == ["mu must be positive and finite"]
+        assert quadratic_problems(4, 0.5, math.inf, math.nan, 0) == [
+            "L must be finite", "heterogeneity must be nonnegative and finite", "shard_size must be >= 1",
+        ]
+        with pytest.raises(ValueError, match="^mu must be positive and finite; n must be >= 1$"):
+            make_synthetic_quadratic(4, 0, mu=math.nan, L=1.0, heterogeneity=0.0, seed=0)
+
+    def test_clipped_sum_is_the_sum_of_the_clipped_repetition(self):
+        task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
+        theta = np.random.default_rng(5).normal(size=5) * 3.0
+        for c_g in (0.1, 100.0):
+            expected = np.add.reduce(clip_rows(task.per_example_gradients(theta, shards[0]), c_g), axis=0)
+            np.testing.assert_array_equal(task.clipped_sum(theta, shards[0], c_g), expected)
 
     def test_per_example_gradients_are_a_read_only_repetition_of_one_row(self):
         task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
