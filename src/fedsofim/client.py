@@ -43,23 +43,12 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     nudge clipped rows by a few ulps until their recomputed norms are <= c_g.
 
     Rows inside the ball come back bit-identical, and when every row is
-    inside, the stack itself is returned rather than a copy.  A stack whose
-    rows all alias one row (stride 0, as a quadratic shard's gradients do)
-    is clipped once and returned as a read-only repetition of that row.
-    Raises RuntimeError if MAX_ULP_PASSES nudges leave a row outside.
+    inside, the stack itself is returned rather than a copy.  Raises
+    RuntimeError if MAX_ULP_PASSES nudges leave a row outside.
     """
-    if c_g <= 0:
-        raise ValueError("c_g must be positive")
+    if not 0 < c_g < math.inf:
+        raise ValueError("c_g must be positive and finite")
     grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape[0] > 1 and grads.strides[0] == 0:
-        first = grads[:1]
-        row = _clip_stack(first, c_g)
-        return grads if row is first else np.broadcast_to(row, grads.shape)
-    return _clip_stack(grads, c_g)
-
-
-def _clip_stack(grads: np.ndarray, c_g: float) -> np.ndarray:
-    """clip_rows on a float64 stack, every row clipped on its own."""
     norms = _row_norms(grads)
     if (norms <= c_g).all():
         return grads

@@ -129,6 +129,8 @@ def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
         test_data, test_meta = load_frozen_features(binding.test_path)
         if test_meta["feature_dim"] != meta["feature_dim"]:
             raise ValueError("train and test feature dimensions differ")
+        if test_meta["num_classes"] != meta["num_classes"]:
+            raise ValueError("train and test class counts differ")
     else:
         holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
         perm = holdout_rng.permutation(train_data.size)

@@ -149,8 +149,8 @@ class SoftmaxHeadTask:
         """Sum of the per-example gradients g_i = vec(r_i x_i') + l2_lambda theta,
         each clipped to norm c_g, from the factors (ghost clipping) without
         building them: vec((s R)' X) + l2_lambda theta sum(s)."""
-        if c_g <= 0:
-            raise ValueError("c_g must be positive")
+        if not 0 < c_g < math.inf:
+            raise ValueError("c_g must be positive and finite")
         theta = self._check_theta(theta)
         x_aug, logits, residuals = self._residuals(theta, dataset)
         scale = self._clip_scales(theta, x_aug, logits, residuals, c_g)
@@ -243,20 +243,26 @@ class QuadraticTask:
     def gap(self, theta: np.ndarray) -> float:
         return max(0.0, self.global_value(theta) - self.optimum_value)
 
-    def per_example_gradients(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
+    def _gradient(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
+        """A(theta - c), the gradient every example of the shard shares."""
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.dim,):
             raise ValueError(f"theta must have dimension {self.dim}, got {theta.shape}")
-        grad = shard.a_matrix @ (theta - shard.center)
-        # The read-only stride-0 view np.broadcast_to returns, without its
-        # dispatch, which costs more than the rest of a quadratic release.
-        rows = np.ndarray((shard.size, self.dim), dtype=grad.dtype, buffer=grad, strides=(0, grad.itemsize))
-        rows.flags.writeable = False
-        return rows
+        return shard.a_matrix @ (theta - shard.center)
+
+    def per_example_gradients(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
+        """The shard's gradient repeated as a read-only (m, d) stack; clipped_sum's oracle."""
+        return np.broadcast_to(self._gradient(theta, shard), (shard.size, self.dim))
 
     def clipped_sum(self, theta: np.ndarray, shard: QuadraticShard, c_g: float) -> np.ndarray:
-        """Sum of the per-example gradients, each clipped to norm c_g."""
-        return np.add.reduce(clip_rows(self.per_example_gradients(theta, shard), c_g), axis=0)
+        """Sum of the per-example gradients, each clipped to norm c_g.  The one
+        gradient is clipped once, and the sum runs over a stride-0 repetition
+        of it, with the bits of a sum over the clipped (m, d) stack."""
+        row = clip_rows(self._gradient(theta, shard)[None, :], c_g)[0]
+        # The stride-0 view np.broadcast_to returns, without its dispatch,
+        # which takes about four times as long as building the view.
+        rows = np.ndarray((shard.size, self.dim), dtype=row.dtype, buffer=row, strides=(0, row.itemsize))
+        return np.add.reduce(rows, axis=0)
 
     def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
         """Loss on one shard, plus exp(-gap)."""

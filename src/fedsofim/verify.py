@@ -13,7 +13,7 @@ import gc
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def suite_sherman_morrison(seed: int = 0) -> VerifyReport:
 # CLIP_NORM
 
 
-def suite_clip_norm(seed: int = 0, total_rounds: int = 100_000) -> VerifyReport:
+def suite_clip_norm(seed: int = 0) -> VerifyReport:
     """Aggregated clipped gradient never exceeds the clipping radius.
 
     The bulk check runs vectorized synthetic rounds (random per-example
@@ -166,7 +166,7 @@ def suite_clip_norm(seed: int = 0, total_rounds: int = 100_000) -> VerifyReport:
     rng = np.random.default_rng(seed)
     c_g = 1.0
     profiles = ((1, 1, 8), (3, 2, 8), (5, 4, 16), (2, 7, 4))
-    per_profile = total_rounds // len(profiles)
+    per_profile = 100_000 // len(profiles)
     worst_excess = -math.inf
     for n, m, d in profiles:
         remaining = per_profile
@@ -198,7 +198,7 @@ def suite_clip_norm(seed: int = 0, total_rounds: int = 100_000) -> VerifyReport:
 # MOMENTUM_MOMENT
 
 
-def suite_momentum_moment(seed: int = 0, paths: int = 500, rounds: int = 300) -> VerifyReport:
+def suite_momentum_moment(seed: int = 0) -> VerifyReport:
     """E||M_t||^2 stays under c_g^2 + (1-beta) d nu^2 (plus Monte Carlo slack).
 
     Worst-case drive: a fixed clipped aggregate of norm exactly c_g plus
@@ -206,6 +206,7 @@ def suite_momentum_moment(seed: int = 0, paths: int = 500, rounds: int = 300) ->
     """
     rng = np.random.default_rng(seed)
     c_g, sigma_g, n, m, d, beta = 10.0, 2.0, 4, 10, 10, 0.9
+    paths, rounds = 500, 300
     nu_sq, _ = accountant.noise_floor(c_g, sigma_g, n, [m] * n)
     signal = rng.normal(size=d)
     signal *= c_g / np.linalg.norm(signal)
@@ -239,11 +240,11 @@ def suite_momentum_moment(seed: int = 0, paths: int = 500, rounds: int = 300) ->
 # VARIANCE_REDUCTION
 
 
-def suite_variance_reduction(seed: int = 0, paths: int = 2000, rounds: int = 500) -> VerifyReport:
+def suite_variance_reduction(seed: int = 0) -> VerifyReport:
     """Stationary per-coordinate variance of the momentum buffer at beta=0.9
     is nu^2 (1-beta)/(1+beta) = 1/19 for unit-variance driving noise."""
     rng = np.random.default_rng(seed)
-    beta, d = 0.9, 16
+    beta, d, paths, rounds = 0.9, 16, 2000, 500
     target = (1.0 - beta) / (1.0 + beta)
     constant = 0.3  # any fixed drive; variance is shift-invariant
     momenta = np.zeros((paths, d))
@@ -271,9 +272,7 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     task, _ = make_synthetic_quadratic(d=d, n=n, mu=0.5, L=2.0, heterogeneity=1.0, seed=seed)
     shards = [QuadraticShard(task.a_matrices[i], task.centers[i], int(sizes[i])) for i in range(n)]
     theta = np.zeros(d)
-    noiseless = aggregate(
-        [private_release(shards[i], theta, c_g, 0.0, n, None, task, client_id=i) for i in range(n)], n
-    )
+    noiseless = clipped_aggregate(TaskBundle(task=task, train=tuple(shards)), theta, c_g)
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     for r, streams in enumerate(derive_noise_streams(seed, n, draws)):
@@ -291,12 +290,12 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     return float(var.mean())
 
 
-def suite_noise_floor(seed: int = 0, draws: int = 100_000) -> VerifyReport:
+def suite_noise_floor(seed: int = 0) -> VerifyReport:
     c_g, sigma_g = 10.0, 2.0
     checks = []
     for label, sizes in (("equal_sizes", [10, 10, 10, 10]), ("mixed_sizes", [5, 10, 20, 40])):
         nu_sq, uniform = accountant.noise_floor(c_g, sigma_g, len(sizes), sizes)
-        measured = _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed)
+        measured = _aggregate_noise_variance(sizes, c_g, sigma_g, 100_000, seed)
         rel_err = abs(measured - nu_sq) / nu_sq
         checks.append(
             _check_max(
@@ -314,9 +313,10 @@ def suite_noise_floor(seed: int = 0, draws: int = 100_000) -> VerifyReport:
 # DESCENT
 
 
-def suite_descent(seed: int = 0, rounds: int = 200) -> VerifyReport:
+def suite_descent(seed: int = 0) -> VerifyReport:
     """Noiseless preconditioned rounds strictly decrease F when eta sits in
     the stability range (and under the smoothness threshold)."""
+    rounds = 200
     task, shards = make_synthetic_quadratic(d=12, n=5, mu=0.1, L=5.0, heterogeneity=1.0, seed=seed)
     bundle = TaskBundle(task=task, train=tuple(shards))
     theta0 = np.zeros(task.dim)
@@ -350,14 +350,14 @@ def suite_descent(seed: int = 0, rounds: int = 200) -> VerifyReport:
 # CONVERGENCE_FLOOR
 
 
-def suite_convergence_floor(seed: int = 0, num_seeds: int = 20, rounds: int = 500) -> VerifyReport:
+def suite_convergence_floor(seed: int = 0) -> VerifyReport:
     """Mean terminal gap under DP noise stays below the theoretical floor.
 
     One fixed ill-conditioned quadratic (kappa = 100); the Monte Carlo seeds
     vary only the noise streams.  G_max and zeta_max are the maxima observed
     along all simulated trajectories, as the report notes.
     """
-    d, n, m = 20, 20, 10
+    d, n, m, num_seeds, rounds = 20, 20, 10, 20, 500
     mu_target, L_target = 0.05, 5.0
     # eta/rho = 0.25 < 2/L keeps the unclipped iteration stable, so the run
     # actually contracts (rate 0.9875) instead of riding the clipping bound.
@@ -367,25 +367,21 @@ def suite_convergence_floor(seed: int = 0, num_seeds: int = 20, rounds: int = 50
         d=d, n=n, mu=mu_target, L=L_target, heterogeneity=1.0, seed=seed, shard_size=m
     )
     bundle = TaskBundle(task=task, train=tuple(shards))
-    base_config = FederatedConfig(
-        n=n, T=rounds, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho,
-        master_seed=seed, optimizer=Optimizer.SOFIM,
+    config = FederatedConfig(
+        n=n, T=rounds, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho, optimizer=Optimizer.SOFIM,
     )
     g_max = 0.0
     zeta_max = 0.0
     terminal_gaps = []
     for k in range(num_seeds):
-        config = FederatedConfig(
-            n=n, T=rounds, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho,
-            master_seed=base_config.master_seed + 1000 + k, optimizer=Optimizer.SOFIM,
-        )
+        seed_config = replace(config, master_seed=seed + 1000 + k)
         state = ServerState.initial(np.zeros(d))
         for t in range(rounds):
             grad = bundle.task.global_gradient(state.theta)
             g_max = max(g_max, float(np.linalg.norm(grad)))
             zeta = clipped_aggregate(bundle, state.theta, c_g) - grad
             zeta_max = max(zeta_max, float(np.linalg.norm(zeta)))
-            state, _ = run_round(bundle, state, config, t, evaluate=False)
+            state, _ = run_round(bundle, state, seed_config, t, evaluate=False)
         terminal_gaps.append(task.gap(state.theta))
     _, nu_uniform = accountant.noise_floor(c_g, sigma_g, n, [m] * n)
     gamma, floor, rate = accountant.theoretical_floor(
@@ -505,10 +501,10 @@ def _quadrature_delta(epsilon: float, delta_sens: float, sigma: float) -> float:
     return float(half * np.sum(weights[None, :] * vals))
 
 
-def grid_sweep_minimum(epsilon: float, delta: float, n: int, T: int, points: int = 10_000) -> float:
+def grid_sweep_minimum(epsilon: float, delta: float, n: int, T: int) -> float:
     """Independent exhaustive search for the smallest feasible sigma_g: a
     coarse log sweep of the full bracket locates the feasibility crossing,
-    then ``points`` linearly spaced evaluations pin it down."""
+    then 10,000 linearly spaced evaluations pin it down."""
     lo, hi = accountant.CALIBRATION_BRACKET
     coarse = np.geomspace(lo, hi, 2048)
     feasible = np.array([accountant.composed_delta(epsilon, s, n, T) <= delta for s in coarse])
@@ -517,7 +513,7 @@ def grid_sweep_minimum(epsilon: float, delta: float, n: int, T: int, points: int
     first = int(np.argmax(feasible))
     if first == 0:
         return float(coarse[0])
-    fine = np.linspace(coarse[first - 1], coarse[first], points)
+    fine = np.linspace(coarse[first - 1], coarse[first], 10_000)
     for s in fine:
         if accountant.composed_delta(epsilon, float(s), n, T) <= delta:
             return float(s)

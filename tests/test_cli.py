@@ -115,6 +115,16 @@ class TestRunCommand:
             assert cli.main(["run", *flags]) == 2
             assert capsys.readouterr().err.strip() == message
 
+    def test_test_file_with_another_class_count_fails_cleanly(self, tmp_path, capsys):
+        paths = []
+        for classes in (2, 3):
+            paths.append(str(tmp_path / f"c{classes}.features"))
+            assert cli.main(["gen-task", "--examples", "40", "--dim", "3", "--classes", str(classes),
+                             "--output", paths[-1]]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--features", paths[0], "--test-features", paths[1], *QUAD_FLAGS[7:]]) == 2
+        assert capsys.readouterr().err.strip() == "error: train and test class counts differ"
+
     def test_privacy_flags_resolve_the_noise_multiplier(self, capsys):
         code = cli.main([
             "run", *QUAD_FLAGS, "--epsilon", "5", "--delta", "1e-5", "--eval-every", "8",

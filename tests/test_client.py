@@ -121,8 +121,9 @@ class TestClipGradient:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="c_g must be positive"):
             clip_gradient(np.ones(2), 0.0)
-        with pytest.raises(ValueError, match="c_g must be positive"):
-            clip_rows(np.ones((2, 2)), -1.0)
+        for c_g in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_g must be positive and finite"):
+                clip_rows(np.ones((2, 2)), c_g)
 
 
 def reference_clip_rows(grads, c_g):
@@ -454,6 +455,17 @@ class TestReleaseOnRealTasks:
         oracle = clipped.sum(axis=0) / 7
         np.testing.assert_allclose(release.vector, oracle, rtol=1e-14, atol=1e-14 * np.abs(clipped).sum() / 7)
         assert np.linalg.norm(release.vector) <= c_g
+
+    def test_non_finite_radius_rejected_on_both_tasks(self):
+        rng = np.random.default_rng(47)
+        softmax = SoftmaxHeadTask(num_classes=3, feature_dim=4)
+        dataset = FeatureDataset(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
+        quadratic, shards = make_synthetic_quadratic(3, 2, mu=0.5, L=2.0, heterogeneity=1.0, seed=8)
+        for task, data in ((softmax, dataset), (quadratic, shards[0])):
+            theta = rng.normal(size=task.dim) * 3.0
+            for c_g in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="c_g must be positive and finite"):
+                    private_release(data, theta, c_g, 1.0, 2, derive_noise_stream(3, 0, 0), task)
 
     def test_quadratic_shard_release_matches_manual_path(self):
         task, shards = make_synthetic_quadratic(5, 3, mu=0.5, L=2.0, heterogeneity=1.0, seed=8)

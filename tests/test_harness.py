@@ -21,6 +21,7 @@ from fedsofim.harness import (
     GridSpec,
     MetricsTable,
     QuadraticTaskBinding,
+    TaskBundle,
     build_bundle,
     clipped_aggregate,
     detect_early_instability,
@@ -32,7 +33,7 @@ from fedsofim.harness import (
     run_round,
     validate_plan,
 )
-from fedsofim.task import FeatureDataset, SoftmaxHeadTask, save_frozen_features
+from fedsofim.task import FeatureDataset, SoftmaxHeadTask, make_synthetic_quadratic, save_frozen_features
 
 
 def quad_config(**overrides):
@@ -93,9 +94,11 @@ class TestBuildBundle:
 
     def test_mismatched_test_dimension_rejected(self, tmp_path):
         train = write_feature_file(tmp_path, dim=3, name="a.features")
-        test = write_feature_file(tmp_path, dim=4, name="b.features")
-        with pytest.raises(ValueError, match="train and test feature dimensions differ"):
-            build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
+        for shape, message in ((dict(dim=4), "train and test feature dimensions differ"),
+                               (dict(dim=3, classes=3), "train and test class counts differ")):
+            test = write_feature_file(tmp_path, name="b.features", **shape)
+            with pytest.raises(ValueError, match=message):
+                build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
 
     def test_bindings_reject_non_finite_and_out_of_range_settings(self):
         for settings, message in (
@@ -383,6 +386,16 @@ class TestDiagnostics:
         theta = np.full(4, 0.3)
         clipped = clipped_aggregate(bundle, theta, c_g=1e9)
         np.testing.assert_allclose(clipped, bundle.task.global_gradient(theta), rtol=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="known defect: m parallel clipped rows summed, then divided by m, "
+                                           "can round one ulp past c_g")
+    def test_one_client_clipped_aggregate_stays_inside_the_ball(self):
+        # A shard of 10 equal examples, each clipped to norm exactly 1; the
+        # sum of the 10 clipped rows divided by 10 comes out 1 + 2^-52.
+        task, shards = make_synthetic_quadratic(d=6, n=1, mu=0.5, L=4.0, heterogeneity=2.0, seed=1)
+        theta = 3.0 * np.random.default_rng(1).normal(size=(5, 6))[4]
+        aggregate = clipped_aggregate(TaskBundle(task=task, train=tuple(shards)), theta, 1.0)
+        assert np.linalg.norm(aggregate) <= 1.0
 
     def row(self, round_index, accuracy):
         return RoundMetrics(round=round_index, train_loss=1.0, test_accuracy=accuracy,

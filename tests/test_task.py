@@ -293,8 +293,9 @@ class TestGhostClipping:
 
     def test_radius_must_be_positive(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
-        with pytest.raises(ValueError, match="c_g must be positive"):
-            task.clipped_sum(np.zeros(task.dim), single_example_dataset([1.0, 2.0], 0), 0.0)
+        for c_g in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_g must be positive and finite"):
+                task.clipped_sum(np.zeros(task.dim), single_example_dataset([1.0, 2.0], 0), c_g)
 
 
 class TestQuadraticTask:
