@@ -18,7 +18,7 @@ from .accountant import (
     single_round_delta,
     theoretical_floor,
 )
-from .client import ClientRelease, clip_rows, private_release
+from .client import ClientRelease, clip_rows, private_release, release_round
 from .core import (
     FederatedConfig,
     Optimizer,

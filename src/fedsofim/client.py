@@ -1,9 +1,14 @@
 """Record-level DP release: clip each per-example gradient, sum, perturb, normalize.
 
-Order matters and is load-bearing: Gaussian noise is added to the *sum* of
-clipped gradients before dividing by the local dataset size, and the noise
-variance carries a 1/n factor.  The accountant's closed-form sensitivity and
-release-noise expressions assume exactly this arrangement, so do not "fix" it.
+One round's releases are computed together.  In order: each client whose
+mini-batch is smaller than its shard picks its rows from its own stream;
+every shard's clipped per-example gradients are summed; each client's own
+stream adds its Gaussian noise to its sum; and each sum is divided by its
+client's example count.  The order is load-bearing: noise goes onto the
+*sum* of clipped gradients before dividing by the local dataset size, and
+the noise variance carries a 1/n factor.  The accountant's closed-form
+sensitivity and release-noise expressions assume exactly this arrangement,
+so do not "fix" it.  A single client's release is the one-shard round.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # task.py imports clip_rows from here
-    from .task import ClientDataset, Task
+    from .task import ClientDataset, FeatureStack, QuadraticStack, Task
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,9 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
         raise ValueError("c_g must be positive and finite")
     grads = np.asarray(grads, dtype=np.float64)
     norms = _row_norms(grads)
-    if (norms <= c_g).all():
+    # The largest norm decides, and a NaN norm makes it NaN: the test
+    # (norms <= c_g).all() makes, at half the dispatch.
+    if np.maximum.reduce(norms, initial=0.0) <= c_g:
         return grads
     # Rows inside the ball are multiplied by exactly 1.0, a no-op in IEEE
     # arithmetic; rows with a NaN norm fail the test above and become NaN.
@@ -69,6 +76,62 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     return out
 
 
+def _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size) -> np.ndarray:
+    """The one release implementation; see release_round."""
+    sizes = stacked.sizes
+    if min(sizes) < 1:
+        raise ValueError("empty dataset")
+    if not sigma_g >= 0:
+        raise ValueError("sigma_g must be nonnegative")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    if batch_size and batch_size < max(sizes):
+        picks = []
+        for size, stream in zip(sizes, streams):
+            if batch_size >= size:
+                picks.append(None)
+            elif stream is None:
+                raise ValueError("mini-batch selection requires a stream")
+            else:
+                picks.append(np.sort(stream.choice(size, size=batch_size, replace=False)))
+        stacked = stacked.subset(picks)
+
+    sums = task.clipped_sums(theta, stacked, c_g)
+    if sigma_g > 0:
+        scale = c_g * sigma_g / math.sqrt(n)
+        sums += np.array([stream.normal(0.0, scale, sums.shape[1]) for stream in streams])
+    sums /= stacked.counts
+    return sums
+
+
+def release_round(
+    stacked: FeatureStack | QuadraticStack,
+    theta: np.ndarray,
+    c_g: float,
+    sigma_g: float,
+    n: int,
+    streams,
+    task: Task,
+    round_index: int = 0,
+    batch_size: int = 0,
+) -> list:
+    """Every client's noisy normalized update for one round, client i's
+    release at index i.
+
+    Release i is (S_i + E_i) / |D_i|, where S_i = task.clipped_sums(...)[i]
+    sums the individually clipped per-example gradients of shard i at theta
+    and E_i ~ N(0, (c_g sigma_g)^2 / n I) is drawn from streams[i].  With
+    sigma_g = 0 the draw is skipped entirely, so non-private runs never touch
+    the streams.  A positive batch_size sub-samples that many examples of
+    each larger shard (drawn from its stream, before the noise) and
+    normalizes by the batch count; the accountant grants no amplification
+    credit for it.
+    """
+    rows = _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
+    return [ClientRelease(vector=row, client_id=i, round=round_index) for i, row in enumerate(rows)]
+
+
 def private_release(
     dataset: ClientDataset,
     theta: np.ndarray,
@@ -81,29 +144,7 @@ def private_release(
     round_index: int = 0,
     batch_size: int = 0,
 ) -> ClientRelease:
-    """One client's noisy normalized update for one round.
-
-    Computes (S + E) / |D| where S = task.clipped_sum sums the individually
-    clipped per-example gradients at theta and E ~ N(0, (c_g sigma_g)^2 / n I).
-    With sigma_g = 0 the draw is skipped entirely, so non-private runs never
-    touch the stream.  A positive batch_size sub-samples that many examples
-    (drawn from the same stream, before the noise) and normalizes by the
-    batch count; the accountant grants no amplification credit for it.
-    """
-    if dataset.size < 1:
-        raise ValueError("empty dataset")
-    if not sigma_g >= 0:
-        raise ValueError("sigma_g must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-    if batch_size and batch_size < dataset.size:
-        if stream is None:
-            raise ValueError("mini-batch selection requires a stream")
-        dataset = dataset.subset(np.sort(stream.choice(dataset.size, size=batch_size, replace=False)))
-
-    summed = task.clipped_sum(theta, dataset, c_g)
-    if sigma_g > 0:
-        summed += stream.normal(0.0, c_g * sigma_g / math.sqrt(n), size=summed.shape)
-    summed /= dataset.size
-    return ClientRelease(vector=summed, client_id=client_id, round=round_index)
+    """One client's noisy normalized update for one round: the round release
+    of the one shard ``dataset`` with its one stream."""
+    vector = _release_rows(task.stack((dataset,)), theta, c_g, sigma_g, n, (stream,), task, batch_size)[0]
+    return ClientRelease(vector=vector, client_id=client_id, round=round_index)

@@ -252,10 +252,10 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
-def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
-    """Yield, for each round 0..rounds-1, the list of ``n_clients`` generators
-    that ``derive_noise_stream(master_seed, client, round)`` gives, with the
-    same bits.
+def derive_noise_streams(master_seed: int, n_clients: int, rounds: int, first_round: int = 0):
+    """Yield, for each of ``rounds`` rounds from ``first_round`` on, the list
+    of ``n_clients`` generators that ``derive_noise_stream(master_seed,
+    client, round)`` gives, with the same bits.
 
     Stream seeds and their SeedSequence words are computed for a block of
     rounds at a time in numpy; each generator is still built fresh by
@@ -263,8 +263,9 @@ def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
     """
     prefixes = np.array([_client_prefix(master_seed, c) for c in range(n_clients)], dtype=np.uint64)
     block = max(1, _STREAM_BLOCK // n_clients)
-    for start in range(0, rounds, block):
-        offsets = np.arange(start, min(start + block, rounds), dtype=np.uint64) + np.uint64(3 * _GOLDEN & _MASK64)
+    stop = first_round + rounds
+    for start in range(first_round, stop, block):
+        offsets = np.arange(start, min(start + block, stop), dtype=np.uint64) + np.uint64(3 * _GOLDEN & _MASK64)
         seeds = _mix64_array(offsets[:, None] ^ prefixes[None, :])
         words = _seed_sequence_words(seeds)
         for row in words:

@@ -12,20 +12,20 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .accountant import calibrate_sigma
-from .client import private_release
+from .client import release_round
 from .core import (
     CONFIG_TYPES,
     FederatedConfig,
     Optimizer,
     RoundMetrics,
     ServerState,
-    derive_noise_stream,
+    derive_noise_streams,
     derive_stream_seed,
     validate_config,
     with_updates,
@@ -95,11 +95,19 @@ TaskBinding = Union[FeatureTaskBinding, QuadraticTaskBinding]
 
 @dataclass(frozen=True)
 class TaskBundle:
-    """A task plus its per-client shards and evaluation data."""
+    """A task plus its per-client shards, their stack and evaluation data.
+
+    Unless given, the stack is the task's stack of the shards, built once.
+    """
 
     task: Task
     train: tuple
     test: Optional[FeatureDataset] = None
+    stacked: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.stacked is None:
+            object.__setattr__(self, "stacked", self.task.stack(self.train))
 
     @property
     def dim(self) -> int:
@@ -107,7 +115,7 @@ class TaskBundle:
 
     def evaluate(self, theta: np.ndarray) -> tuple:
         """(train_loss, test_accuracy, suboptimality_gap or None) at theta."""
-        return self.task.evaluate(theta, self.train, self.test)
+        return self.task.evaluate(theta, self.stacked, self.test)
 
 
 def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
@@ -141,7 +149,9 @@ def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
         train_data = train_data.subset(perm[cut:])
     shards = partition_iid(train_data, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
     head = SoftmaxHeadTask(meta["num_classes"], meta["feature_dim"], binding.l2_lambda)
-    return TaskBundle(task=head, train=tuple(shards), test=test_data)
+    # The shards become views into the stack, so the features are held once.
+    stacked = head.stack(shards)
+    return TaskBundle(task=head, train=stacked.shards(), test=test_data, stacked=stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -203,33 +213,21 @@ def run_round(
     config: FederatedConfig,
     round_index: int,
     evaluate: bool = True,
+    streams=None,
 ) -> tuple:
-    """Execute one full round: n releases, aggregate, optimizer step.
+    """Execute one full round: every client's release, aggregate, optimizer step.
 
-    Deterministic given (config, round_index): each client's release draws
-    from its own derived stream.  Returns (new_state, RoundMetrics or None).
+    Deterministic given (config, round_index): client i's release draws from
+    its own derived stream, ``derive_noise_stream(master_seed, i,
+    round_index)``; ``streams`` may hand in that round's n streams, already
+    derived.  Returns (new_state, RoundMetrics or None).
     """
     if not 0 <= round_index < config.T:
         raise ValueError(f"round {round_index} outside [0, {config.T})")
-    needs_stream = config.sigma_g > 0 or config.batch_size > 0
-    releases = []
-    for client_id in range(config.n):
-        stream = (
-            derive_noise_stream(config.master_seed, client_id, round_index) if needs_stream else None
-        )
-        releases.append(private_release(
-            bundle.train[client_id],
-            state.theta,
-            config.clip_cg,
-            config.sigma_g,
-            config.n,
-            stream,
-            bundle.task,
-            client_id=client_id,
-            round_index=round_index,
-            batch_size=config.batch_size,
-        ))
-
+    if streams is None:
+        (streams,) = _stream_rounds(config, round_index, 1)
+    releases = release_round(bundle.stacked, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
+                             bundle.task, round_index, config.batch_size)
     g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
@@ -248,6 +246,14 @@ def run_round(
             suboptimality_gap=gap,
         )
     return new_state, metrics
+
+
+def _stream_rounds(config: FederatedConfig, first_round: int, rounds: int):
+    """Each round's n client streams from first_round on.  Releases that
+    draw nothing (no noise and no mini-batches) get None for a stream."""
+    if config.sigma_g > 0 or config.batch_size > 0:
+        return derive_noise_streams(config.master_seed, config.n, rounds, first_round)
+    return itertools.repeat((None,) * config.n, rounds)
 
 
 @dataclass(frozen=True)
@@ -279,9 +285,9 @@ def run_experiment(plan: ExperimentPlan) -> MetricsTable:
     state = ServerState.initial(np.zeros(bundle.dim))
     rows = []
     start = time.perf_counter()
-    for t in range(config.T):
+    for t, streams in enumerate(_stream_rounds(config, 0, config.T)):
         evaluate = ((t + 1) % plan.eval_every == 0) or (t == config.T - 1)
-        state, metrics = run_round(bundle, state, config, t, evaluate=evaluate)
+        state, metrics = run_round(bundle, state, config, t, evaluate=evaluate, streams=streams)
         if metrics is not None:
             if plan.record_timing:
                 metrics = replace(metrics, elapsed=time.perf_counter() - start)
@@ -411,11 +417,8 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 
 def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.ndarray:
     """Noiseless clipped aggregate at theta (sigma_g = 0 path, no streams)."""
-    releases = [
-        private_release(ds, theta, c_g, 0.0, len(bundle.train), None, bundle.task, client_id=i)
-        for i, ds in enumerate(bundle.train)
-    ]
-    return aggregate(releases, len(bundle.train))
+    n = len(bundle.train)
+    return aggregate(release_round(bundle.stacked, theta, c_g, 0.0, n, (None,) * n, bundle.task), n)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

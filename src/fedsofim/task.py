@@ -8,10 +8,11 @@ theory-verification suites.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -46,13 +47,14 @@ class FeatureDataset:
         return FeatureDataset(self.features[indices], self.labels[indices])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticShard:
     """One client's share of a quadratic task.
 
     Every sample in the shard carries the same loss 0.5 (theta-c)' A (theta-c),
     so "per-example gradient" means A (theta - c) repeated ``size`` times; the
     shard size still matters because the release mechanism normalizes by it.
+    Shards compare and hash by identity.
     """
 
     a_matrix: np.ndarray
@@ -71,6 +73,86 @@ class QuadraticShard:
 
 
 ClientDataset = Union[FeatureDataset, QuadraticShard]
+
+
+def _size_runs(sizes: tuple) -> tuple:
+    """(first shard, shard count, shard size, first row) for each run of
+    consecutive shards of one size.  ``partition_iid`` gives at most two."""
+    runs, row = [], 0
+    for shard, size in enumerate(sizes):
+        if runs and runs[-1][2] == size:
+            first, count, _, start = runs[-1]
+            runs[-1] = (first, count + 1, size, start)
+        else:
+            runs.append((shard, 1, size, row))
+        row += size
+    return tuple(runs)
+
+
+def _picked_sizes(sizes: tuple, picks: list) -> tuple:
+    return tuple(size if pick is None else len(pick) for size, pick in zip(sizes, picks))
+
+
+class _SizedStack:
+    """What a stack of shards holds besides their data: the shard sizes,
+    their runs of equal size (``_size_runs``) and the sizes as an (n, 1)
+    column that the releases are divided by."""
+
+    def __post_init__(self):
+        counts = np.array(self.sizes, dtype=np.float64)[:, None]
+        counts.flags.writeable = False
+        object.__setattr__(self, "runs", _size_runs(self.sizes))
+        object.__setattr__(self, "counts", counts)
+
+
+@dataclass(frozen=True)
+class FeatureStack(_SizedStack):
+    """Every training shard of a softmax run, stacked once: the augmented
+    features [x, 1] (M, p+1) and labels (M,) in shard order, and the shard
+    sizes.  ``shards`` gives the shards back as views into the stack."""
+
+    x_aug: np.ndarray
+    labels: np.ndarray
+    sizes: tuple
+    runs: tuple = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def shards(self) -> tuple:
+        return tuple(FeatureDataset(self.x_aug[row:row + size, :-1], self.labels[row:row + size])
+                     for row, size in zip(self._starts(), self.sizes))
+
+    def subset(self, picks: list) -> "FeatureStack":
+        """The stack with shard i cut to its rows picks[i] (all of them where
+        picks[i] is None)."""
+        rows = np.concatenate([np.arange(row, row + size) if pick is None else row + pick
+                               for row, size, pick in zip(self._starts(), self.sizes, picks)])
+        return FeatureStack(self.x_aug[rows], self.labels[rows], _picked_sizes(self.sizes, picks))
+
+    def _starts(self) -> list:
+        return [row + k * size for _, count, size, row in self.runs for k in range(count)]
+
+
+@dataclass(frozen=True)
+class QuadraticStack(_SizedStack):
+    """Every shard of a quadratic run, and their sizes.  A shard's samples
+    are all alike, so there are no rows to stack."""
+
+    shards: tuple
+    sizes: tuple
+    runs: tuple = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def subset(self, picks: list) -> "QuadraticStack":
+        """The stack with shard i cut to len(picks[i]) samples."""
+        return QuadraticStack(self.shards, _picked_sizes(self.sizes, picks))
+
+
+@functools.lru_cache(maxsize=256)
+def _quadratic_stack(shards: tuple) -> QuadraticStack:
+    # A quadratic stack holds its shards themselves, which are immutable,
+    # so each tuple of shards is stacked once: a client released on its own
+    # every draw, as in NOISE_FLOOR, reuses its one-shard stack.
+    return QuadraticStack(shards, tuple([shard.size for shard in shards]))
 
 
 class SoftmaxHeadTask:
@@ -128,16 +210,20 @@ class SoftmaxHeadTask:
         shifted = logits - row_max[:, None]
         return logits, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
+    def _factors(self, theta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray) -> tuple:
+        """(Z, R): logits and R = softmax(Z) - onehot."""
+        logits, log_probs = self._log_probs(theta, x_aug)
+        residuals = np.exp(log_probs)
+        residuals[np.arange(labels.shape[0]), labels] -= 1.0
+        return logits, residuals
+
     def _residuals(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
         """(X, Z, R): augmented features, logits and R = softmax(Z) - onehot."""
         x_aug = self._augment(dataset.features)
-        logits, log_probs = self._log_probs(theta, x_aug)
-        residuals = np.exp(log_probs)
-        residuals[np.arange(dataset.size), dataset.labels] -= 1.0
-        return x_aug, logits, residuals
+        return (x_aug, *self._factors(theta, x_aug, dataset.labels))
 
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
-        """All per-example gradients at theta as an (m, d) array; clipped_sum's oracle."""
+        """All per-example gradients at theta as an (m, d) array; clipped_sums's oracle."""
         theta = self._check_theta(theta)
         x_aug, _, residuals = self._residuals(theta, dataset)
         grads = np.einsum("mk,mp->mkp", residuals, x_aug).reshape(dataset.size, self.dim)
@@ -145,18 +231,47 @@ class SoftmaxHeadTask:
             grads += self.l2_lambda * theta
         return grads
 
-    def clipped_sum(self, theta: np.ndarray, dataset: FeatureDataset, c_g: float) -> np.ndarray:
-        """Sum of the per-example gradients g_i = vec(r_i x_i') + l2_lambda theta,
-        each clipped to norm c_g, from the factors (ghost clipping) without
-        building them: vec((s R)' X) + l2_lambda theta sum(s)."""
+    def stack(self, shards) -> FeatureStack:
+        """The shards' augmented features and labels in one contiguous stack."""
+        sizes = tuple(shard.size for shard in shards)
+        x_aug = np.empty((sum(sizes), self.feature_dim + 1))
+        row = 0
+        for shard in shards:
+            if shard.features.shape[1] != self.feature_dim:
+                raise ValueError(f"features must have dimension {self.feature_dim}")
+            x_aug[row:row + shard.size, :-1] = shard.features
+            row += shard.size
+        x_aug[:, -1] = 1.0
+        x_aug.flags.writeable = False
+        labels = np.concatenate([shard.labels for shard in shards])
+        labels.flags.writeable = False
+        return FeatureStack(x_aug, labels, sizes)
+
+    def clipped_sums(self, theta: np.ndarray, stacked: FeatureStack, c_g: float) -> np.ndarray:
+        """Row i: the sum over shard i of the per-example gradients
+        g_j = vec(r_j x_j') + l2_lambda theta, each clipped to norm c_g, from
+        the factors (ghost clipping) without building them:
+        vec((s R)' X) + l2_lambda theta sum(s).  One logits product serves
+        every shard, and each run of equal-sized shards takes its sums from
+        one batched product."""
         if not 0 < c_g < math.inf:
             raise ValueError("c_g must be positive and finite")
         theta = self._check_theta(theta)
-        x_aug, logits, residuals = self._residuals(theta, dataset)
+        x_aug = stacked.x_aug
+        logits, residuals = self._factors(theta, x_aug, stacked.labels)
         scale = self._clip_scales(theta, x_aug, logits, residuals, c_g)
-        summed = ((residuals * scale[:, None]).T @ x_aug).reshape(self.dim)
-        summed += (self.l2_lambda * float(np.add.reduce(scale))) * theta
-        return summed
+        residuals *= scale[:, None]
+        n, classes, width = len(stacked.sizes), self.num_classes, self.feature_dim + 1
+        sums = np.empty((n, classes, width))
+        scale_sums = np.empty(n)
+        for first, count, size, row in stacked.runs:
+            rows, shards = slice(row, row + count * size), slice(first, first + count)
+            sums[shards] = np.matmul(residuals[rows].reshape(count, size, classes).transpose(0, 2, 1),
+                                     x_aug[rows].reshape(count, size, width))
+            scale_sums[shards] = np.add.reduce(scale[rows].reshape(count, size), axis=1)
+        sums = sums.reshape(n, self.dim)
+        sums += (self.l2_lambda * scale_sums)[:, None] * theta
+        return sums
 
     def _clip_scales(self, theta, x_aug, logits, residuals, c_g) -> np.ndarray:
         """min(1, c_g/||g_i||), ||g_i||^2 = ||r_i||^2 ||x_i||^2 + 2 lam r_i.z_i
@@ -183,18 +298,27 @@ class SoftmaxHeadTask:
         accuracy = float(np.mean(predictions == dataset.labels))
         return loss, accuracy
 
-    def evaluate(self, theta: np.ndarray, train: tuple, test: FeatureDataset) -> tuple:
+    def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
+        """Each shard's loss_and_accuracy loss, from one pass over the stack."""
+        _, log_probs = self._log_probs(theta, stacked.x_aug)
+        nll = -log_probs[np.arange(stacked.labels.shape[0]), stacked.labels]
+        means = np.empty(len(stacked.sizes))
+        for first, count, size, row in stacked.runs:
+            means[first:first + count] = np.add.reduce(nll[row:row + count * size].reshape(count, size), axis=1) / size
+        return means + 0.5 * self.l2_lambda * float(theta @ theta)
+
+    def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureDataset) -> tuple:
         """(train_loss, test_accuracy, None) at theta.
 
         Divergent iterates are reported as (inf, 0.0, None) rather than
         raising, so grid search can rank them as worst.
         """
+        theta = self._check_theta(theta)
         if not np.all(np.isfinite(theta)):
             return math.inf, 0.0, None
         with np.errstate(over="ignore", invalid="ignore"):
             # The federated objective is the unweighted mean of client means.
-            client_losses = [self.loss_and_accuracy(theta, ds)[0] for ds in train]
-            loss = float(np.mean(client_losses))
+            loss = float(np.mean(self._train_losses(theta, train)))
             _, accuracy = self.loss_and_accuracy(theta, test)
         if not math.isfinite(loss) or not math.isfinite(accuracy):
             return math.inf, 0.0, None
@@ -251,18 +375,30 @@ class QuadraticTask:
         return shard.a_matrix @ (theta - shard.center)
 
     def per_example_gradients(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
-        """The shard's gradient repeated as a read-only (m, d) stack; clipped_sum's oracle."""
+        """The shard's gradient repeated as a read-only (m, d) stack; clipped_sums's oracle."""
         return np.broadcast_to(self._gradient(theta, shard), (shard.size, self.dim))
 
-    def clipped_sum(self, theta: np.ndarray, shard: QuadraticShard, c_g: float) -> np.ndarray:
-        """Sum of the per-example gradients, each clipped to norm c_g.  The one
-        gradient is clipped once, and the sum runs over a stride-0 repetition
-        of it, with the bits of a sum over the clipped (m, d) stack."""
-        row = clip_rows(self._gradient(theta, shard)[None, :], c_g)[0]
-        # The stride-0 view np.broadcast_to returns, without its dispatch,
-        # which takes about four times as long as building the view.
-        rows = np.ndarray((shard.size, self.dim), dtype=row.dtype, buffer=row, strides=(0, row.itemsize))
-        return np.add.reduce(rows, axis=0)
+    def stack(self, shards) -> QuadraticStack:
+        return _quadratic_stack(tuple(shards))
+
+    def clipped_sums(self, theta: np.ndarray, stacked: QuadraticStack, c_g: float) -> np.ndarray:
+        """Row i: the sum over shard i of its per-example gradients, each
+        clipped to norm c_g.  Each shard's one gradient is clipped once, and
+        its sum runs over a stride-0 repetition of it, with the bits of a sum
+        over the clipped (m, d) stack."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.dim,):
+            raise ValueError(f"theta must have dimension {self.dim}, got {theta.shape}")
+        rows = clip_rows(np.array([shard.a_matrix @ (theta - shard.center) for shard in stacked.shards]), c_g)
+        step = rows.strides[0]
+        sums = [
+            # The stride-0 view np.broadcast_to returns, without its
+            # dispatch, which takes several times as long as the view.
+            np.add.reduce(np.ndarray((count, size, self.dim), rows.dtype, rows, first * step,
+                                     (step, 0, rows.itemsize)), 1)
+            for first, count, size, _ in stacked.runs
+        ]
+        return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
     def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
         """Loss on one shard, plus exp(-gap)."""
@@ -270,7 +406,7 @@ class QuadraticTask:
         loss = 0.5 * float((theta - shard.center) @ (shard.a_matrix @ (theta - shard.center)))
         return loss, math.exp(-self.gap(theta))
 
-    def evaluate(self, theta: np.ndarray, train: tuple, test: Optional[FeatureDataset]) -> tuple:
+    def evaluate(self, theta: np.ndarray, train: QuadraticStack, test: Optional[FeatureDataset]) -> tuple:
         """(global_value, exp(-gap), gap) at theta; the shards are not needed.
 
         Divergent iterates are reported as (inf, 0.0, inf) rather than
@@ -303,7 +439,7 @@ def partition_iid(dataset: FeatureDataset, n: int, seed: int) -> list:
     return [dataset.subset(chunk) for chunk in np.array_split(perm, n)]
 
 
-# Parsed feature files keyed by a digest of their text.  A grid search
+# Parsed feature files keyed by a digest of their bytes.  A grid search
 # resolves its binding once per run, and parsing the text dominates that,
 # so each distinct file is parsed once; keying by content means an edited
 # file is never served stale.
@@ -318,15 +454,18 @@ def load_frozen_features(path) -> tuple:
     ``label,f1,...,fdim``.  Returns (FeatureDataset, metadata dict).  Loads
     of identical content share one read-only dataset.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    key = hashlib.sha256(text.encode("utf-8")).digest()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = hashlib.sha256(data).digest()
     if key in _PARSED_FEATURE_FILES:
         _PARSED_FEATURE_FILES.move_to_end(key)
     else:
-        lines = text.splitlines()
         # Parsing peaks with the lines and their floats alive; dropping the
-        # text first keeps that peak where a plain read-and-split leaves it.
+        # bytes and the text first keeps that peak where a plain
+        # read-and-split leaves it.
+        text = data.decode("utf-8")
+        del data
+        lines = text.splitlines()
         del text
         _PARSED_FEATURE_FILES[key] = _parse_frozen_features(lines)
         if len(_PARSED_FEATURE_FILES) > _PARSED_FEATURE_FILES_KEPT:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import accountant
-from .client import clip_rows, private_release
+from .client import clip_rows, release_round
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_streams
 from .harness import TaskBundle, clipped_aggregate, run_round
 from .oracles import dense_preconditioner
@@ -264,26 +264,21 @@ def suite_variance_reduction(seed: int = 0) -> VerifyReport:
 
 def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     """Per-coordinate variance of the aggregate noise, measured through the
-    actual release path (release minus its noiseless counterpart).  Draw r
-    gives client i the stream ``derive_noise_stream(seed, i, r)``, seeded in
-    batches by ``derive_noise_streams``."""
+    actual release path (a round's releases minus their noiseless
+    counterpart).  Draw r gives client i the stream
+    ``derive_noise_stream(seed, i, r)``, seeded in batches by
+    ``derive_noise_streams``."""
     n = len(sizes)
     d = 8
     task, _ = make_synthetic_quadratic(d=d, n=n, mu=0.5, L=2.0, heterogeneity=1.0, seed=seed)
     shards = [QuadraticShard(task.a_matrices[i], task.centers[i], int(sizes[i])) for i in range(n)]
     theta = np.zeros(d)
-    noiseless = clipped_aggregate(TaskBundle(task=task, train=tuple(shards)), theta, c_g)
+    bundle = TaskBundle(task=task, train=tuple(shards))
+    noiseless = clipped_aggregate(bundle, theta, c_g)
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     for r, streams in enumerate(derive_noise_streams(seed, n, draws)):
-        releases = [
-            private_release(
-                shards[i], theta, c_g, sigma_g, n,
-                streams[i], task, client_id=i, round_index=r,
-            )
-            for i in range(n)
-        ]
-        xi = aggregate(releases, n) - noiseless
+        xi = aggregate(release_round(bundle.stacked, theta, c_g, sigma_g, n, streams, task, r), n) - noiseless
         acc += xi
         acc_sq += xi * xi
     var = (acc_sq - acc * acc / draws) / (draws - 1)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, flag/file precedence, exit codes."""
 
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from fedsofim.accountant import calibrate_sigma, composed_delta
 from fedsofim.core import FederatedConfig
 from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, read_metrics
 from fedsofim.task import load_frozen_features
+
+def child_env():
+    """The environment with the imported package's ``src`` directory first on
+    PYTHONPATH: pytest's own path setting does not reach a subprocess."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 QUAD_FLAGS = [
     "--quadratic", "--dim", "6", "--mu", "0.5", "--L", "2.0",
@@ -256,7 +267,7 @@ class TestModuleEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "fedsofim", "calibrate",
              "--epsilon", "2.0", "--delta", "1e-5", "--n", "20", "--T", "70"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("sigma_g = ")
@@ -284,7 +295,7 @@ class TestOracleIsolation:
             print("CLEAN")
         """)
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "CLEAN" in proc.stdout

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 import fedsofim.client as client_module
-from fedsofim.client import MAX_ULP_PASSES, ClientRelease, clip_rows, private_release
-from fedsofim.core import derive_noise_stream
-from fedsofim.task import FeatureDataset, SoftmaxHeadTask, make_synthetic_quadratic
+from fedsofim.client import MAX_ULP_PASSES, ClientRelease, clip_rows, private_release, release_round
+from fedsofim.core import derive_noise_stream, derive_noise_streams
+from fedsofim.task import (
+    FeatureDataset,
+    QuadraticShard,
+    SoftmaxHeadTask,
+    make_anisotropic_features,
+    make_synthetic_quadratic,
+    partition_iid,
+)
 
 
 def clip_gradient(g, c_g):
@@ -39,13 +46,28 @@ class StubTask:
 
     Lets a test choose gradient geometry exactly (e.g. antipodal max-norm
     rows) instead of reverse-engineering model parameters that produce it.
+    Its stack is the tuple of shards.
     """
 
     def per_example_gradients(self, theta, dataset):
         return np.array(dataset.rows, dtype=float)
 
-    def clipped_sum(self, theta, dataset, c_g):
-        return np.add.reduce(clip_rows(self.per_example_gradients(theta, dataset), c_g), axis=0)
+    def stack(self, shards):
+        return StubStack(shards)
+
+    def clipped_sums(self, theta, stacked, c_g):
+        return np.stack([np.add.reduce(clip_rows(self.per_example_gradients(theta, shard), c_g), axis=0)
+                         for shard in stacked.shards])
+
+
+class StubStack:
+    def __init__(self, shards):
+        self.shards = tuple(shards)
+        self.sizes = tuple(shard.size for shard in self.shards)
+        self.counts = np.array(self.sizes, dtype=float)[:, None]
+
+    def subset(self, picks):
+        return StubStack(shard if pick is None else shard.subset(pick) for shard, pick in zip(self.shards, picks))
 
 
 class StubDataset:
@@ -475,3 +497,65 @@ class TestReleaseOnRealTasks:
         grads = task.per_example_gradients(theta, shards[1])
         oracle = clip_rows(grads, c_g).sum(axis=0) / shards[1].size
         np.testing.assert_array_equal(release.vector, oracle)
+
+
+class TestRoundRelease:
+    """One call releases a whole round with the bits of one release per
+    client, each from ``derive_noise_stream`` through the one-shard round."""
+
+    SEED = 41
+
+    def softmax_case(self, n):
+        task = SoftmaxHeadTask(num_classes=4, feature_dim=6, l2_lambda=1e-3)
+        data = make_anisotropic_features(1003, 6, 4, condition=1e2, separation=1.0, seed=n)
+        return task, partition_iid(data, n, seed=n)
+
+    def quadratic_case(self, n):
+        task, shards = make_synthetic_quadratic(5, n, mu=0.5, L=2.0, heterogeneity=1.0, seed=n)
+        sizes = [3, 10, 10, 40, 5, 20, 10, 10, 7, 10, 10, 40, 1][:n]
+        return task, [QuadraticShard(shard.a_matrix, shard.center, size) for shard, size in zip(shards, sizes)]
+
+    def assert_round_matches_clients(self, task, shards, batch_sizes):
+        n = len(shards)
+        stacked = task.stack(tuple(shards))
+        rng = np.random.default_rng(n)
+        rounds = 0
+        for sigma_g in (0.0, 0.7):
+            for batch_size in batch_sizes:
+                for scale in (0.1, 3.0):
+                    theta = rng.normal(size=task.dim) * scale
+                    c_g = float(rng.uniform(0.05, 2.0))
+                    (streams,) = derive_noise_streams(self.SEED, n, 1, first_round=rounds)
+                    releases = release_round(stacked, theta, c_g, sigma_g, n, streams, task, rounds, batch_size)
+                    for i, (release, shard) in enumerate(zip(releases, shards)):
+                        alone = private_release(shard, theta, c_g, sigma_g, n,
+                                                derive_noise_stream(self.SEED, i, rounds), task,
+                                                client_id=i, round_index=rounds, batch_size=batch_size)
+                        assert (release.client_id, release.round) == (i, rounds)
+                        np.testing.assert_array_equal(release.vector, alone.vector,
+                                                      err_msg=f"client {i}, sigma {sigma_g}, batch {batch_size}")
+                    rounds += 1
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_softmax_round_matches_one_release_per_client(self, n):
+        task, shards = self.softmax_case(n)
+        sizes = sorted({shard.size for shard in shards})
+        assert len(sizes) == 2  # array_split's two sizes
+        # 0: whole shards; sizes[0]: below the larger shards only; 50: below every shard.
+        self.assert_round_matches_clients(task, shards, (0, sizes[0], 50))
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_quadratic_round_matches_one_release_per_client(self, n):
+        task, shards = self.quadratic_case(n)
+        self.assert_round_matches_clients(task, shards, (0, 10, 2))
+
+    @pytest.mark.parametrize("n", [7, 13])
+    def test_stacked_training_losses_match_each_shards_loss(self, n):
+        task, shards = self.softmax_case(n)
+        stacked = task.stack(tuple(shards))
+        rng = np.random.default_rng(n)
+        for scale in (0.0, 0.1, 3.0):
+            theta = rng.normal(size=task.dim) * scale
+            expected = [task.loss_and_accuracy(theta, shard)[0] for shard in shards]
+            np.testing.assert_array_equal(task._train_losses(theta, stacked), expected)
+            assert task.evaluate(theta, stacked, shards[0])[0] == float(np.mean(expected))

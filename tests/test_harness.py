@@ -77,6 +77,19 @@ class TestBuildBundle:
         assert max(train_sizes) - min(train_sizes) <= 1
         assert bundle.dim == bundle.task.dim
 
+    def test_feature_shards_are_views_into_the_stack(self, tmp_path):
+        path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
+        bundle = build_bundle(FeatureTaskBinding(train_path=path), 4, 0)
+        stacked = bundle.stacked
+        assert stacked.sizes == tuple(s.size for s in bundle.train)
+        row = 0
+        for shard in bundle.train:
+            assert np.shares_memory(shard.features, stacked.x_aug)
+            np.testing.assert_array_equal(stacked.x_aug[row:row + shard.size, :-1], shard.features)
+            np.testing.assert_array_equal(stacked.labels[row:row + shard.size], shard.labels)
+            row += shard.size
+        np.testing.assert_array_equal(stacked.x_aug[:, -1], 1.0)
+
     def test_explicit_test_file_disables_the_holdout(self, tmp_path):
         train = write_feature_file(tmp_path, count=40, seed=1, name="a.features")
         test = write_feature_file(tmp_path, count=10, seed=2, name="b.features")

@@ -214,14 +214,19 @@ def stationary_theta(task, x, label):
     return -np.outer(residual, x_aug).reshape(-1) / lam
 
 
+def clipped_sum(task, theta, dataset, c_g):
+    """The clipped sum of one shard, as a one-shard round computes it."""
+    return task.clipped_sums(theta, task.stack((dataset,)), c_g)[0]
+
+
 def ghost_scales(task, theta, dataset, c_g):
-    """clipped_sum's per-example scales s_i."""
+    """clipped_sums's per-example scales s_i."""
     x_aug, logits, residuals = task._residuals(theta, dataset)
     return task._clip_scales(theta, x_aug, logits, residuals, c_g)
 
 
 class TestGhostClipping:
-    """SoftmaxHeadTask.clipped_sum against the materialized oracle,
+    """SoftmaxHeadTask.clipped_sums against the materialized oracle,
     per_example_gradients clipped by clip_rows and summed."""
 
     def test_scaled_rows_stay_inside_the_ball_and_match_the_materialized_sum(self):
@@ -255,7 +260,7 @@ class TestGhostClipping:
                                          + task.l2_lambda * np.linalg.norm(theta)))
             with np.errstate(over="ignore"):  # c_g / tiny for a zero row
                 oracle = np.add.reduce(clip_rows(grads, c_g), axis=0)
-            error = np.linalg.norm(task.clipped_sum(theta, dataset, c_g) - oracle)
+            error = np.linalg.norm(clipped_sum(task, theta, dataset, c_g) - oracle)
             assert error <= 1e-14 * magnitude, f"case {case}"
 
     def test_rows_whose_factors_cancel_stay_inside_the_ball(self):
@@ -289,13 +294,13 @@ class TestGhostClipping:
         grads = task.per_example_gradients(theta, dataset)
         c_g = 2.0 * float(np.linalg.norm(grads, axis=1).max())
         np.testing.assert_array_equal(ghost_scales(task, theta, dataset, c_g), np.ones(12))
-        np.testing.assert_allclose(task.clipped_sum(theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(clipped_sum(task, theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
 
     def test_radius_must_be_positive(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
         for c_g in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="c_g must be positive and finite"):
-                task.clipped_sum(np.zeros(task.dim), single_example_dataset([1.0, 2.0], 0), c_g)
+                clipped_sum(task, np.zeros(task.dim), single_example_dataset([1.0, 2.0], 0), c_g)
 
 
 class TestQuadraticTask:
@@ -382,7 +387,7 @@ class TestQuadraticTask:
         theta = np.random.default_rng(5).normal(size=5) * 3.0
         for c_g in (0.1, 100.0):
             expected = np.add.reduce(clip_rows(task.per_example_gradients(theta, shards[0]), c_g), axis=0)
-            np.testing.assert_array_equal(task.clipped_sum(theta, shards[0], c_g), expected)
+            np.testing.assert_array_equal(clipped_sum(task, theta, shards[0], c_g), expected)
 
     def test_per_example_gradients_are_a_read_only_repetition_of_one_row(self):
         task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
@@ -509,6 +514,15 @@ class TestFrozenFeatureFiles:
         np.testing.assert_array_equal(loaded.features, dataset.features)
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
         assert meta["num_classes"] == 3
+
+    def test_crlf_line_ends_parse_like_lf(self, tmp_path):
+        text = "dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n"
+        (tmp_path / "lf.features").write_bytes(text.encode())
+        (tmp_path / "crlf.features").write_bytes(text.replace("\n", "\r\n").encode())
+        lf, _ = load_frozen_features(tmp_path / "lf.features")
+        crlf, _ = load_frozen_features(tmp_path / "crlf.features")
+        np.testing.assert_array_equal(crlf.features, lf.features)
+        np.testing.assert_array_equal(crlf.labels, lf.labels)
 
     def test_repeated_loads_share_one_read_only_parse(self, tmp_path):
         path = tmp_path / "shared.features"

@@ -11,8 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from fedsofim import harness
+import numpy as np
+
+from fedsofim import client, core, harness
 from fedsofim.core import FederatedConfig, Optimizer, validate_config
+from fedsofim.task import make_synthetic_quadratic
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -53,8 +56,13 @@ def test_layer_tracer_patches_every_layer_and_restores_it():
                 if any(value is original for original in originals):
                     assert vars(sys.modules[module_name])[key] is not value, f"{module_name}.{key}"
         harness.run_experiment(plan)
+        # A round releases every client in one call, so runs reach neither
+        # layer; the NOISE_FLOOR shape, one stream and one shard a release,
+        # still goes through both.
+        task, shards = make_synthetic_quadratic(d=3, n=1, mu=0.5, L=2.0, heterogeneity=1.0, seed=0)
+        client.private_release(shards[0], np.zeros(3), 1.0, 2.0, 1, core.derive_noise_stream(0, 0, 0), task)
 
-    # Both tasks clip through clipped_sum, so no run builds per-example
+    # Both tasks clip through clipped_sums, so no run builds per-example
     # gradients; that layer is checked above for its patch and below for
     # its restore only.
     for layer in ("core.derive_noise_stream", "client.private_release", "client.clip_rows",
