@@ -85,6 +85,8 @@ def _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size) ->
         raise ValueError("sigma_g must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if len(streams) != len(sizes):
+        raise ValueError("a round's release requires one stream per shard")
 
     if batch_size and batch_size < max(sizes):
         picks = []
@@ -99,6 +101,8 @@ def _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size) ->
 
     sums = task.clipped_sums(theta, stacked, c_g)
     if sigma_g > 0:
+        if None in streams:
+            raise ValueError("noise requires a stream")
         scale = c_g * sigma_g / math.sqrt(n)
         sums += np.array([stream.normal(0.0, scale, sums.shape[1]) for stream in streams])
     sums /= stacked.counts
@@ -126,7 +130,8 @@ def release_round(
     the streams.  A positive batch_size sub-samples that many examples of
     each larger shard (drawn from its stream, before the noise) and
     normalizes by the batch count; the accountant grants no amplification
-    credit for it.
+    credit for it.  ``streams`` holds one entry per shard; an entry may be
+    None only where nothing is drawn from it.
     """
     rows = _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
     return [ClientRelease(vector=row, client_id=i, round=round_index) for i, row in enumerate(rows)]

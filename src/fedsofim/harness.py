@@ -12,7 +12,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,6 +36,8 @@ from .core import (
 from .server import aggregate, fedgd_step, sofim_step
 from .task import (
     FeatureDataset,
+    FeatureStack,
+    QuadraticStack,
     SoftmaxHeadTask,
     Task,
     load_frozen_features,
@@ -73,6 +75,28 @@ class FeatureTaskBinding:
         if problems:
             raise ValueError("; ".join(problems))
 
+    def bundle(self, n: int, master_seed: int) -> "TaskBundle":
+        """The softmax head over the file's features, its training rows
+        split into n shards by master_seed's partition stream."""
+        train_data, meta = load_frozen_features(self.train_path)
+        if self.test_path is not None:
+            test_data, test_meta = load_frozen_features(self.test_path)
+            if test_meta["feature_dim"] != meta["feature_dim"]:
+                raise ValueError("train and test feature dimensions differ")
+            if test_meta["num_classes"] != meta["num_classes"]:
+                raise ValueError("train and test class counts differ")
+        else:
+            holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
+            perm = holdout_rng.permutation(train_data.size)
+            cut = max(1, int(round(self.holdout_fraction * train_data.size)))
+            if cut >= train_data.size:
+                raise ValueError("holdout fraction leaves no training data")
+            test_data = train_data.subset(perm[:cut])
+            train_data = train_data.subset(perm[cut:])
+        shards = partition_iid(train_data, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
+        head = SoftmaxHeadTask(meta["num_classes"], meta["feature_dim"], self.l2_lambda)
+        return TaskBundle(task=head, train=head.stack(shards), test=test_data)
+
 
 @dataclass(frozen=True)
 class QuadraticTaskBinding:
@@ -89,25 +113,25 @@ class QuadraticTaskBinding:
         if problems:
             raise ValueError("; ".join(problems))
 
+    def bundle(self, n: int, master_seed: int) -> "TaskBundle":
+        """The quadratic drawn from master_seed's task stream, in n shards."""
+        task, shards = make_synthetic_quadratic(self.d, n, self.mu, self.L, self.heterogeneity,
+                                                seed=derive_stream_seed(master_seed, TASK_STREAM_TAG, 0),
+                                                shard_size=self.shard_size)
+        return TaskBundle(task=task, train=task.stack(shards))
+
 
 TaskBinding = Union[FeatureTaskBinding, QuadraticTaskBinding]
 
 
 @dataclass(frozen=True)
 class TaskBundle:
-    """A task plus its per-client shards, their stack and evaluation data.
-
-    Unless given, the stack is the task's stack of the shards, built once.
-    """
+    """A task plus the stack of its per-client shards, the one form the
+    run's training data takes, and its evaluation data."""
 
     task: Task
-    train: tuple
+    train: FeatureStack | QuadraticStack
     test: Optional[FeatureDataset] = None
-    stacked: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.stacked is None:
-            object.__setattr__(self, "stacked", self.task.stack(self.train))
 
     @property
     def dim(self) -> int:
@@ -115,43 +139,12 @@ class TaskBundle:
 
     def evaluate(self, theta: np.ndarray) -> tuple:
         """(train_loss, test_accuracy, suboptimality_gap or None) at theta."""
-        return self.task.evaluate(theta, self.stacked, self.test)
+        return self.task.evaluate(theta, self.train, self.test)
 
 
 def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
-    """Resolve a binding into concrete client shards, deterministically."""
-    if isinstance(binding, QuadraticTaskBinding):
-        task, shards = make_synthetic_quadratic(
-            binding.d,
-            n,
-            binding.mu,
-            binding.L,
-            binding.heterogeneity,
-            seed=derive_stream_seed(master_seed, TASK_STREAM_TAG, 0),
-            shard_size=binding.shard_size,
-        )
-        return TaskBundle(task=task, train=tuple(shards), test=None)
-
-    train_data, meta = load_frozen_features(binding.train_path)
-    if binding.test_path is not None:
-        test_data, test_meta = load_frozen_features(binding.test_path)
-        if test_meta["feature_dim"] != meta["feature_dim"]:
-            raise ValueError("train and test feature dimensions differ")
-        if test_meta["num_classes"] != meta["num_classes"]:
-            raise ValueError("train and test class counts differ")
-    else:
-        holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
-        perm = holdout_rng.permutation(train_data.size)
-        cut = max(1, int(round(binding.holdout_fraction * train_data.size)))
-        if cut >= train_data.size:
-            raise ValueError("holdout fraction leaves no training data")
-        test_data = train_data.subset(perm[:cut])
-        train_data = train_data.subset(perm[cut:])
-    shards = partition_iid(train_data, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
-    head = SoftmaxHeadTask(meta["num_classes"], meta["feature_dim"], binding.l2_lambda)
-    # The shards become views into the stack, so the features are held once.
-    stacked = head.stack(shards)
-    return TaskBundle(task=head, train=stacked.shards(), test=test_data, stacked=stacked)
+    """Resolve a binding into its task and n client shards, deterministically."""
+    return binding.bundle(n, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def run_round(
         raise ValueError(f"round {round_index} outside [0, {config.T})")
     if streams is None:
         (streams,) = _stream_rounds(config, round_index, 1)
-    releases = release_round(bundle.stacked, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
+    releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
                              bundle.task, round_index, config.batch_size)
     g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -417,8 +410,8 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 
 def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.ndarray:
     """Noiseless clipped aggregate at theta (sigma_g = 0 path, no streams)."""
-    n = len(bundle.train)
-    return aggregate(release_round(bundle.stacked, theta, c_g, 0.0, n, (None,) * n, bundle.task), n)
+    n = len(bundle.train.sizes)
+    return aggregate(release_round(bundle.train, theta, c_g, 0.0, n, (None,) * n, bundle.task), n)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -67,92 +67,69 @@ class QuadraticShard:
         if self.a_matrix.shape != (self.center.shape[0], self.center.shape[0]):
             raise ValueError("a_matrix must be square and match the center dimension")
 
-    def subset(self, indices: np.ndarray) -> "QuadraticShard":
-        """The shard with len(indices) samples; its samples are all alike."""
-        return QuadraticShard(self.a_matrix, self.center, len(indices))
-
 
 ClientDataset = Union[FeatureDataset, QuadraticShard]
 
 
-def _size_runs(sizes: tuple) -> tuple:
-    """(first shard, shard count, shard size, first row) for each run of
-    consecutive shards of one size.  ``partition_iid`` gives at most two."""
-    runs, row = [], 0
+@functools.lru_cache(maxsize=256)
+def _layout(sizes: tuple) -> tuple:
+    """What a stack of shards of these sizes needs besides its data: each
+    shard's first row; the runs of consecutive equal-sized shards as (first
+    shard, shard count, shard size, first row), at most two from
+    ``partition_iid``; and the sizes as a read-only (n, 1) column that the
+    releases are divided by.  Keyed by the sizes alone, it holds no data."""
+    starts, runs, row = [], [], 0
     for shard, size in enumerate(sizes):
         if runs and runs[-1][2] == size:
             first, count, _, start = runs[-1]
             runs[-1] = (first, count + 1, size, start)
         else:
             runs.append((shard, 1, size, row))
+        starts.append(row)
         row += size
-    return tuple(runs)
+    counts = np.array(sizes, dtype=np.float64)[:, None]
+    counts.flags.writeable = False
+    return tuple(starts), tuple(runs), counts
 
 
-def _picked_sizes(sizes: tuple, picks: list) -> tuple:
-    return tuple(size if pick is None else len(pick) for size, pick in zip(sizes, picks))
-
-
-class _SizedStack:
-    """What a stack of shards holds besides their data: the shard sizes,
-    their runs of equal size (``_size_runs``) and the sizes as an (n, 1)
-    column that the releases are divided by."""
-
-    def __post_init__(self):
-        counts = np.array(self.sizes, dtype=np.float64)[:, None]
-        counts.flags.writeable = False
-        object.__setattr__(self, "runs", _size_runs(self.sizes))
-        object.__setattr__(self, "counts", counts)
-
-
-@dataclass(frozen=True)
-class FeatureStack(_SizedStack):
+class FeatureStack:
     """Every training shard of a softmax run, stacked once: the augmented
     features [x, 1] (M, p+1) and labels (M,) in shard order, and the shard
-    sizes.  ``shards`` gives the shards back as views into the stack."""
+    sizes, with their ``_layout``."""
 
-    x_aug: np.ndarray
-    labels: np.ndarray
-    sizes: tuple
-    runs: tuple = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
-
-    def shards(self) -> tuple:
-        return tuple(FeatureDataset(self.x_aug[row:row + size, :-1], self.labels[row:row + size])
-                     for row, size in zip(self._starts(), self.sizes))
+    def __init__(self, x_aug: np.ndarray, labels: np.ndarray, sizes: tuple):
+        self.x_aug, self.labels, self.sizes = x_aug, labels, sizes
+        self.starts, self.runs, self.counts = _layout(sizes)
 
     def subset(self, picks: list) -> "FeatureStack":
         """The stack with shard i cut to its rows picks[i] (all of them where
         picks[i] is None)."""
         rows = np.concatenate([np.arange(row, row + size) if pick is None else row + pick
-                               for row, size, pick in zip(self._starts(), self.sizes, picks)])
-        return FeatureStack(self.x_aug[rows], self.labels[rows], _picked_sizes(self.sizes, picks))
-
-    def _starts(self) -> list:
-        return [row + k * size for _, count, size, row in self.runs for k in range(count)]
+                               for row, size, pick in zip(self.starts, self.sizes, picks)])
+        sizes = tuple(size if pick is None else len(pick) for size, pick in zip(self.sizes, picks))
+        return FeatureStack(self.x_aug[rows], self.labels[rows], sizes)
 
 
-@dataclass(frozen=True)
-class QuadraticStack(_SizedStack):
-    """Every shard of a quadratic run, and their sizes.  A shard's samples
-    are all alike, so there are no rows to stack."""
+class QuadraticStack:
+    """Every shard of a quadratic run, and their sizes with their
+    ``_layout``.  A shard's samples are all alike, so there are no rows to
+    stack."""
 
-    shards: tuple
-    sizes: tuple
-    runs: tuple = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
+    def __init__(self, shards: tuple, sizes: tuple):
+        self.shards, self.sizes = shards, sizes
+        self.starts, self.runs, self.counts = _layout(sizes)
 
     def subset(self, picks: list) -> "QuadraticStack":
         """The stack with shard i cut to len(picks[i]) samples."""
-        return QuadraticStack(self.shards, _picked_sizes(self.sizes, picks))
+        sizes = tuple(size if pick is None else len(pick) for size, pick in zip(self.sizes, picks))
+        return QuadraticStack(self.shards, sizes)
 
 
-@functools.lru_cache(maxsize=256)
-def _quadratic_stack(shards: tuple) -> QuadraticStack:
-    # A quadratic stack holds its shards themselves, which are immutable,
-    # so each tuple of shards is stacked once: a client released on its own
-    # every draw, as in NOISE_FLOOR, reuses its one-shard stack.
-    return QuadraticStack(shards, tuple([shard.size for shard in shards]))
+def _as_theta(theta: np.ndarray, dim: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (dim,):
+        raise ValueError(f"theta must have dimension {dim}, got {theta.shape}")
+    return theta
 
 
 class SoftmaxHeadTask:
@@ -182,21 +159,6 @@ class SoftmaxHeadTask:
     def dim(self) -> int:
         return self.num_classes * (self.feature_dim + 1)
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have dimension {self.dim}, got {theta.shape}")
-        return theta
-
-    def _augment(self, features: np.ndarray) -> np.ndarray:
-        if features.shape[1] != self.feature_dim:
-            raise ValueError(f"features must have dimension {self.feature_dim}")
-        # The bytes np.hstack([features, ones]) builds, without its dispatch.
-        x_aug = np.empty((features.shape[0], self.feature_dim + 1))
-        x_aug[:, :-1] = features
-        x_aug[:, -1] = 1.0
-        return x_aug
-
     def _log_probs(self, theta: np.ndarray, x_aug: np.ndarray) -> tuple:
         """(logits, log-softmax of the logits), per example."""
         weights = theta.reshape(self.num_classes, self.feature_dim + 1)
@@ -219,12 +181,12 @@ class SoftmaxHeadTask:
 
     def _residuals(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
         """(X, Z, R): augmented features, logits and R = softmax(Z) - onehot."""
-        x_aug = self._augment(dataset.features)
+        x_aug = self.stack((dataset,)).x_aug
         return (x_aug, *self._factors(theta, x_aug, dataset.labels))
 
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
         """All per-example gradients at theta as an (m, d) array; clipped_sums's oracle."""
-        theta = self._check_theta(theta)
+        theta = _as_theta(theta, self.dim)
         x_aug, _, residuals = self._residuals(theta, dataset)
         grads = np.einsum("mk,mp->mkp", residuals, x_aug).reshape(dataset.size, self.dim)
         if self.l2_lambda:
@@ -232,7 +194,9 @@ class SoftmaxHeadTask:
         return grads
 
     def stack(self, shards) -> FeatureStack:
-        """The shards' augmented features and labels in one contiguous stack."""
+        """The shards' augmented features and labels in one contiguous stack:
+        the one place features get their bias column.  Its bytes are those
+        np.hstack([features, ones]) builds, without its dispatch."""
         sizes = tuple(shard.size for shard in shards)
         x_aug = np.empty((sum(sizes), self.feature_dim + 1))
         row = 0
@@ -256,7 +220,7 @@ class SoftmaxHeadTask:
         one batched product."""
         if not 0 < c_g < math.inf:
             raise ValueError("c_g must be positive and finite")
-        theta = self._check_theta(theta)
+        theta = _as_theta(theta, self.dim)
         x_aug = stacked.x_aug
         logits, residuals = self._factors(theta, x_aug, stacked.labels)
         scale = self._clip_scales(theta, x_aug, logits, residuals, c_g)
@@ -286,10 +250,10 @@ class SoftmaxHeadTask:
         return np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
 
     def loss_and_accuracy(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
-        theta = self._check_theta(theta)
+        theta = _as_theta(theta, self.dim)
         if dataset.size == 0:
             raise ValueError("empty dataset")
-        _, log_probs = self._log_probs(theta, self._augment(dataset.features))
+        _, log_probs = self._log_probs(theta, self.stack((dataset,)).x_aug)
         nll = -log_probs[np.arange(dataset.size), dataset.labels]
         loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
         # np.argmax resolves ties toward the lowest class index, which is the
@@ -313,7 +277,7 @@ class SoftmaxHeadTask:
         Divergent iterates are reported as (inf, 0.0, None) rather than
         raising, so grid search can rank them as worst.
         """
-        theta = self._check_theta(theta)
+        theta = _as_theta(theta, self.dim)
         if not np.all(np.isfinite(theta)):
             return math.inf, 0.0, None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -367,28 +331,22 @@ class QuadraticTask:
     def gap(self, theta: np.ndarray) -> float:
         return max(0.0, self.global_value(theta) - self.optimum_value)
 
-    def _gradient(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
-        """A(theta - c), the gradient every example of the shard shares."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have dimension {self.dim}, got {theta.shape}")
-        return shard.a_matrix @ (theta - shard.center)
-
     def per_example_gradients(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
-        """The shard's gradient repeated as a read-only (m, d) stack; clipped_sums's oracle."""
-        return np.broadcast_to(self._gradient(theta, shard), (shard.size, self.dim))
+        """The shard's gradient A(theta - c), which all its examples share,
+        repeated as a read-only (m, d) stack; clipped_sums's oracle."""
+        theta = _as_theta(theta, self.dim)
+        return np.broadcast_to(shard.a_matrix @ (theta - shard.center), (shard.size, self.dim))
 
     def stack(self, shards) -> QuadraticStack:
-        return _quadratic_stack(tuple(shards))
+        shards = tuple(shards)
+        return QuadraticStack(shards, tuple([shard.size for shard in shards]))
 
     def clipped_sums(self, theta: np.ndarray, stacked: QuadraticStack, c_g: float) -> np.ndarray:
         """Row i: the sum over shard i of its per-example gradients, each
         clipped to norm c_g.  Each shard's one gradient is clipped once, and
         its sum runs over a stride-0 repetition of it, with the bits of a sum
         over the clipped (m, d) stack."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta must have dimension {self.dim}, got {theta.shape}")
+        theta = _as_theta(theta, self.dim)
         rows = clip_rows(np.array([shard.a_matrix @ (theta - shard.center) for shard in stacked.shards]), c_g)
         step = rows.strides[0]
         sums = [

@@ -184,7 +184,7 @@ def suite_clip_norm(seed: int = 0) -> VerifyReport:
     checks = [_check_max("synthetic_rounds_norm_excess", worst_excess, 0.0, "zero tolerance")]
 
     task, shards = make_synthetic_quadratic(d=6, n=4, mu=0.5, L=4.0, heterogeneity=2.0, seed=seed + 1)
-    bundle = TaskBundle(task=task, train=tuple(shards))
+    bundle = TaskBundle(task=task, train=task.stack(shards))
     worst_path = -math.inf
     for _ in range(200):
         theta = rng.normal(size=task.dim) * 3.0
@@ -273,12 +273,12 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     task, _ = make_synthetic_quadratic(d=d, n=n, mu=0.5, L=2.0, heterogeneity=1.0, seed=seed)
     shards = [QuadraticShard(task.a_matrices[i], task.centers[i], int(sizes[i])) for i in range(n)]
     theta = np.zeros(d)
-    bundle = TaskBundle(task=task, train=tuple(shards))
+    bundle = TaskBundle(task=task, train=task.stack(shards))
     noiseless = clipped_aggregate(bundle, theta, c_g)
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     for r, streams in enumerate(derive_noise_streams(seed, n, draws)):
-        xi = aggregate(release_round(bundle.stacked, theta, c_g, sigma_g, n, streams, task, r), n) - noiseless
+        xi = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, task, r), n) - noiseless
         acc += xi
         acc_sq += xi * xi
     var = (acc_sq - acc * acc / draws) / (draws - 1)
@@ -313,7 +313,7 @@ def suite_descent(seed: int = 0) -> VerifyReport:
     the stability range (and under the smoothness threshold)."""
     rounds = 200
     task, shards = make_synthetic_quadratic(d=12, n=5, mu=0.1, L=5.0, heterogeneity=1.0, seed=seed)
-    bundle = TaskBundle(task=task, train=tuple(shards))
+    bundle = TaskBundle(task=task, train=task.stack(shards))
     theta0 = np.zeros(task.dim)
     # F never rises, so theta stays in the initial level set: a radius that
     # covers it bounds both the aggregate and every per-example gradient.
@@ -361,7 +361,7 @@ def suite_convergence_floor(seed: int = 0) -> VerifyReport:
     task, shards = make_synthetic_quadratic(
         d=d, n=n, mu=mu_target, L=L_target, heterogeneity=1.0, seed=seed, shard_size=m
     )
-    bundle = TaskBundle(task=task, train=tuple(shards))
+    bundle = TaskBundle(task=task, train=task.stack(shards))
     config = FederatedConfig(
         n=n, T=rounds, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho, optimizer=Optimizer.SOFIM,
     )

@@ -7,11 +7,22 @@ per session and caches (report, wall_seconds); the first caller pays the
 cost and also observes the honest wall time.
 """
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from fedsofim import verify
+
+
+def child_env():
+    """The environment with the imported package's ``src`` directory first on
+    PYTHONPATH: pytest's own path setting does not reach a subprocess."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class SuiteRunner:

@@ -12,6 +12,7 @@ import textwrap
 import time
 
 import numpy as np
+from conftest import child_env
 
 from fedsofim.accountant import theoretical_floor
 from fedsofim.core import FederatedConfig, Optimizer, ServerState, validate_config
@@ -322,7 +323,7 @@ def test_criterion_12_linear_time_per_round(suite_runner):
         print("ISOLATED")
     """)
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=110)
+                          capture_output=True, text=True, timeout=110, env=child_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "ISOLATED" in proc.stdout
     announce(

@@ -1,28 +1,18 @@
 """Command-line interface: subcommands, flag/file precedence, exit codes."""
 
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from fedsofim import cli
 from fedsofim.accountant import calibrate_sigma, composed_delta
 from fedsofim.core import FederatedConfig
 from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, read_metrics
 from fedsofim.task import load_frozen_features
-
-def child_env():
-    """The environment with the imported package's ``src`` directory first on
-    PYTHONPATH: pytest's own path setting does not reach a subprocess."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
 
 QUAD_FLAGS = [
     "--quadratic", "--dim", "6", "--mu", "0.5", "--L", "2.0",

@@ -458,6 +458,30 @@ class TestMiniBatchSelection:
             stub_release([[1.0, 0.0]] * 3, c_g=1.0, batch_size=2, stream=None)
 
 
+class TestStreamsChecked:
+    """A release draws from one stream per shard, and noise needs one."""
+
+    def quadratic_round(self):
+        task, shards = make_synthetic_quadratic(4, 3, mu=0.5, L=2.0, heterogeneity=1.0, seed=8)
+        return task, task.stack(shards), np.linspace(-1.0, 1.0, 4)
+
+    def test_one_stream_for_three_shards_rejected(self):
+        task, stacked, theta = self.quadratic_round()
+        with pytest.raises(ValueError, match="a round's release requires one stream per shard"):
+            release_round(stacked, theta, 1.0, 1.0, 3, [derive_noise_stream(5, 0, 0)], task)
+
+    def test_two_streams_for_three_batched_shards_rejected(self):
+        task, stacked, theta = self.quadratic_round()
+        streams = [derive_noise_stream(5, i, 0) for i in range(2)]
+        with pytest.raises(ValueError, match="a round's release requires one stream per shard"):
+            release_round(stacked, theta, 1.0, 0.0, 3, streams, task, batch_size=2)
+
+    def test_noise_without_stream_rejected(self):
+        task, stacked, theta = self.quadratic_round()
+        with pytest.raises(ValueError, match="noise requires a stream"):
+            private_release(stacked.shards[0], theta, 1.0, 1.0, 3, None, task)
+
+
 class TestReleaseOnRealTasks:
     def test_softmax_release_matches_manual_clip_sum_normalize(self):
         # The release takes its norms from the factors (ghost clipping), so

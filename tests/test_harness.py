@@ -1,6 +1,8 @@
 """Round loop, experiment orchestration, metrics IO, and grid search."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ import fedsofim.client as client_module
 import fedsofim.task as task_module
 from fedsofim.accountant import calibrate_sigma
 from fedsofim.core import (
+    PARTITION_STREAM_TAG,
     FederatedConfig,
     Optimizer,
     RoundMetrics,
     ServerState,
+    derive_stream_seed,
     validate_config,
 )
 from fedsofim.harness import (
@@ -64,30 +68,37 @@ class TestBuildBundle:
     def test_quadratic_bundle_shapes(self):
         bundle = build_bundle(QuadraticTaskBinding(d=5, mu=0.5, L=2.0, shard_size=7), 3, 0)
         assert bundle.dim == 5
-        assert len(bundle.train) == 3
-        assert all(s.size == 7 for s in bundle.train)
+        assert bundle.train.sizes == (7, 7, 7)
         assert bundle.test is None
+
+    def test_dropped_quadratic_bundle_is_freed(self):
+        # No cache may keep a run's training data alive after the run.
+        bundle = build_bundle(QuadraticTaskBinding(d=64, mu=0.5, L=2.0, shard_size=7), 100, 0)
+        shard = bundle.train.shards[0]
+        client_module.private_release(shard, np.zeros(64), 1.0, 0.0, 100, None, bundle.task)
+        ref = weakref.ref(shard)
+        del bundle, shard
+        gc.collect()
+        assert ref() is None
 
     def test_feature_bundle_partitions_and_holds_out(self, tmp_path):
         path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
         bundle = build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.2), 4, 0)
         assert bundle.test.size == 20
-        train_sizes = [s.size for s in bundle.train]
+        train_sizes = bundle.train.sizes
         assert sum(train_sizes) == 80
         assert max(train_sizes) - min(train_sizes) <= 1
         assert bundle.dim == bundle.task.dim
 
-    def test_feature_shards_are_views_into_the_stack(self, tmp_path):
+    def test_feature_stack_holds_the_partition_in_order(self, tmp_path):
         path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
-        bundle = build_bundle(FeatureTaskBinding(train_path=path), 4, 0)
-        stacked = bundle.stacked
-        assert stacked.sizes == tuple(s.size for s in bundle.train)
-        row = 0
-        for shard in bundle.train:
-            assert np.shares_memory(shard.features, stacked.x_aug)
-            np.testing.assert_array_equal(stacked.x_aug[row:row + shard.size, :-1], shard.features)
-            np.testing.assert_array_equal(stacked.labels[row:row + shard.size], shard.labels)
-            row += shard.size
+        bundle = build_bundle(FeatureTaskBinding(train_path=path, test_path=path), 4, 0)
+        data, _ = task_module.load_frozen_features(path)
+        shards = task_module.partition_iid(data, 4, seed=derive_stream_seed(0, PARTITION_STREAM_TAG, 0))
+        stacked = bundle.train
+        assert stacked.sizes == tuple(s.size for s in shards)
+        np.testing.assert_array_equal(stacked.x_aug[:, :-1], np.concatenate([s.features for s in shards]))
+        np.testing.assert_array_equal(stacked.labels, np.concatenate([s.labels for s in shards]))
         np.testing.assert_array_equal(stacked.x_aug[:, -1], 1.0)
 
     def test_explicit_test_file_disables_the_holdout(self, tmp_path):
@@ -95,14 +106,15 @@ class TestBuildBundle:
         test = write_feature_file(tmp_path, count=10, seed=2, name="b.features")
         bundle = build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
         assert bundle.test.size == 10
-        assert sum(s.size for s in bundle.train) == 40
+        assert sum(bundle.train.sizes) == 40
 
     def test_same_seed_reproduces_the_bundle(self, tmp_path):
         path = write_feature_file(tmp_path, count=50)
         a = build_bundle(FeatureTaskBinding(train_path=path), 5, 9)
         b = build_bundle(FeatureTaskBinding(train_path=path), 5, 9)
-        for sa, sb in zip(a.train, b.train):
-            np.testing.assert_array_equal(sa.features, sb.features)
+        assert a.train.sizes == b.train.sizes
+        np.testing.assert_array_equal(a.train.x_aug, b.train.x_aug)
+        np.testing.assert_array_equal(a.train.labels, b.train.labels)
         np.testing.assert_array_equal(a.test.features, b.test.features)
 
     def test_mismatched_test_dimension_rejected(self, tmp_path):
@@ -407,7 +419,7 @@ class TestDiagnostics:
         # sum of the 10 clipped rows divided by 10 comes out 1 + 2^-52.
         task, shards = make_synthetic_quadratic(d=6, n=1, mu=0.5, L=4.0, heterogeneity=2.0, seed=1)
         theta = 3.0 * np.random.default_rng(1).normal(size=(5, 6))[4]
-        aggregate = clipped_aggregate(TaskBundle(task=task, train=tuple(shards)), theta, 1.0)
+        aggregate = clipped_aggregate(TaskBundle(task=task, train=task.stack(shards)), theta, 1.0)
         assert np.linalg.norm(aggregate) <= 1.0
 
     def row(self, round_index, accuracy):

@@ -104,9 +104,9 @@ class TestSoftmaxGradient:
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
     def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
-        # The column-chain row maximum and the preallocated augmented matrix
-        # must give exactly what max(axis=1) and np.hstack give, ties and
-        # non-finite logits included.
+        # The column-chain row maximum and the stack's preallocated augmented
+        # matrix must give exactly what max(axis=1) and np.hstack give, ties
+        # and non-finite logits included.
         rng = np.random.default_rng(17)
         for classes in (2, 4, 10):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
@@ -116,7 +116,8 @@ class TestSoftmaxGradient:
             theta = rng.normal(size=task.dim)
             theta[: task.feature_dim + 1] = theta[task.feature_dim + 1: 2 * (task.feature_dim + 1)]
             x_aug = np.hstack([features, np.ones((40, 1))])
-            np.testing.assert_array_equal(task._augment(features), x_aug)
+            stacked = task.stack((FeatureDataset(features, np.zeros(40, dtype=np.int64)),))
+            np.testing.assert_array_equal(stacked.x_aug, x_aug)
             with np.errstate(invalid="ignore"):
                 logits = x_aug @ theta.reshape(classes, 6).T
                 logits -= logits.max(axis=1, keepdims=True)
