@@ -154,14 +154,14 @@ def noise_floor(c_g: float, sigma_g: float, n: int, sizes: Sequence[int]) -> Tup
     """
     if not c_g > 0:
         raise ValueError("c_g must be positive")
-    if sigma_g < 0:
+    if not sigma_g >= 0:
         raise ValueError("sigma_g must be nonnegative")
     if n < 1:
         raise ValueError("n must be >= 1")
     sizes = list(sizes)
     if len(sizes) != n:
         raise ValueError(f"expected {n} dataset sizes, got {len(sizes)}")
-    if any(s == 0 for s in sizes):
+    if not all(s >= 1 for s in sizes):
         raise ValueError("every dataset size must be >= 1")
     if sigma_g == 0:
         return 0.0, 0.0

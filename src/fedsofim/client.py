@@ -1,33 +1,26 @@
 """Record-level DP release: clip each per-example gradient, sum, perturb, normalize.
 
-One round's releases are computed together.  In order: each client whose
-mini-batch is smaller than its shard picks its rows from its own stream;
-every shard's clipped per-example gradients are summed; each client's own
-stream adds its Gaussian noise to its sum; and each sum is divided by its
-client's example count.  The order is load-bearing: noise goes onto the
-*sum* of clipped gradients before dividing by the local dataset size, and
-the noise variance carries a 1/n factor.  The accountant's closed-form
-sensitivity and release-noise expressions assume exactly this arrangement,
-so do not "fix" it.  A single client's release is the one-shard round.
+One round's releases are computed together, as the (n, d) array whose row i
+is client i's release.  In order: each client whose mini-batch is smaller
+than its shard picks its rows from its own stream; every shard's clipped
+per-example gradients are summed; each client's own stream adds its
+Gaussian noise to its sum; and each sum is divided by its client's example
+count.  The order is load-bearing: noise goes onto the *sum* of clipped
+gradients before dividing by the local dataset size, and the noise variance
+carries a 1/n factor.  The accountant's closed-form sensitivity and
+release-noise expressions assume exactly this arrangement, so do not "fix"
+it.  A single client's release is the one-shard round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # task.py imports clip_rows from here
     from .task import ClientDataset, FeatureStack, QuadraticStack, Task
-
-
-@dataclass(frozen=True)
-class ClientRelease:
-    vector: np.ndarray
-    client_id: int
-    round: int
 
 
 # Rescaling passes the ulp correction may take before giving up.  One pass
@@ -76,8 +69,29 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     return out
 
 
-def _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size) -> np.ndarray:
-    """The one release implementation; see release_round."""
+def release_round(
+    stacked: FeatureStack | QuadraticStack,
+    theta: np.ndarray,
+    c_g: float,
+    sigma_g: float,
+    n: int,
+    streams,
+    task: Task,
+    batch_size: int = 0,
+) -> np.ndarray:
+    """Every client's noisy normalized update for one round, as the (n, d)
+    array whose row i is client i's release.
+
+    Row i is (S_i + E_i) / |D_i|, where S_i = task.clipped_sums(...)[i]
+    sums the individually clipped per-example gradients of shard i at theta
+    and E_i ~ N(0, (c_g sigma_g)^2 / n I) is drawn from streams[i].  With
+    sigma_g = 0 the draw is skipped entirely, so non-private runs never touch
+    the streams.  A positive batch_size sub-samples that many examples of
+    each larger shard (drawn from its stream, before the noise) and
+    normalizes by the batch count; the accountant grants no amplification
+    credit for it.  ``streams`` holds one entry per shard; an entry may be
+    None only where nothing is drawn from it.
+    """
     sizes = stacked.sizes
     if min(sizes) < 1:
         raise ValueError("empty dataset")
@@ -109,34 +123,7 @@ def _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size) ->
     return sums
 
 
-def release_round(
-    stacked: FeatureStack | QuadraticStack,
-    theta: np.ndarray,
-    c_g: float,
-    sigma_g: float,
-    n: int,
-    streams,
-    task: Task,
-    round_index: int = 0,
-    batch_size: int = 0,
-) -> list:
-    """Every client's noisy normalized update for one round, client i's
-    release at index i.
-
-    Release i is (S_i + E_i) / |D_i|, where S_i = task.clipped_sums(...)[i]
-    sums the individually clipped per-example gradients of shard i at theta
-    and E_i ~ N(0, (c_g sigma_g)^2 / n I) is drawn from streams[i].  With
-    sigma_g = 0 the draw is skipped entirely, so non-private runs never touch
-    the streams.  A positive batch_size sub-samples that many examples of
-    each larger shard (drawn from its stream, before the noise) and
-    normalizes by the batch count; the accountant grants no amplification
-    credit for it.  ``streams`` holds one entry per shard; an entry may be
-    None only where nothing is drawn from it.
-    """
-    rows = _release_rows(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
-    return [ClientRelease(vector=row, client_id=i, round=round_index) for i, row in enumerate(rows)]
-
-
+# Kept because perfbench calls it by name; it goes with the benchmark change of ROADMAP item 1.
 def private_release(
     dataset: ClientDataset,
     theta: np.ndarray,
@@ -148,8 +135,8 @@ def private_release(
     client_id: int = 0,
     round_index: int = 0,
     batch_size: int = 0,
-) -> ClientRelease:
-    """One client's noisy normalized update for one round: the round release
-    of the one shard ``dataset`` with its one stream."""
-    vector = _release_rows(task.stack((dataset,)), theta, c_g, sigma_g, n, (stream,), task, batch_size)[0]
-    return ClientRelease(vector=vector, client_id=client_id, round=round_index)
+) -> np.ndarray:
+    """One client's noisy normalized update for one round: row 0 of the
+    round release of the one shard ``dataset`` with its one stream.  client_id
+    and round_index are unused; perfbench passes them by name."""
+    return release_round(task.stack((dataset,)), theta, c_g, sigma_g, n, (stream,), task, batch_size)[0]

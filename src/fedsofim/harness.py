@@ -220,7 +220,7 @@ def run_round(
     if streams is None:
         (streams,) = _stream_rounds(config, round_index, 1)
     releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
-                             bundle.task, round_index, config.batch_size)
+                             bundle.task, config.batch_size)
     g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:

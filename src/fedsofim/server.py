@@ -1,4 +1,4 @@
-"""Server side: aggregation, momentum, rank-one preconditioned updates.
+"""Server side: averaging a round's release rows, momentum, rank-one preconditioned updates.
 
 The preconditioner (rho I + M M')^{-1} is never materialized; its action on a
 vector costs exactly two inner products and a handful of O(d) vector ops.
@@ -9,29 +9,22 @@ import chain reachable from here.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
-from .client import ClientRelease
 from .core import FederatedConfig, ServerState
 
 
-def aggregate(releases: Sequence[ClientRelease], expected_n: int = None) -> np.ndarray:
-    """Arithmetic mean of the client release vectors for one round."""
-    if not releases:
-        raise ValueError("no releases to aggregate")
-    if expected_n is not None and len(releases) != expected_n:
-        raise ValueError(f"expected {expected_n} releases, got {len(releases)}")
-    dim = releases[0].vector.shape
-    round_index = releases[0].round
-    for rel in releases[1:]:
-        if rel.vector.shape != dim:
-            raise ValueError("release dimension mismatch")
-        if rel.round != round_index:
-            raise ValueError("releases from mixed rounds")
+def aggregate(releases, n: int) -> np.ndarray:
+    """Mean of one round's n release rows, given as an (n, d) array or n equal-length vectors."""
+    try:
+        rows = np.asarray(releases, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError("release dimension mismatch: rows of unequal length") from exc
+    if rows.ndim != 2 or rows.shape[0] != n or not rows.size:
+        raise ValueError(f"expected {n} release rows of one length, got shape {rows.shape}")
     # The sum-then-divide np.mean performs, without its dispatch.
-    return np.add.reduce([rel.vector for rel in releases], axis=0) / len(releases)
+    return np.add.reduce(rows, axis=0) / n
 
 
 def update_momentum(m_prev: np.ndarray, g: np.ndarray, beta: float) -> np.ndarray:

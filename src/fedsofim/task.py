@@ -184,6 +184,7 @@ class SoftmaxHeadTask:
         x_aug = self.stack((dataset,)).x_aug
         return (x_aug, *self._factors(theta, x_aug, dataset.labels))
 
+    # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
         """All per-example gradients at theta as an (m, d) array; clipped_sums's oracle."""
         theta = _as_theta(theta, self.dim)
@@ -331,6 +332,7 @@ class QuadraticTask:
     def gap(self, theta: np.ndarray) -> float:
         return max(0.0, self.global_value(theta) - self.optimum_value)
 
+    # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
     def per_example_gradients(self, theta: np.ndarray, shard: QuadraticShard) -> np.ndarray:
         """The shard's gradient A(theta - c), which all its examples share,
         repeated as a read-only (m, d) stack; clipped_sums's oracle."""
@@ -358,6 +360,7 @@ class QuadraticTask:
         ]
         return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
+    # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
     def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
         """Loss on one shard, plus exp(-gap)."""
         theta = np.asarray(theta, dtype=np.float64)

@@ -277,8 +277,8 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     noiseless = clipped_aggregate(bundle, theta, c_g)
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
-    for r, streams in enumerate(derive_noise_streams(seed, n, draws)):
-        xi = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, task, r), n) - noiseless
+    for streams in derive_noise_streams(seed, n, draws):
+        xi = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, task), n) - noiseless
         acc += xi
         acc_sq += xi * xi
     var = (acc_sq - acc * acc / draws) / (draws - 1)

@@ -290,8 +290,11 @@ class TestNoiseFloor:
     def test_validation(self):
         with pytest.raises(ValueError, match="expected 3 dataset sizes, got 2"):
             noise_floor(1.0, 1.0, 3, [5, 5])
-        with pytest.raises(ValueError, match="every dataset size must be >= 1"):
-            noise_floor(1.0, 1.0, 2, [5, 0])
+        for sizes in ([5, 0], [-5, 10], [5, math.nan]):
+            with pytest.raises(ValueError, match="every dataset size must be >= 1"):
+                noise_floor(1.0, 1.0, 2, sizes)
+        with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
+            noise_floor(1.0, math.nan, 2, [5, 5])
 
 
 class TestTheoreticalFloor:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fedsofim.client as client_module
-from fedsofim.client import MAX_ULP_PASSES, ClientRelease, clip_rows, private_release, release_round
+from fedsofim.client import MAX_ULP_PASSES, clip_rows, private_release, release_round
 from fedsofim.core import derive_noise_stream, derive_noise_streams
 from fedsofim.task import (
     FeatureDataset,
@@ -261,16 +261,16 @@ class TestPrivateReleaseNoiseless:
         g = [0.75, -0.5]
         for m in (1, 2, 4, 8):
             release = stub_release([g] * m, c_g=5.0)
-            np.testing.assert_array_equal(release.vector, g)
+            np.testing.assert_array_equal(release, g)
 
     def test_odd_dataset_size_normalizes_to_float_precision(self):
         g = [0.3, 0.7]
         release = stub_release([g] * 3, c_g=5.0)
-        np.testing.assert_allclose(release.vector, g, rtol=4e-16)
+        np.testing.assert_allclose(release, g, rtol=4e-16)
 
     def test_single_example_is_clipped_then_normalized_by_one(self):
         release = stub_release([[0.0, 20.0]], c_g=10.0)
-        np.testing.assert_array_equal(release.vector, [0.0, 10.0])
+        np.testing.assert_array_equal(release, [0.0, 10.0])
 
     def test_release_is_the_mean_of_clipped_gradients(self):
         rng = np.random.default_rng(31)
@@ -281,7 +281,7 @@ class TestPrivateReleaseNoiseless:
             c_g, 0.0, 1, None, StubTask(),
         )
         oracle = np.stack([clip_gradient(r, c_g) for r in rows]).sum(axis=0) / 6
-        np.testing.assert_allclose(release.vector, oracle, rtol=1e-15)
+        np.testing.assert_allclose(release, oracle, rtol=1e-15)
 
     def test_noiseless_release_norm_never_exceeds_the_radius(self):
         rng = np.random.default_rng(37)
@@ -289,7 +289,7 @@ class TestPrivateReleaseNoiseless:
             m = int(rng.integers(1, 9))
             rows = rng.normal(size=(m, 3)) * rng.uniform(0.1, 10.0)
             release = stub_release(rows.tolist(), c_g=2.0)
-            assert float(np.linalg.norm(release.vector)) <= 2.0
+            assert float(np.linalg.norm(release)) <= 2.0
 
     def test_replace_one_neighbors_differ_by_at_most_two_cg_over_size(self):
         # Adversarial witness: two datasets identical except one record whose
@@ -298,7 +298,7 @@ class TestPrivateReleaseNoiseless:
         shared = [[0.1, 0.2]] * (m - 1)
         a = stub_release(shared + [[100.0, 0.0]], c_g=c_g)
         b = stub_release(shared + [[-100.0, 0.0]], c_g=c_g)
-        diff = float(np.linalg.norm(a.vector - b.vector))
+        diff = float(np.linalg.norm(a - b))
         np.testing.assert_allclose(diff, 2.0 * c_g / m, rtol=1e-12)
 
     def test_random_neighbors_never_exceed_the_sensitivity_bound(self):
@@ -311,7 +311,7 @@ class TestPrivateReleaseNoiseless:
             swapped[-1] = (rng.normal(size=3) * rng.uniform(0.1, 4.0)).tolist()
             a = stub_release(rows, c_g=c_g)
             b = stub_release(swapped, c_g=c_g)
-            assert np.linalg.norm(a.vector - b.vector) <= 2.0 * c_g / m + 1e-12
+            assert np.linalg.norm(a - b) <= 2.0 * c_g / m + 1e-12
 
     def test_sigma_zero_never_touches_the_stream(self):
         class ExplodingStream:
@@ -322,7 +322,7 @@ class TestPrivateReleaseNoiseless:
                 raise AssertionError("stream consulted in the non-private path")
 
         release = stub_release([[1.0, 2.0]] * 3, c_g=10.0, stream=ExplodingStream())
-        np.testing.assert_allclose(release.vector, [1.0, 2.0], rtol=4e-16)
+        np.testing.assert_allclose(release, [1.0, 2.0], rtol=4e-16)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
@@ -333,14 +333,14 @@ class TestPrivateReleaseNoiseless:
             with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
                 stub_release([[1.0, 0.0]], c_g=1.0, sigma_g=sigma_g)
 
-    def test_release_carries_client_and_round_ids(self):
+    def test_client_and_round_keywords_leave_the_release_unchanged(self):
         release = private_release(
-            StubDataset([[1.0, 0.0]]), np.zeros(2), 1.0, 0.0, 1, None, StubTask(),
+            StubDataset([[3.0, 4.0]]), np.zeros(2), 1.0, 0.5, 2, derive_noise_stream(5, 3, 9), StubTask(),
             client_id=3, round_index=9,
         )
-        assert isinstance(release, ClientRelease)
-        assert release.client_id == 3
-        assert release.round == 9
+        expected = stub_release([[3.0, 4.0]], c_g=1.0, sigma_g=0.5, n=2, stream=derive_noise_stream(5, 3, 9))
+        assert release.shape == (2,)
+        np.testing.assert_array_equal(release, expected)
 
 
 class TestPrivateReleaseNoise:
@@ -356,7 +356,7 @@ class TestPrivateReleaseNoise:
         twin = derive_noise_stream(99, 2, 5)
         noise = twin.normal(0.0, c_g * sigma_g / math.sqrt(n), size=3)
         expected = (np.array(rows).sum(axis=0) + noise) / m
-        np.testing.assert_array_equal(release.vector, expected)
+        np.testing.assert_array_equal(release, expected)
 
     def test_same_stream_seed_reproduces_the_release(self):
         rows = [[1.0, 2.0], [3.0, -1.0]]
@@ -364,20 +364,20 @@ class TestPrivateReleaseNoise:
                          stream=derive_noise_stream(7, 0, 0))
         b = stub_release(rows, c_g=1.0, sigma_g=2.0, n=3,
                          stream=derive_noise_stream(7, 0, 0))
-        np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(a, b)
 
     def test_per_coordinate_noise_variance_matches_the_formula(self):
         # Monte Carlo oracle: var over draws of (release - noiseless release)
         # per coordinate should be (c_g sigma_g)^2 / (n |D|^2) = 1.0 here.
         c_g, sigma_g, n, m, d = 10.0, 2.0, 4, 10, 2
         rows = [[0.05] * d] * m
-        noiseless = stub_release(rows, c_g=c_g).vector
+        noiseless = stub_release(rows, c_g=c_g)
         draws = 100_000
         acc = np.zeros(d)
         acc_sq = np.zeros(d)
         for k in range(draws):
             stream = derive_noise_stream(1234, 0, k)
-            vec = stub_release(rows, c_g=c_g, sigma_g=sigma_g, n=n, stream=stream).vector
+            vec = stub_release(rows, c_g=c_g, sigma_g=sigma_g, n=n, stream=stream)
             delta = vec - noiseless
             acc += delta
             acc_sq += delta * delta
@@ -392,9 +392,9 @@ class TestPrivateReleaseNoise:
     def test_noise_scale_depends_on_client_count(self):
         rows = [[0.0, 0.0]]
         a = stub_release(rows, c_g=1.0, sigma_g=1.0, n=1,
-                         stream=derive_noise_stream(5, 0, 0)).vector
+                         stream=derive_noise_stream(5, 0, 0))
         b = stub_release(rows, c_g=1.0, sigma_g=1.0, n=4,
-                         stream=derive_noise_stream(5, 0, 0)).vector
+                         stream=derive_noise_stream(5, 0, 0))
         np.testing.assert_allclose(a, 2.0 * b, rtol=1e-15)
 
 
@@ -405,17 +405,17 @@ class TestMiniBatchSelection:
                          stream=derive_noise_stream(3, 0, 0))
         b = stub_release(rows, c_g=100.0, batch_size=4,
                          stream=derive_noise_stream(3, 0, 0))
-        np.testing.assert_array_equal(a.vector, b.vector)
+        np.testing.assert_array_equal(a, b)
         # normalized by the batch count, so the mean stays in the convex hull
-        assert 0.0 <= a.vector[0] <= 9.0
+        assert 0.0 <= a[0] <= 9.0
 
     def test_batch_at_least_dataset_size_uses_every_example(self):
         rows = [[1.0, 0.0], [3.0, 0.0]]
         full = stub_release(rows, c_g=100.0)
         batched = stub_release(rows, c_g=100.0, batch_size=2)
-        np.testing.assert_array_equal(full.vector, batched.vector)
+        np.testing.assert_array_equal(full, batched)
         oversized = stub_release(rows, c_g=100.0, batch_size=5)
-        np.testing.assert_array_equal(full.vector, oversized.vector)
+        np.testing.assert_array_equal(full, oversized)
 
     def test_quadratic_batches_keep_the_bits_of_index_then_clip(self):
         # The release clips a QuadraticShard of batch_size rows; the oracle
@@ -434,7 +434,7 @@ class TestMiniBatchSelection:
             expected = np.add.reduce(clip_rows(grads, c_g), axis=0)
             if sigma_g:
                 expected += stream.normal(0.0, c_g * sigma_g / math.sqrt(3), size=6)
-            np.testing.assert_array_equal(release.vector, expected / batch)
+            np.testing.assert_array_equal(release, expected / batch)
 
     def test_softmax_batches_match_the_materialized_oracle(self):
         rng = np.random.default_rng(59)
@@ -450,7 +450,7 @@ class TestMiniBatchSelection:
             clipped = clip_rows(task.per_example_gradients(theta, dataset)[np.sort(indices)], c_g)
             noise = stream.normal(0.0, c_g / math.sqrt(2), size=task.dim)
             magnitude = np.linalg.norm(clipped, axis=1).sum() + np.abs(noise).max()
-            np.testing.assert_allclose(release.vector, (clipped.sum(axis=0) + noise) / batch,
+            np.testing.assert_allclose(release, (clipped.sum(axis=0) + noise) / batch,
                                        rtol=0, atol=1e-14 * magnitude / batch)
 
     def test_batch_without_stream_rejected(self):
@@ -499,8 +499,8 @@ class TestReleaseOnRealTasks:
         clipped = clip_rows(grads, c_g)
         assert (np.linalg.norm(grads, axis=1) > c_g).any()
         oracle = clipped.sum(axis=0) / 7
-        np.testing.assert_allclose(release.vector, oracle, rtol=1e-14, atol=1e-14 * np.abs(clipped).sum() / 7)
-        assert np.linalg.norm(release.vector) <= c_g
+        np.testing.assert_allclose(release, oracle, rtol=1e-14, atol=1e-14 * np.abs(clipped).sum() / 7)
+        assert np.linalg.norm(release) <= c_g
 
     def test_non_finite_radius_rejected_on_both_tasks(self):
         rng = np.random.default_rng(47)
@@ -520,7 +520,7 @@ class TestReleaseOnRealTasks:
         release = private_release(shards[1], theta, c_g, 0.0, 3, None, task)
         grads = task.per_example_gradients(theta, shards[1])
         oracle = clip_rows(grads, c_g).sum(axis=0) / shards[1].size
-        np.testing.assert_array_equal(release.vector, oracle)
+        np.testing.assert_array_equal(release, oracle)
 
 
 class TestRoundRelease:
@@ -550,13 +550,13 @@ class TestRoundRelease:
                     theta = rng.normal(size=task.dim) * scale
                     c_g = float(rng.uniform(0.05, 2.0))
                     (streams,) = derive_noise_streams(self.SEED, n, 1, first_round=rounds)
-                    releases = release_round(stacked, theta, c_g, sigma_g, n, streams, task, rounds, batch_size)
+                    releases = release_round(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
+                    assert isinstance(releases, np.ndarray) and releases.shape == (n, task.dim)
                     for i, (release, shard) in enumerate(zip(releases, shards)):
                         alone = private_release(shard, theta, c_g, sigma_g, n,
                                                 derive_noise_stream(self.SEED, i, rounds), task,
                                                 client_id=i, round_index=rounds, batch_size=batch_size)
-                        assert (release.client_id, release.round) == (i, rounds)
-                        np.testing.assert_array_equal(release.vector, alone.vector,
+                        np.testing.assert_array_equal(release, alone,
                                                       err_msg=f"client {i}, sigma {sigma_g}, batch {batch_size}")
                     rounds += 1
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fedsofim.client import ClientRelease
 from fedsofim.core import FederatedConfig, Optimizer, ServerState, validate_config
 from fedsofim.oracles import dense_preconditioner
 from fedsofim.server import (
@@ -18,11 +17,6 @@ from fedsofim.server import (
 from fedsofim.task import make_synthetic_quadratic
 
 
-def release(vec, client_id=0, round_index=0):
-    return ClientRelease(vector=np.asarray(vec, dtype=float), client_id=client_id,
-                         round=round_index)
-
-
 def sofim_config(**overrides):
     base = dict(n=4, T=10, eta=0.5, clip_cg=5.0, sigma_g=0.0, beta=0.9, rho=0.5,
                 optimizer=Optimizer.SOFIM)
@@ -32,18 +26,18 @@ def sofim_config(**overrides):
 
 class TestAggregate:
     def test_mean_of_two_unit_vectors(self):
-        got = aggregate([release([1.0, 0.0], 0), release([0.0, 1.0], 1)])
+        got = aggregate([[1.0, 0.0], [0.0, 1.0]], 2)
         np.testing.assert_array_equal(got, [0.5, 0.5])
 
     def test_mean_of_identical_releases_is_the_release(self):
         v = [2.0, -3.0, 0.5]
-        got = aggregate([release(v, i) for i in range(5)])
+        got = aggregate([v] * 5, 5)
         np.testing.assert_allclose(got, v, rtol=1e-15)
 
     def test_matches_full_precision_summation(self):
         rng = np.random.default_rng(51)
         vectors = rng.normal(size=(7, 5))
-        got = aggregate([release(v, i) for i, v in enumerate(vectors)])
+        got = aggregate(vectors, 7)
         oracle = np.array(
             [math.fsum(vectors[i][j] for i in range(7)) / 7 for j in range(5)]
         )
@@ -54,24 +48,38 @@ class TestAggregate:
         for _ in range(200):
             n, d = int(rng.integers(1, 30)), int(rng.integers(1, 70))
             vectors = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3)
-            got = aggregate([release(v, i) for i, v in enumerate(vectors)], n)
+            got = aggregate(vectors, n)
             np.testing.assert_array_equal(got, np.mean(list(vectors), axis=0))
 
+    def test_array_and_list_of_rows_give_the_same_bits(self):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 70))
+            rows = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3)
+            np.testing.assert_array_equal(aggregate(rows, n), aggregate(list(rows), n))
+
     def test_empty_list_rejected(self):
-        with pytest.raises(ValueError, match="no releases to aggregate"):
-            aggregate([])
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="release rows of one length"):
+                aggregate([], n)
 
     def test_expected_count_enforced(self):
-        with pytest.raises(ValueError, match="expected 3 releases, got 2"):
-            aggregate([release([1.0], 0), release([2.0], 1)], expected_n=3)
+        rows = np.ones((3, 2))
+        for releases, n in ((rows, 2), (list(rows), 4)):
+            with pytest.raises(ValueError, match=f"expected {n} release rows"):
+                aggregate(releases, n)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="release dimension mismatch"):
-            aggregate([release([1.0, 2.0], 0), release([1.0], 1)])
+            aggregate([[1.0, 2.0], [1.0]], 2)
 
-    def test_mixed_rounds_rejected(self):
-        with pytest.raises(ValueError, match="releases from mixed rounds"):
-            aggregate([release([1.0], 0, round_index=0), release([1.0], 1, round_index=1)])
+    def test_malformed_rounds_rejected(self):
+        for releases, n in (
+            (np.ones(3), 3),  # a 1-D input
+            (np.empty((0, 2)), 0),  # an empty input
+        ):
+            with pytest.raises(ValueError, match="release rows of one length"):
+                aggregate(releases, n)
 
 
 class TestUpdateMomentum:

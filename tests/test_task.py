@@ -252,7 +252,7 @@ class TestGhostClipping:
             for s, g in zip(scales, grads):
                 assert np.linalg.norm(s * g) <= c_g, f"case {case}"
             release = private_release(dataset, theta, c_g, 0.0, 1, None, task)
-            assert np.linalg.norm(release.vector) <= c_g, f"case {case}"
+            assert np.linalg.norm(release) <= c_g, f"case {case}"
 
             # Entries of the sum may cancel, so the error is measured against
             # the sizes of the two factors every scaled row is made of.
