@@ -86,28 +86,21 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
 
 @dataclass(frozen=True)
 class ServerState:
-    """Model parameters plus the momentum buffer.
-
-    ``round`` is the index of the last completed round; a fresh state sits at
-    round -1 with an all-zeros momentum buffer.
-    """
+    """The iterate theta and the momentum buffer m that the preconditioner
+    rho I + m m' is built from; the round loop's index owns the round number."""
 
     theta: np.ndarray
     momentum: np.ndarray
-    round: int = -1
 
     def __post_init__(self):
         if self.theta.shape != self.momentum.shape:
             raise ValueError("theta and momentum must have identical dimension")
-        if self.round < -1:
-            raise ValueError("round must be >= -1")
-        if self.round == -1 and np.any(self.momentum != 0.0):
-            raise ValueError("momentum must be all zeros at round -1")
 
     @classmethod
     def initial(cls, theta0: np.ndarray) -> "ServerState":
+        """A fresh state at theta0 with an all-zeros momentum buffer."""
         theta0 = np.asarray(theta0, dtype=np.float64)
-        return cls(theta=theta0, momentum=np.zeros_like(theta0), round=-1)
+        return cls(theta=theta0, momentum=np.zeros_like(theta0))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .core import (
 )
 from .server import aggregate, fedgd_step, sofim_step
 from .task import (
-    FeatureDataset,
     FeatureStack,
     QuadraticStack,
     SoftmaxHeadTask,
@@ -72,18 +71,20 @@ class FeatureTaskBinding:
             problems.append("l2_lambda must be nonnegative and finite")
         if not 0 <= self.holdout_fraction < 1:
             problems.append("holdout_fraction must lie in [0, 1)")
+        elif self.holdout_fraction == 0 and self.test_path is None:
+            problems.append("holdout_fraction must be positive when no test file is given")
         if problems:
             raise ValueError("; ".join(problems))
 
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
         """The softmax head over the file's features, its training rows
         split into n shards by master_seed's partition stream."""
-        train_data, meta = load_frozen_features(self.train_path)
+        train_data, classes = load_frozen_features(self.train_path)
         if self.test_path is not None:
-            test_data, test_meta = load_frozen_features(self.test_path)
-            if test_meta["feature_dim"] != meta["feature_dim"]:
+            test_data, test_classes = load_frozen_features(self.test_path)
+            if test_data.feature_dim != train_data.feature_dim:
                 raise ValueError("train and test feature dimensions differ")
-            if test_meta["num_classes"] != meta["num_classes"]:
+            if test_classes != classes:
                 raise ValueError("train and test class counts differ")
         else:
             holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
@@ -94,8 +95,8 @@ class FeatureTaskBinding:
             test_data = train_data.subset(perm[:cut])
             train_data = train_data.subset(perm[cut:])
         shards = partition_iid(train_data, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
-        head = SoftmaxHeadTask(meta["num_classes"], meta["feature_dim"], self.l2_lambda)
-        return TaskBundle(task=head, train=head.stack(shards), test=test_data)
+        head = SoftmaxHeadTask(classes, train_data.feature_dim, self.l2_lambda)
+        return TaskBundle(task=head, train=head.stack(shards), test=head.stack((test_data,)))
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,12 @@ TaskBinding = Union[FeatureTaskBinding, QuadraticTaskBinding]
 @dataclass(frozen=True)
 class TaskBundle:
     """A task plus the stack of its per-client shards, the one form the
-    run's training data takes, and its evaluation data."""
+    run's training data takes, and its test set as a one-shard stack (None
+    for a quadratic, which is evaluated in closed form)."""
 
     task: Task
     train: FeatureStack | QuadraticStack
-    test: Optional[FeatureDataset] = None
-
-    @property
-    def dim(self) -> int:
-        return self.task.dim
+    test: Optional[FeatureStack] = None
 
     def evaluate(self, theta: np.ndarray) -> tuple:
         """(train_loss, test_accuracy, suboptimality_gap or None) at theta."""
@@ -275,7 +273,7 @@ def run_experiment(plan: ExperimentPlan) -> MetricsTable:
     """
     config = resolve_sigma(plan)
     bundle = build_bundle(plan.binding, config.n, config.master_seed)
-    state = ServerState.initial(np.zeros(bundle.dim))
+    state = ServerState.initial(np.zeros(bundle.task.dim))
     rows = []
     start = time.perf_counter()
     for t, streams in enumerate(_stream_rounds(config, 0, config.T)):

@@ -60,15 +60,11 @@ def sofim_step(state: ServerState, g: np.ndarray, config: FederatedConfig) -> Se
         raise ValueError("dimension mismatch")
     momentum = update_momentum(state.momentum, g, config.beta)
     direction = precondition_apply(momentum, g, config.rho)
-    return ServerState(
-        theta=state.theta - config.eta * direction,
-        momentum=momentum,
-        round=state.round + 1,
-    )
+    return ServerState(theta=state.theta - config.eta * direction, momentum=momentum)
 
 
 def fedgd_step(state: ServerState, g: np.ndarray, eta: float) -> ServerState:
     """Plain descent step; the momentum buffer is left untouched."""
     if state.theta.shape != g.shape:
         raise ValueError("dimension mismatch")
-    return replace(state, theta=state.theta - eta * g, round=state.round + 1)
+    return replace(state, theta=state.theta - eta * g)

@@ -13,7 +13,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -179,17 +179,13 @@ class SoftmaxHeadTask:
         residuals[np.arange(labels.shape[0]), labels] -= 1.0
         return logits, residuals
 
-    def _residuals(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
-        """(X, Z, R): augmented features, logits and R = softmax(Z) - onehot."""
-        x_aug = self.stack((dataset,)).x_aug
-        return (x_aug, *self._factors(theta, x_aug, dataset.labels))
-
     # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
     def per_example_gradients(self, theta: np.ndarray, dataset: FeatureDataset) -> np.ndarray:
         """All per-example gradients at theta as an (m, d) array; clipped_sums's oracle."""
         theta = _as_theta(theta, self.dim)
-        x_aug, _, residuals = self._residuals(theta, dataset)
-        grads = np.einsum("mk,mp->mkp", residuals, x_aug).reshape(dataset.size, self.dim)
+        stacked = self.stack((dataset,))
+        _, residuals = self._factors(theta, stacked.x_aug, stacked.labels)
+        grads = np.einsum("mk,mp->mkp", residuals, stacked.x_aug).reshape(dataset.size, self.dim)
         if self.l2_lambda:
             grads += self.l2_lambda * theta
         return grads
@@ -250,17 +246,19 @@ class SoftmaxHeadTask:
         # A NaN norm gives a NaN scale, as a NaN row norm does in clip_rows.
         return np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
 
-    def loss_and_accuracy(self, theta: np.ndarray, dataset: FeatureDataset) -> tuple:
+    def loss_and_accuracy(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
+        """Loss and accuracy over every row of the stack, as one dataset."""
         theta = _as_theta(theta, self.dim)
-        if dataset.size == 0:
+        labels = stacked.labels
+        if labels.size == 0:
             raise ValueError("empty dataset")
-        _, log_probs = self._log_probs(theta, self.stack((dataset,)).x_aug)
-        nll = -log_probs[np.arange(dataset.size), dataset.labels]
+        _, log_probs = self._log_probs(theta, stacked.x_aug)
+        nll = -log_probs[np.arange(labels.size), labels]
         loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
         # np.argmax resolves ties toward the lowest class index, which is the
         # documented deterministic tie-break.
         predictions = np.argmax(log_probs, axis=1)
-        accuracy = float(np.mean(predictions == dataset.labels))
+        accuracy = float(np.mean(predictions == labels))
         return loss, accuracy
 
     def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
@@ -272,7 +270,7 @@ class SoftmaxHeadTask:
             means[first:first + count] = np.add.reduce(nll[row:row + count * size].reshape(count, size), axis=1) / size
         return means + 0.5 * self.l2_lambda * float(theta @ theta)
 
-    def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureDataset) -> tuple:
+    def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureStack) -> tuple:
         """(train_loss, test_accuracy, None) at theta.
 
         Divergent iterates are reported as (inf, 0.0, None) rather than
@@ -367,7 +365,7 @@ class QuadraticTask:
         loss = 0.5 * float((theta - shard.center) @ (shard.a_matrix @ (theta - shard.center)))
         return loss, math.exp(-self.gap(theta))
 
-    def evaluate(self, theta: np.ndarray, train: QuadraticStack, test: Optional[FeatureDataset]) -> tuple:
+    def evaluate(self, theta: np.ndarray, train: QuadraticStack, test: None) -> tuple:
         """(global_value, exp(-gap), gap) at theta; the shards are not needed.
 
         Divergent iterates are reported as (inf, 0.0, inf) rather than
@@ -412,8 +410,9 @@ def load_frozen_features(path) -> tuple:
     """Read the frozen-feature text format.
 
     First line ``dim=<int>,classes=<int>``; each following line
-    ``label,f1,...,fdim``.  Returns (FeatureDataset, metadata dict).  Loads
-    of identical content share one read-only dataset.
+    ``label,f1,...,fdim``.  Returns (FeatureDataset, num_classes); the width
+    and row count are the dataset's.  Loads of identical content share one
+    read-only dataset.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -431,8 +430,7 @@ def load_frozen_features(path) -> tuple:
         _PARSED_FEATURE_FILES[key] = _parse_frozen_features(lines)
         if len(_PARSED_FEATURE_FILES) > _PARSED_FEATURE_FILES_KEPT:
             _PARSED_FEATURE_FILES.popitem(last=False)
-    dataset, metadata = _PARSED_FEATURE_FILES[key]
-    return dataset, dict(metadata)
+    return _PARSED_FEATURE_FILES[key]
 
 
 def _parse_frozen_features(lines: list) -> tuple:
@@ -476,12 +474,23 @@ def _parse_frozen_features(lines: list) -> tuple:
     matrix.flags.writeable = False
     label_array = np.asarray(labels, dtype=np.int64)
     label_array.flags.writeable = False
-    dataset = FeatureDataset(matrix, label_array)
-    return dataset, {"feature_dim": dim, "num_classes": classes, "count": dataset.size}
+    return FeatureDataset(matrix, label_array), classes
 
 
 def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> None:
-    """Write a FeatureDataset in the frozen-feature text format."""
+    """Write a FeatureDataset in the frozen-feature text format.  What
+    load_frozen_features would reject is refused before the file is opened."""
+    problems = []
+    if dataset.feature_dim < 1:
+        problems.append("dim must be >= 1")
+    if num_classes < 2:
+        problems.append("classes must be >= 2")
+    if not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
+        problems.append(f"labels must lie in [0, {num_classes})")
+    if not np.isfinite(dataset.features).all():
+        problems.append("feature values must be finite")
+    if problems:
+        raise ValueError("; ".join(problems))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={dataset.feature_dim},classes={num_classes}\n")
         for i in range(dataset.size):

@@ -413,7 +413,7 @@ def _cold_data_step_seconds(d: int, rng: np.random.Generator, config: FederatedC
     thetas = rng.normal(size=(count, d))
     momenta = np.zeros((count, d))
     gs = rng.normal(size=(count, d))
-    states = [ServerState(theta=thetas[i], momentum=momenta[i], round=0) for i in range(count)]
+    states = [ServerState(theta=thetas[i], momentum=momenta[i]) for i in range(count)]
     for i in range(min(count, 8)):
         sofim_step(states[i], gs[i], config)
     best = math.inf
@@ -451,7 +451,7 @@ def suite_complexity_scaling(seed: int = 0) -> VerifyReport:
     ]
 
     d = dims[-1]
-    state = ServerState(theta=rng.normal(size=d), momentum=np.zeros(d), round=0)
+    state = ServerState(theta=rng.normal(size=d), momentum=np.zeros(d))
     g = rng.normal(size=d)
     tracemalloc.start()
     tracemalloc.reset_peak()

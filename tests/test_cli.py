@@ -221,11 +221,23 @@ class TestGenTaskCommand:
             "--condition", "50", "--seed", "4", "--output", str(out),
         ])
         assert code == 0
-        dataset, meta = load_frozen_features(out)
+        dataset, num_classes = load_frozen_features(out)
         assert dataset.size == 60
         assert dataset.feature_dim == 5
-        assert meta["num_classes"] == 3
+        assert num_classes == 3
         assert "wrote 60 examples" in capsys.readouterr().out
+
+    def test_settings_the_reader_would_reject_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "task.features"
+        base = ["gen-task", "--examples", "20", "--dim", "3", "--seed", "4", "--output", str(out)]
+        for flags, message in (
+            (["--classes", "1"], "error: classes must be >= 2"),
+            (["--classes", "2", "--condition", "nan"], "error: feature values must be finite"),
+            (["--classes", "2", "--separation", "inf"], "error: feature values must be finite"),
+        ):
+            assert cli.main([*base, *flags]) == 2
+            assert capsys.readouterr().err.strip() == message
+            assert not out.exists()
 
     def test_generation_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a.features", tmp_path / "b.features"

@@ -580,6 +580,6 @@ class TestRoundRelease:
         rng = np.random.default_rng(n)
         for scale in (0.0, 0.1, 3.0):
             theta = rng.normal(size=task.dim) * scale
-            expected = [task.loss_and_accuracy(theta, shard)[0] for shard in shards]
+            expected = [task.loss_and_accuracy(theta, task.stack((shard,)))[0] for shard in shards]
             np.testing.assert_array_equal(task._train_losses(theta, stacked), expected)
-            assert task.evaluate(theta, stacked, shards[0])[0] == float(np.mean(expected))
+            assert task.evaluate(theta, stacked, task.stack(shards[:1]))[0] == float(np.mean(expected))

@@ -1,5 +1,7 @@
 """Config validation, deterministic stream derivation, and config-file parsing."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -81,22 +83,15 @@ class TestValidateConfig:
 
 
 class TestServerState:
-    def test_initial_state_sits_at_round_minus_one(self):
-        state = ServerState.initial(np.zeros(4))
-        assert state.round == -1
+    def test_initial_state_is_theta_and_a_zero_momentum_buffer(self):
+        state = ServerState.initial([1.0, 2.0, 3.0, 4.0])
+        assert [f.name for f in fields(ServerState)] == ["theta", "momentum"]
+        np.testing.assert_array_equal(state.theta, [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_array_equal(state.momentum, np.zeros(4))
-
-    def test_nonzero_momentum_at_round_minus_one_rejected(self):
-        with pytest.raises(ValueError, match="momentum must be all zeros at round -1"):
-            ServerState(theta=np.zeros(3), momentum=np.ones(3), round=-1)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="identical dimension"):
-            ServerState(theta=np.zeros(3), momentum=np.zeros(4), round=0)
-
-    def test_round_below_minus_one_rejected(self):
-        with pytest.raises(ValueError, match="round must be >= -1"):
-            ServerState(theta=np.zeros(2), momentum=np.zeros(2), round=-2)
+            ServerState(theta=np.zeros(3), momentum=np.zeros(4))
 
 
 class TestRoundMetrics:

@@ -11,6 +11,7 @@ import fedsofim.client as client_module
 import fedsofim.task as task_module
 from fedsofim.accountant import calibrate_sigma
 from fedsofim.core import (
+    HOLDOUT_STREAM_TAG,
     PARTITION_STREAM_TAG,
     FederatedConfig,
     Optimizer,
@@ -67,7 +68,7 @@ def write_feature_file(tmp_path, count=60, dim=3, classes=2, seed=0, name="train
 class TestBuildBundle:
     def test_quadratic_bundle_shapes(self):
         bundle = build_bundle(QuadraticTaskBinding(d=5, mu=0.5, L=2.0, shard_size=7), 3, 0)
-        assert bundle.dim == 5
+        assert bundle.task.dim == 5
         assert bundle.train.sizes == (7, 7, 7)
         assert bundle.test is None
 
@@ -83,12 +84,22 @@ class TestBuildBundle:
 
     def test_feature_bundle_partitions_and_holds_out(self, tmp_path):
         path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
-        bundle = build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.2), 4, 0)
-        assert bundle.test.size == 20
+        bundle = build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.2), 4, 7)
+        data, _ = task_module.load_frozen_features(path)
+        perm = np.random.default_rng(derive_stream_seed(7, HOLDOUT_STREAM_TAG, 0)).permutation(100)
+        self.assert_read_only_one_shard_stack(bundle.test, data.subset(perm[:20]))
         train_sizes = bundle.train.sizes
         assert sum(train_sizes) == 80
         assert max(train_sizes) - min(train_sizes) <= 1
-        assert bundle.dim == bundle.task.dim
+
+    def assert_read_only_one_shard_stack(self, stacked, dataset):
+        """The test set is stacked once: its rows with a bias column of ones."""
+        assert stacked.sizes == (dataset.size,)
+        np.testing.assert_array_equal(stacked.x_aug[:, :-1], dataset.features)
+        np.testing.assert_array_equal(stacked.x_aug[:, -1], 1.0)
+        np.testing.assert_array_equal(stacked.labels, dataset.labels)
+        assert not stacked.x_aug.flags.writeable
+        assert not stacked.labels.flags.writeable
 
     def test_feature_stack_holds_the_partition_in_order(self, tmp_path):
         path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
@@ -105,7 +116,7 @@ class TestBuildBundle:
         train = write_feature_file(tmp_path, count=40, seed=1, name="a.features")
         test = write_feature_file(tmp_path, count=10, seed=2, name="b.features")
         bundle = build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
-        assert bundle.test.size == 10
+        self.assert_read_only_one_shard_stack(bundle.test, task_module.load_frozen_features(test)[0])
         assert sum(bundle.train.sizes) == 40
 
     def test_same_seed_reproduces_the_bundle(self, tmp_path):
@@ -115,7 +126,7 @@ class TestBuildBundle:
         assert a.train.sizes == b.train.sizes
         np.testing.assert_array_equal(a.train.x_aug, b.train.x_aug)
         np.testing.assert_array_equal(a.train.labels, b.train.labels)
-        np.testing.assert_array_equal(a.test.features, b.test.features)
+        np.testing.assert_array_equal(a.test.x_aug, b.test.x_aug)
 
     def test_mismatched_test_dimension_rejected(self, tmp_path):
         train = write_feature_file(tmp_path, dim=3, name="a.features")
@@ -129,12 +140,16 @@ class TestBuildBundle:
         for settings, message in (
             (dict(l2_lambda=math.nan), "l2_lambda must be nonnegative and finite"),
             (dict(holdout_fraction=math.nan), "holdout_fraction must lie in [0, 1)"),
+            # Without a test file a zero fraction would still hold out one
+            # row, and the accuracy could only read 0 or 1.
+            (dict(holdout_fraction=0.0), "holdout_fraction must be positive when no test file is given"),
             (dict(l2_lambda=-1.0, holdout_fraction=1.0),
              "l2_lambda must be nonnegative and finite; holdout_fraction must lie in [0, 1)"),
         ):
             with pytest.raises(ValueError) as info:
                 FeatureTaskBinding(train_path="unused", **settings)
             assert str(info.value) == message
+        FeatureTaskBinding(train_path="unused", test_path="unused", holdout_fraction=0.0)
         for settings, message in (
             (dict(mu=math.nan), "mu must be positive and finite"),
             (dict(L=math.nan), "L must be finite"),
@@ -220,7 +235,7 @@ class TestEvaluate:
         path = write_feature_file(tmp_path, count=40, dim=3, classes=2)
         bundle = build_bundle(FeatureTaskBinding(train_path=path), 4, 0)
         for bad in (np.nan, np.inf):
-            theta = np.zeros(bundle.dim)
+            theta = np.zeros(bundle.task.dim)
             theta[1] = bad
             assert bundle.evaluate(theta) == (math.inf, 0.0, None)
 
@@ -301,6 +316,23 @@ class TestSoftmaxRunPath:
         assert len(run_experiment(plan).rows) == 2
         best, sweep = grid_search(plan, GridSpec(etas=(0.3,), clip_cgs=(0.5,)))
         assert len(sweep) == 1 and best.eta == 0.3
+
+    def test_a_run_stacks_each_split_once(self, tmp_path, monkeypatch):
+        # The training shards and the test set are each stacked when the
+        # bundle is built; no evaluation stacks anything again.
+        calls = []
+        stack = SoftmaxHeadTask.stack
+
+        def counted(task, shards):
+            calls.append(len(shards))
+            return stack(task, shards)
+
+        monkeypatch.setattr(SoftmaxHeadTask, "stack", counted)
+        path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
+        plan = ExperimentPlan(config=quad_config(T=6, n=4), binding=FeatureTaskBinding(train_path=path),
+                              eval_every=1)
+        assert len(run_experiment(plan).rows) == 6
+        assert calls == [4, 1]
 
 
 class TestMetricsIO:

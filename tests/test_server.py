@@ -191,12 +191,11 @@ class TestSofimStep:
         stepped = sofim_step(state, np.zeros(2), config)
         np.testing.assert_array_equal(stepped.theta, state.theta)
         np.testing.assert_array_equal(stepped.momentum, np.zeros(2))
-        assert stepped.round == 0
 
     def test_composition_updates_momentum_before_the_step(self):
         rng = np.random.default_rng(61)
         config = sofim_config()
-        state = ServerState(theta=rng.normal(size=8), momentum=rng.normal(size=8), round=3)
+        state = ServerState(theta=rng.normal(size=8), momentum=rng.normal(size=8))
         g = rng.normal(size=8)
         stepped = sofim_step(state, g, config)
 
@@ -204,11 +203,10 @@ class TestSofimStep:
         direction = precondition_apply(new_m, g, config.rho)
         np.testing.assert_array_equal(stepped.momentum, new_m)
         np.testing.assert_array_equal(stepped.theta, state.theta - config.eta * direction)
-        assert stepped.round == 4
 
     def test_step_direction_uses_the_new_buffer_not_the_old(self):
         config = sofim_config(beta=0.5, rho=1.0, eta=1.0)
-        state = ServerState(theta=np.zeros(2), momentum=np.array([4.0, 0.0]), round=0)
+        state = ServerState(theta=np.zeros(2), momentum=np.array([4.0, 0.0]))
         g = np.array([0.0, 4.0])
         stepped = sofim_step(state, g, config)
         new_m = np.array([2.0, 2.0])
@@ -227,7 +225,7 @@ class TestSofimStep:
                 rho=float(rng.uniform(0.2, 2.0)),
             )
             momentum = rng.normal(size=d)
-            state = ServerState(theta=rng.normal(size=d), momentum=momentum, round=0)
+            state = ServerState(theta=rng.normal(size=d), momentum=momentum)
             g = rng.normal(size=d)
             stepped = sofim_step(state, g, config)
             new_m = config.beta * momentum + (1.0 - config.beta) * g
@@ -251,18 +249,17 @@ class TestSofimStep:
 
 class TestFedgdStep:
     def test_worked_example(self):
-        state = ServerState(theta=np.array([1.0, 1.0]), momentum=np.zeros(2), round=0)
+        state = ServerState(theta=np.array([1.0, 1.0]), momentum=np.zeros(2))
         stepped = fedgd_step(state, np.array([2.0, -2.0]), eta=0.5)
         np.testing.assert_array_equal(stepped.theta, [0.0, 2.0])
-        assert stepped.round == 1
 
     def test_zero_gradient_is_a_fixed_point(self):
-        state = ServerState(theta=np.array([3.0]), momentum=np.zeros(1), round=2)
+        state = ServerState(theta=np.array([3.0]), momentum=np.zeros(1))
         stepped = fedgd_step(state, np.zeros(1), eta=0.1)
         np.testing.assert_array_equal(stepped.theta, state.theta)
 
     def test_momentum_buffer_is_untouched(self):
-        state = ServerState(theta=np.zeros(3), momentum=np.array([1.0, 2.0, 3.0]), round=0)
+        state = ServerState(theta=np.zeros(3), momentum=np.array([1.0, 2.0, 3.0]))
         stepped = fedgd_step(state, np.ones(3), eta=0.2)
         np.testing.assert_array_equal(stepped.momentum, state.momentum)
 

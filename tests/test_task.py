@@ -80,9 +80,10 @@ class TestSoftmaxGradient:
             assert task.dim <= 30
             theta = rng.normal(scale=0.8, size=task.dim)
             dataset = single_example_dataset(rng.normal(size=feat), int(rng.integers(classes)))
+            stacked = task.stack((dataset,))
 
             def loss_at(point):
-                return task.loss_and_accuracy(point, dataset)[0]
+                return task.loss_and_accuracy(point, stacked)[0]
 
             grad = task.per_example_gradients(theta, dataset)[0]
             oracle = finite_difference_gradient(loss_at, theta)
@@ -135,16 +136,16 @@ class TestSoftmaxLossAndAccuracy:
         for k in (2, 3, 7):
             task = SoftmaxHeadTask(num_classes=k, feature_dim=3, l2_lambda=0.0)
             dataset = single_example_dataset([0.4, -0.2, 1.0], label=k - 1)
-            loss, _ = task.loss_and_accuracy(np.zeros(task.dim), dataset)
+            loss, _ = task.loss_and_accuracy(np.zeros(task.dim), task.stack((dataset,)))
             np.testing.assert_allclose(loss, math.log(k), rtol=1e-14)
 
     def test_argmax_ties_resolve_to_lowest_class(self):
         task = SoftmaxHeadTask(num_classes=3, feature_dim=2, l2_lambda=0.0)
         dataset = single_example_dataset([1.0, 1.0], label=0)
-        _, acc0 = task.loss_and_accuracy(np.zeros(task.dim), dataset)
+        _, acc0 = task.loss_and_accuracy(np.zeros(task.dim), task.stack((dataset,)))
         assert acc0 == 1.0
         dataset_other = single_example_dataset([1.0, 1.0], label=2)
-        _, acc2 = task.loss_and_accuracy(np.zeros(task.dim), dataset_other)
+        _, acc2 = task.loss_and_accuracy(np.zeros(task.dim), task.stack((dataset_other,)))
         assert acc2 == 0.0
 
     def test_matches_example_by_example_recomputation(self):
@@ -154,7 +155,7 @@ class TestSoftmaxLossAndAccuracy:
             features=rng.normal(size=(17, 4)), labels=rng.integers(0, 3, size=17)
         )
         theta = rng.normal(size=task.dim)
-        loss, acc = task.loss_and_accuracy(theta, dataset)
+        loss, acc = task.loss_and_accuracy(theta, task.stack((dataset,)))
 
         weights = theta.reshape(3, 5)
         per_example_losses = []
@@ -173,7 +174,7 @@ class TestSoftmaxLossAndAccuracy:
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
         empty = FeatureDataset(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty dataset"):
-            task.loss_and_accuracy(np.zeros(task.dim), empty)
+            task.loss_and_accuracy(np.zeros(task.dim), task.stack((empty,)))
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="num_classes must be >= 2"):
@@ -220,9 +221,15 @@ def clipped_sum(task, theta, dataset, c_g):
     return task.clipped_sums(theta, task.stack((dataset,)), c_g)[0]
 
 
+def factors(task, theta, dataset):
+    """(X, Z, R): one shard's augmented features, logits and R = softmax(Z) - onehot."""
+    stacked = task.stack((dataset,))
+    return (stacked.x_aug, *task._factors(theta, stacked.x_aug, stacked.labels))
+
+
 def ghost_scales(task, theta, dataset, c_g):
     """clipped_sums's per-example scales s_i."""
-    x_aug, logits, residuals = task._residuals(theta, dataset)
+    x_aug, logits, residuals = factors(task, theta, dataset)
     return task._clip_scales(theta, x_aug, logits, residuals, c_g)
 
 
@@ -256,7 +263,7 @@ class TestGhostClipping:
 
             # Entries of the sum may cancel, so the error is measured against
             # the sizes of the two factors every scaled row is made of.
-            x_aug, _, residuals = task._residuals(theta, dataset)
+            x_aug, _, residuals = factors(task, theta, dataset)
             magnitude = np.sum(scales * (np.linalg.norm(residuals, axis=1) * np.linalg.norm(x_aug, axis=1)
                                          + task.l2_lambda * np.linalg.norm(theta)))
             with np.errstate(over="ignore"):  # c_g / tiny for a zero row
@@ -461,12 +468,10 @@ class TestFrozenFeatureFiles:
             "0,2.0,2.0,2.0,2.0\n",
             encoding="utf-8",
         )
-        dataset, meta = load_frozen_features(path)
+        dataset, num_classes = load_frozen_features(path)
         assert dataset.size == 3
         assert dataset.feature_dim == 4
-        assert meta["feature_dim"] == 4
-        assert meta["num_classes"] == 2
-        assert meta["count"] == 3
+        assert num_classes == 2
         np.testing.assert_allclose(dataset.features[0], [1.5, -2.0, 0.25, 3.0])
         np.testing.assert_array_equal(dataset.labels, [0, 1, 0])
 
@@ -511,10 +516,27 @@ class TestFrozenFeatureFiles:
         )
         path = tmp_path / "round.features"
         save_frozen_features(path, dataset, num_classes=3)
-        loaded, meta = load_frozen_features(path)
+        loaded, num_classes = load_frozen_features(path)
         np.testing.assert_array_equal(loaded.features, dataset.features)
         np.testing.assert_array_equal(loaded.labels, dataset.labels)
-        assert meta["num_classes"] == 3
+        assert num_classes == 3
+
+    def test_writer_refuses_what_the_reader_rejects_before_opening_the_file(self, tmp_path):
+        path = tmp_path / "refused.features"
+        good = FeatureDataset(np.ones((3, 2)), np.array([0, 1, 1]))
+        nan_row = FeatureDataset(np.array([[1.0, np.nan], [2.0, 3.0]]), np.array([0, 1]))
+        for dataset, classes, message in (
+            (good, 1, "classes must be >= 2; labels must lie in [0, 1)"),
+            (FeatureDataset(np.ones((3, 0)), np.array([0, 1, 1])), 2, "dim must be >= 1"),
+            (FeatureDataset(np.ones((2, 2)), np.array([0, 2])), 2, "labels must lie in [0, 2)"),
+            (FeatureDataset(np.ones((2, 2)), np.array([-1, 0])), 2, "labels must lie in [0, 2)"),
+            (nan_row, 2, "feature values must be finite"),
+            (FeatureDataset(np.full((1, 2), np.inf), np.array([0])), 2, "feature values must be finite"),
+        ):
+            with pytest.raises(ValueError) as info:
+                save_frozen_features(path, dataset, num_classes=classes)
+            assert str(info.value) == message
+            assert not path.exists()
 
     def test_crlf_line_ends_parse_like_lf(self, tmp_path):
         text = "dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n"
@@ -528,13 +550,11 @@ class TestFrozenFeatureFiles:
     def test_repeated_loads_share_one_read_only_parse(self, tmp_path):
         path = tmp_path / "shared.features"
         path.write_text("dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
-        first, meta = load_frozen_features(path)
+        first, _ = load_frozen_features(path)
         second, _ = load_frozen_features(path)
         assert second is first
         assert not first.features.flags.writeable
         assert not first.labels.flags.writeable
-        meta["count"] = -1
-        assert load_frozen_features(path)[1]["count"] == 2
 
     def test_edited_file_is_parsed_again(self, tmp_path):
         path = tmp_path / "edited.features"
