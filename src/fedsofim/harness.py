@@ -89,7 +89,10 @@ class FeatureTaskBinding:
         else:
             holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
             perm = holdout_rng.permutation(train_data.size)
-            cut = max(1, int(round(self.holdout_fraction * train_data.size)))
+            cut = int(round(self.holdout_fraction * train_data.size))
+            if cut == 0:
+                raise ValueError(f"holdout_fraction {self.holdout_fraction!r} holds out no row "
+                                 f"of {train_data.size}")
             if cut >= train_data.size:
                 raise ValueError("holdout fraction leaves no training data")
             test_data = train_data.subset(perm[:cut])

@@ -95,19 +95,25 @@ def _layout(sizes: tuple) -> tuple:
 class FeatureStack:
     """Every training shard of a softmax run, stacked once: the augmented
     features [x, 1] (M, p+1) and labels (M,) in shard order, and the shard
-    sizes, with their ``_layout``."""
+    sizes, with their ``_layout``.  It also holds what the releases read of
+    each row for the whole run, computed once: ||x_i||^2 (M,) and the
+    one-hot labels (M, K).  Every array is read-only."""
 
-    def __init__(self, x_aug: np.ndarray, labels: np.ndarray, sizes: tuple):
+    def __init__(self, x_aug: np.ndarray, labels: np.ndarray, sizes: tuple,
+                 sq_norms: np.ndarray, onehot: np.ndarray):
+        for array in (x_aug, labels, sq_norms, onehot):
+            array.flags.writeable = False
         self.x_aug, self.labels, self.sizes = x_aug, labels, sizes
+        self.sq_norms, self.onehot = sq_norms, onehot
         self.starts, self.runs, self.counts = _layout(sizes)
 
     def subset(self, picks: list) -> "FeatureStack":
         """The stack with shard i cut to its rows picks[i] (all of them where
-        picks[i] is None)."""
+        picks[i] is None), its constants indexed from this one's."""
         rows = np.concatenate([np.arange(row, row + size) if pick is None else row + pick
                                for row, size, pick in zip(self.starts, self.sizes, picks)])
         sizes = tuple(size if pick is None else len(pick) for size, pick in zip(self.sizes, picks))
-        return FeatureStack(self.x_aug[rows], self.labels[rows], sizes)
+        return FeatureStack(self.x_aug[rows], self.labels[rows], sizes, self.sq_norms[rows], self.onehot[rows])
 
 
 class QuadraticStack:
@@ -170,13 +176,25 @@ class SoftmaxHeadTask:
         for k in range(1, self.num_classes):
             row_max = np.maximum(row_max, logits[:, k])
         shifted = logits - row_max[:, None]
-        return logits, shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        exps = np.exp(shifted)
+        if self.num_classes < 8:
+            # Row sums as a chain too: numpy adds fewer than eight terms in
+            # order, so this has the bits of exps.sum(axis=1); from eight on
+            # it keeps eight partial sums, which a chain would not match.
+            totals = exps[:, 0] + exps[:, 1]
+            for k in range(2, self.num_classes):
+                totals += exps[:, k]
+            totals = totals[:, None]
+        else:
+            totals = exps.sum(axis=1, keepdims=True)
+        return logits, shifted - np.log(totals)
 
-    def _factors(self, theta: np.ndarray, x_aug: np.ndarray, labels: np.ndarray) -> tuple:
-        """(Z, R): logits and R = softmax(Z) - onehot."""
-        logits, log_probs = self._log_probs(theta, x_aug)
+    def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
+        """(Z, R): logits and R = softmax(Z) - onehot, with the bits of
+        subtracting 1 at each label, since p - 0.0 = p."""
+        logits, log_probs = self._log_probs(theta, stacked.x_aug)
         residuals = np.exp(log_probs)
-        residuals[np.arange(labels.shape[0]), labels] -= 1.0
+        residuals -= stacked.onehot
         return logits, residuals
 
     # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
@@ -184,7 +202,7 @@ class SoftmaxHeadTask:
         """All per-example gradients at theta as an (m, d) array; clipped_sums's oracle."""
         theta = _as_theta(theta, self.dim)
         stacked = self.stack((dataset,))
-        _, residuals = self._factors(theta, stacked.x_aug, stacked.labels)
+        _, residuals = self._factors(theta, stacked)
         grads = np.einsum("mk,mp->mkp", residuals, stacked.x_aug).reshape(dataset.size, self.dim)
         if self.l2_lambda:
             grads += self.l2_lambda * theta
@@ -192,7 +210,8 @@ class SoftmaxHeadTask:
 
     def stack(self, shards) -> FeatureStack:
         """The shards' augmented features and labels in one contiguous stack:
-        the one place features get their bias column.  Its bytes are those
+        the one place features get their bias column, and the one place
+        the stack's constants are computed.  Its bytes are those
         np.hstack([features, ones]) builds, without its dispatch."""
         sizes = tuple(shard.size for shard in shards)
         x_aug = np.empty((sum(sizes), self.feature_dim + 1))
@@ -203,10 +222,10 @@ class SoftmaxHeadTask:
             x_aug[row:row + shard.size, :-1] = shard.features
             row += shard.size
         x_aug[:, -1] = 1.0
-        x_aug.flags.writeable = False
         labels = np.concatenate([shard.labels for shard in shards])
-        labels.flags.writeable = False
-        return FeatureStack(x_aug, labels, sizes)
+        onehot = np.zeros((labels.shape[0], self.num_classes))
+        onehot[np.arange(labels.shape[0]), labels] = 1.0
+        return FeatureStack(x_aug, labels, sizes, np.einsum("ij,ij->i", x_aug, x_aug), onehot)
 
     def clipped_sums(self, theta: np.ndarray, stacked: FeatureStack, c_g: float) -> np.ndarray:
         """Row i: the sum over shard i of the per-example gradients
@@ -219,8 +238,8 @@ class SoftmaxHeadTask:
             raise ValueError("c_g must be positive and finite")
         theta = _as_theta(theta, self.dim)
         x_aug = stacked.x_aug
-        logits, residuals = self._factors(theta, x_aug, stacked.labels)
-        scale = self._clip_scales(theta, x_aug, logits, residuals, c_g)
+        logits, residuals = self._factors(theta, stacked)
+        scale = self._clip_scales(theta, stacked.sq_norms, logits, residuals, c_g)
         residuals *= scale[:, None]
         n, classes, width = len(stacked.sizes), self.num_classes, self.feature_dim + 1
         sums = np.empty((n, classes, width))
@@ -234,12 +253,13 @@ class SoftmaxHeadTask:
         sums += (self.l2_lambda * scale_sums)[:, None] * theta
         return sums
 
-    def _clip_scales(self, theta, x_aug, logits, residuals, c_g) -> np.ndarray:
+    def _clip_scales(self, theta, x_sq_norms, logits, residuals, c_g) -> np.ndarray:
         """min(1, c_g/||g_i||), ||g_i||^2 = ||r_i||^2 ||x_i||^2 + 2 lam r_i.z_i
         + lam^2 ||theta||^2, less 4 ulps times how far the cross term cancels
-        the squares, so that no scaled row leaves the ball."""
+        the squares, so that no scaled row leaves the ball.  x_sq_norms holds
+        the ||x_i||^2."""
         lam = self.l2_lambda
-        squares = np.einsum("ij,ij->i", residuals, residuals) * np.einsum("ij,ij->i", x_aug, x_aug)
+        squares = np.einsum("ij,ij->i", residuals, residuals) * x_sq_norms
         squares += lam * lam * float(theta @ theta)
         sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("ij,ij->i", residuals, logits), _TINY)
         safety = 1.0 - 4.0 * _EPS * np.maximum(1.0, squares / sq_norms)
@@ -565,10 +585,19 @@ def make_anisotropic_features(
     scale ``separation``, so the high-variance axes carry mostly noise while
     the classification signal is spread over every axis.
     """
-    if num_examples < num_classes:
-        raise ValueError("need at least one example per class")
-    if condition < 1:
-        raise ValueError("condition must be >= 1")
+    problems = []
+    if not feature_dim >= 1:
+        problems.append("feature_dim must be >= 1")
+    if not num_classes >= 2:
+        problems.append("num_classes must be >= 2")
+    elif num_examples < num_classes:
+        problems.append("need at least one example per class")
+    if not 1 <= condition < math.inf:
+        problems.append("condition must be >= 1 and finite")
+    if not abs(separation) < math.inf:
+        problems.append("separation must be finite")
+    if problems:
+        raise ValueError("; ".join(problems))
     rng = np.random.default_rng(seed)
     stds = np.geomspace(math.sqrt(condition), 1.0, feature_dim)
     means = rng.normal(size=(num_classes, feature_dim)) * separation

@@ -231,13 +231,22 @@ class TestGenTaskCommand:
         out = tmp_path / "task.features"
         base = ["gen-task", "--examples", "20", "--dim", "3", "--seed", "4", "--output", str(out)]
         for flags, message in (
-            (["--classes", "1"], "error: classes must be >= 2"),
-            (["--classes", "2", "--condition", "nan"], "error: feature values must be finite"),
-            (["--classes", "2", "--separation", "inf"], "error: feature values must be finite"),
+            (["--classes", "1"], "error: num_classes must be >= 2"),
+            (["--classes", "2", "--condition", "nan"], "error: condition must be >= 1 and finite"),
+            (["--classes", "2", "--separation", "inf"], "error: separation must be finite"),
         ):
             assert cli.main([*base, *flags]) == 2
             assert capsys.readouterr().err.strip() == message
             assert not out.exists()
+
+    def test_bad_generator_settings_are_named_together_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "task.features"
+        assert cli.main(["gen-task", "--examples", "20", "--dim", "0", "--classes", "1", "--condition", "inf",
+                         "--separation", "nan", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: feature_dim must be >= 1; num_classes must be >= 2; condition must be >= 1 and finite; "
+            "separation must be finite")
+        assert not out.exists()
 
     def test_generation_is_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a.features", tmp_path / "b.features"

@@ -69,6 +69,22 @@ def softmax_calibrated(work_dir: Path) -> bytes:
     return _metrics_bytes(plan, work_dir)
 
 
+def softmax_minibatch_wide(work_dir: Path) -> bytes:
+    """SOFIM on a 10-class softmax head with explicit noise and mini-batches
+    smaller than every shard, so each round releases from a cut stack."""
+    features = make_anisotropic_features(
+        num_examples=301, feature_dim=5, num_classes=10, condition=30.0, separation=2.0, seed=11,
+    )
+    path = work_dir / "golden.features"
+    save_frozen_features(path, features, num_classes=10)
+    config = validate_config(FederatedConfig(
+        n=3, T=12, eta=0.5, clip_cg=2.0, sigma_g=0.3, beta=0.9, rho=0.5,
+        master_seed=13, optimizer=Optimizer.SOFIM, batch_size=40,
+    ))
+    plan = ExperimentPlan(config=config, binding=FeatureTaskBinding(train_path=str(path)), eval_every=4)
+    return _metrics_bytes(plan, work_dir)
+
+
 def grid_2x2(work_dir: Path) -> bytes:
     """A 2x2 (eta, clip_cg) FEDGD sweep over two seeds, calibrated to (5, 1e-5)."""
     config = validate_config(FederatedConfig(
@@ -88,6 +104,7 @@ def grid_2x2(work_dir: Path) -> bytes:
 CASES = {
     "quadratic_noisy.csv": quadratic_noisy,
     "softmax_calibrated.csv": softmax_calibrated,
+    "softmax_minibatch_wide.csv": softmax_minibatch_wide,
     "grid_2x2.json": grid_2x2,
 }
 

@@ -161,6 +161,16 @@ class TestBuildBundle:
                 QuadraticTaskBinding(**{**dict(d=4, mu=0.5, L=2.0), **settings})
             assert str(info.value) == message
 
+    def test_holdout_must_hold_out_a_row(self, tmp_path):
+        # A fraction that rounds to no row is refused rather than raised to
+        # one row, whose accuracy could only read 0 or 1.
+        path = write_feature_file(tmp_path, count=100)
+        for fraction in (1e-5, 0.004):
+            with pytest.raises(ValueError) as info:
+                build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=fraction), 2, 0)
+            assert str(info.value) == f"holdout_fraction {fraction!r} holds out no row of 100"
+        assert build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.006), 2, 0).test.sizes == (1,)
+
     def test_holdout_must_leave_training_data(self, tmp_path):
         path = write_feature_file(tmp_path, count=10)
         with pytest.raises(ValueError, match="holdout fraction leaves no training data"):

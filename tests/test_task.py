@@ -105,11 +105,12 @@ class TestSoftmaxGradient:
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
     def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
-        # The column-chain row maximum and the stack's preallocated augmented
-        # matrix must give exactly what max(axis=1) and np.hstack give, ties
-        # and non-finite logits included.
+        # The column-chain row maximum and row sum (below eight classes) and
+        # the stack's preallocated augmented matrix must give exactly what
+        # max(axis=1), sum(axis=1) and np.hstack give, ties and non-finite
+        # logits included, on both sides of the cut-over at eight classes.
         rng = np.random.default_rng(17)
-        for classes in (2, 4, 10):
+        for classes in range(2, 11):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
             features = rng.normal(size=(40, 5)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
             features[3] = features[4]
@@ -124,6 +125,25 @@ class TestSoftmaxGradient:
                 logits -= logits.max(axis=1, keepdims=True)
                 expected = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
                 np.testing.assert_array_equal(task._log_probs(theta, x_aug)[1], expected)
+
+    def test_factors_keep_the_bits_of_the_label_scatter(self):
+        # Subtracting the stack's one-hot labels must give exactly what
+        # subtracting 1 at each row's label gives, non-finite rows included.
+        rng = np.random.default_rng(19)
+        for classes in (2, 5, 10):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
+            features = rng.normal(size=(30, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(30, 1))
+            features[2, 1] = np.inf
+            labels = rng.integers(0, classes, size=30)
+            stacked = task.stack((FeatureDataset(features, labels),))
+            theta = rng.normal(size=task.dim)
+            with np.errstate(invalid="ignore"):
+                logits, residuals = task._factors(theta, stacked)
+                expected_logits, log_probs = task._log_probs(theta, stacked.x_aug)
+                expected = np.exp(log_probs)
+            expected[np.arange(30), labels] -= 1.0
+            np.testing.assert_array_equal(logits, expected_logits)
+            np.testing.assert_array_equal(residuals, expected)
 
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
@@ -224,13 +244,56 @@ def clipped_sum(task, theta, dataset, c_g):
 def factors(task, theta, dataset):
     """(X, Z, R): one shard's augmented features, logits and R = softmax(Z) - onehot."""
     stacked = task.stack((dataset,))
-    return (stacked.x_aug, *task._factors(theta, stacked.x_aug, stacked.labels))
+    return (stacked.x_aug, *task._factors(theta, stacked))
 
 
 def ghost_scales(task, theta, dataset, c_g):
     """clipped_sums's per-example scales s_i."""
-    x_aug, logits, residuals = factors(task, theta, dataset)
-    return task._clip_scales(theta, x_aug, logits, residuals, c_g)
+    stacked = task.stack((dataset,))
+    logits, residuals = task._factors(theta, stacked)
+    return task._clip_scales(theta, stacked.sq_norms, logits, residuals, c_g)
+
+
+class TestFeatureStack:
+    """The per-run constants a stack holds: each row's ||x||^2 and one-hot label."""
+
+    def three_shards(self, task, rng):
+        return tuple(FeatureDataset(rng.normal(size=(size, task.feature_dim)) * rng.uniform(0.1, 10.0),
+                                    rng.integers(0, task.num_classes, size=size)) for size in (9, 12, 12))
+
+    def assert_constants_of(self, stacked, task):
+        """The constants are read-only and recompute from x_aug and labels to the bit."""
+        x_aug, labels = stacked.x_aug, stacked.labels
+        np.testing.assert_array_equal(stacked.sq_norms, np.einsum("ij,ij->i", x_aug, x_aug))
+        np.testing.assert_array_equal(stacked.onehot, np.eye(task.num_classes)[labels])
+        assert stacked.onehot.dtype == np.float64
+        for array in (x_aug, labels, stacked.sq_norms, stacked.onehot):
+            assert not array.flags.writeable
+
+    def test_constants_are_read_only_recomputations(self):
+        rng = np.random.default_rng(73)
+        for classes, feat in ((2, 3), (4, 16), (10, 33)):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat)
+            self.assert_constants_of(task.stack(self.three_shards(task, rng)), task)
+
+    def test_subset_indexes_the_constants_of_the_picked_rows(self):
+        rng = np.random.default_rng(79)
+        for classes, feat in ((3, 5), (10, 24)):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=1e-3)
+            shards = self.three_shards(task, rng)
+            picks = [np.sort(rng.choice(9, size=4, replace=False)), None,
+                     np.sort(rng.choice(12, size=7, replace=False))]
+            cut = task.stack(shards).subset(picks)
+            fresh = task.stack(tuple(shard if pick is None else shard.subset(pick)
+                                     for shard, pick in zip(shards, picks)))
+            self.assert_constants_of(cut, task)
+            assert cut.sizes == fresh.sizes == (4, 12, 7)
+            for name in ("x_aug", "labels", "sq_norms", "onehot"):
+                np.testing.assert_array_equal(getattr(cut, name), getattr(fresh, name), err_msg=name)
+            theta = rng.normal(size=task.dim)
+            for c_g in (0.01, 1.0, 100.0):
+                np.testing.assert_array_equal(task.clipped_sums(theta, cut, c_g),
+                                              task.clipped_sums(theta, fresh, c_g))
 
 
 class TestGhostClipping:
@@ -593,3 +656,19 @@ class TestAnisotropicFeatures:
             make_anisotropic_features(10, 2, 2, condition=0.5, separation=1.0, seed=0)
         with pytest.raises(ValueError, match="at least one example per class"):
             make_anisotropic_features(1, 2, 2, condition=10.0, separation=1.0, seed=0)
+
+    def test_bad_settings_are_named_together(self):
+        for settings, message in (
+            (dict(condition=math.nan), "condition must be >= 1 and finite"),
+            (dict(condition=math.inf), "condition must be >= 1 and finite"),
+            (dict(separation=math.inf), "separation must be finite"),
+            (dict(num_classes=1), "num_classes must be >= 2"),
+            (dict(feature_dim=0), "feature_dim must be >= 1"),
+            (dict(feature_dim=0, num_classes=1, condition=math.nan, separation=-math.inf),
+             "feature_dim must be >= 1; num_classes must be >= 2; condition must be >= 1 and finite; "
+             "separation must be finite"),
+        ):
+            with pytest.raises(ValueError) as info:
+                make_anisotropic_features(**{**dict(num_examples=50, feature_dim=3, num_classes=2,
+                                                    condition=10.0, separation=1.0, seed=0), **settings})
+            assert str(info.value) == message
