@@ -75,6 +75,8 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("beta must lie in [0,1)")
     if not 0 < raw.rho < math.inf:
         problems.append("rho must be positive and finite")
+    if not isinstance(raw.master_seed, int):
+        problems.append("master_seed must be an integer")
     if not isinstance(raw.optimizer, Optimizer):
         problems.append("optimizer must be SOFIM or FEDGD")
     if not isinstance(raw.batch_size, int) or raw.batch_size < 0:

@@ -484,7 +484,9 @@ def _parse_frozen_features(lines: list) -> tuple:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {classes})")
         labels.append(label)
         features.append(row)
-    matrix = np.asarray(features, dtype=np.float64).reshape(len(labels), dim)
+    if not labels:
+        raise ValueError("no example rows")
+    matrix = np.asarray(features, dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         # A nan or inf would otherwise surface later as an inf loss, which
@@ -501,6 +503,8 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
     """Write a FeatureDataset in the frozen-feature text format.  What
     load_frozen_features would reject is refused before the file is opened."""
     problems = []
+    if dataset.size < 1:
+        problems.append("no example rows")
     if dataset.feature_dim < 1:
         problems.append("dim must be >= 1")
     if num_classes < 2:

@@ -58,6 +58,12 @@ class TestValidateConfig:
         assert "eta must be positive" in message
         assert "clip_cg must be positive" in message
         assert "rho must be positive" in message
+        # A non-integer seed must be named here, not fail later as a
+        # TypeError in stream derivation.
+        for seed in (1.5, "3", None):
+            with pytest.raises(ValueError) as err:
+                validate_config(make_config(rho=-2.0, master_seed=seed))
+            assert str(err.value) == "rho must be positive and finite; master_seed must be an integer"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_settings_rejected_together(self, bad):

@@ -136,6 +136,19 @@ class TestBuildBundle:
             with pytest.raises(ValueError, match=message):
                 build_bundle(FeatureTaskBinding(train_path=train, test_path=test), 4, 0)
 
+    def test_header_only_files_are_rejected(self, tmp_path):
+        # A file with no rows is bad input in either role, and as the test
+        # file it must fail here, before any training round, not at the
+        # first evaluation.
+        train = write_feature_file(tmp_path, name="a.features")
+        empty = tmp_path / "empty.features"
+        empty.write_text("dim=3,classes=2\n\n", encoding="utf-8")
+        for binding in (FeatureTaskBinding(train_path=str(empty)),
+                        FeatureTaskBinding(train_path=train, test_path=str(empty))):
+            with pytest.raises(ValueError) as info:
+                build_bundle(binding, 2, 0)
+            assert str(info.value) == "no example rows"
+
     def test_bindings_reject_non_finite_and_out_of_range_settings(self):
         for settings, message in (
             (dict(l2_lambda=math.nan), "l2_lambda must be nonnegative and finite"),

@@ -591,6 +591,7 @@ class TestFrozenFeatureFiles:
         for dataset, classes, message in (
             (good, 1, "classes must be >= 2; labels must lie in [0, 1)"),
             (FeatureDataset(np.ones((3, 0)), np.array([0, 1, 1])), 2, "dim must be >= 1"),
+            (FeatureDataset(np.ones((0, 2)), np.array([], dtype=np.int64)), 2, "no example rows"),
             (FeatureDataset(np.ones((2, 2)), np.array([0, 2])), 2, "labels must lie in [0, 2)"),
             (FeatureDataset(np.ones((2, 2)), np.array([-1, 0])), 2, "labels must lie in [0, 2)"),
             (nan_row, 2, "feature values must be finite"),
