@@ -75,8 +75,12 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("beta must lie in [0,1)")
     if not 0 < raw.rho < math.inf:
         problems.append("rho must be positive and finite")
-    if not isinstance(raw.master_seed, int):
+    if not isinstance(raw.master_seed, int) or isinstance(raw.master_seed, bool):
         problems.append("master_seed must be an integer")
+    elif not 0 <= raw.master_seed <= _MASK64:
+        # Stream derivation reduces the seed mod 2**64, so a seed outside
+        # this range would silently repeat another seed's run.
+        problems.append("master_seed must lie in [0, 2**64)")
     if not isinstance(raw.optimizer, Optimizer):
         problems.append("optimizer must be SOFIM or FEDGD")
     if not isinstance(raw.batch_size, int) or raw.batch_size < 0:

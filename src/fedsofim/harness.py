@@ -8,6 +8,7 @@ stay unreachable from production runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -58,6 +59,10 @@ class FeatureTaskBinding:
 
     Without an explicit test file, a deterministic seeded holdout split is
     carved from the training file (fraction controlled by holdout_fraction).
+
+    The binding reads its files when it builds its first bundle and keeps
+    the parse, so a file edited after that needs a new binding; bindings
+    over identical content share one read-only parse (load_frozen_features).
     """
 
     train_path: str
@@ -76,17 +81,25 @@ class FeatureTaskBinding:
         if problems:
             raise ValueError("; ".join(problems))
 
+    @functools.cached_property
+    def _files(self) -> tuple:
+        """(train dataset, classes, test dataset or None), read once: a
+        failed read raises and keeps nothing, so the next bundle reads again."""
+        train_data, classes = load_frozen_features(self.train_path)
+        if self.test_path is None:
+            return train_data, classes, None
+        test_data, test_classes = load_frozen_features(self.test_path)
+        if test_data.feature_dim != train_data.feature_dim:
+            raise ValueError("train and test feature dimensions differ")
+        if test_classes != classes:
+            raise ValueError("train and test class counts differ")
+        return train_data, classes, test_data
+
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
         """The softmax head over the file's features, its training rows
         split into n shards by master_seed's partition stream."""
-        train_data, classes = load_frozen_features(self.train_path)
-        if self.test_path is not None:
-            test_data, test_classes = load_frozen_features(self.test_path)
-            if test_data.feature_dim != train_data.feature_dim:
-                raise ValueError("train and test feature dimensions differ")
-            if test_classes != classes:
-                raise ValueError("train and test class counts differ")
-        else:
+        train_data, classes, test_data = self._files
+        if test_data is None:
             holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
             perm = holdout_rng.permutation(train_data.size)
             cut = int(round(self.holdout_fraction * train_data.size))

@@ -440,9 +440,8 @@ def load_frozen_features(path) -> tuple:
     if key in _PARSED_FEATURE_FILES:
         _PARSED_FEATURE_FILES.move_to_end(key)
     else:
-        # Parsing peaks with the lines and their floats alive; dropping the
-        # bytes and the text first keeps that peak where a plain
-        # read-and-split leaves it.
+        # Parsing peaks with the lines alive; dropping the bytes and the
+        # text first keeps that peak where a plain read-and-split leaves it.
         text = data.decode("utf-8")
         del data
         lines = text.splitlines()
@@ -468,33 +467,34 @@ def _parse_frozen_features(lines: list) -> tuple:
     if dim < 1 or classes < 2:
         raise ValueError("malformed header: dim must be >= 1 and classes >= 2")
 
-    features, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    # Rows are written into arrays sized up front.  The header's dim sizes
+    # them only up to the first row of another width, whose error is raised
+    # once the rows before it have parsed, so errors still come in line order.
+    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not rows:
+        raise ValueError("no example rows")
+    fit = next((i for i, (_, line) in enumerate(rows) if line.count(",") != dim), len(rows))
+    matrix = np.empty((fit, dim), dtype=np.float64)
+    label_array = np.empty(fit, dtype=np.int64)
+    for i, (lineno, line) in enumerate(rows[:fit]):
         cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise ValueError(f"line {lineno}: expected {dim} features, got {len(cells) - 1}")
         try:
             label = int(cells[0])
-            row = [float(c) for c in cells[1:]]
+            matrix[i] = list(map(float, cells[1:]))
         except ValueError:
             raise ValueError(f"line {lineno}: unparseable numeric value") from None
         if not 0 <= label < classes:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {classes})")
-        labels.append(label)
-        features.append(row)
-    if not labels:
-        raise ValueError("no example rows")
-    matrix = np.asarray(features, dtype=np.float64)
+        label_array[i] = label
+    if fit < len(rows):
+        lineno, line = rows[fit]
+        raise ValueError(f"line {lineno}: expected {dim} features, got {line.count(',')}")
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         # A nan or inf would otherwise surface later as an inf loss, which
         # reads like a diverged run rather than bad data.
-        row_lines = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise ValueError(f"line {row_lines[int(np.argmin(finite))]}: non-finite feature value")
+        raise ValueError(f"line {rows[int(np.argmin(finite))][0]}: non-finite feature value")
     matrix.flags.writeable = False
-    label_array = np.asarray(labels, dtype=np.int64)
     label_array.flags.writeable = False
     return FeatureDataset(matrix, label_array), classes
 

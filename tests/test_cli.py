@@ -91,6 +91,10 @@ class TestRunCommand:
             assert cli.main(["run", *QUAD_FLAGS, flag, value]) == 2
             assert capsys.readouterr().err.strip() == message
 
+    def test_a_seed_outside_the_stream_range_fails_cleanly(self, capsys):
+        assert cli.main(["run", *QUAD_FLAGS, "--master_seed", "-1"]) == 2
+        assert capsys.readouterr().err.strip() == "error: master_seed must lie in [0, 2**64)"
+
     def test_missing_config_keys_fail_cleanly(self, capsys):
         code = cli.main(["run", "--quadratic", "--n", "4", "--T", "8"])
         assert code == 2

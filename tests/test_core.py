@@ -65,6 +65,18 @@ class TestValidateConfig:
                 validate_config(make_config(rho=-2.0, master_seed=seed))
             assert str(err.value) == "rho must be positive and finite; master_seed must be an integer"
 
+    def test_master_seed_must_lie_in_the_stream_range(self):
+        # Streams reduce the seed mod 2**64, so -1 would repeat 2**64 - 1.
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError) as err:
+                validate_config(make_config(rho=-2.0, master_seed=seed))
+            assert str(err.value) == "rho must be positive and finite; master_seed must lie in [0, 2**64)"
+        for seed in (True, False):
+            with pytest.raises(ValueError, match="^master_seed must be an integer$"):
+                validate_config(make_config(master_seed=seed))
+        for seed in (0, 2**64 - 1):
+            assert validate_config(make_config(master_seed=seed)).master_seed == seed
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_settings_rejected_together(self, bad):
         with pytest.raises(ValueError) as err:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fedsofim.client as client_module
+import fedsofim.harness as harness_module
 import fedsofim.task as task_module
 from fedsofim.accountant import calibrate_sigma
 from fedsofim.core import (
@@ -148,6 +149,65 @@ class TestBuildBundle:
             with pytest.raises(ValueError) as info:
                 build_bundle(binding, 2, 0)
             assert str(info.value) == "no example rows"
+
+    def count_reads(self, monkeypatch):
+        reads = []
+        load = harness_module.load_frozen_features
+
+        def counted(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(harness_module, "load_frozen_features", counted)
+        return reads
+
+    def assert_same_bits(self, a, b):
+        assert (a.task.num_classes, a.task.dim) == (b.task.num_classes, b.task.dim)
+        for x, y in ((a.train, b.train), (a.test, b.test)):
+            assert x.sizes == y.sizes
+            for field in ("x_aug", "labels", "sq_norms", "onehot"):
+                u, v = getattr(x, field), getattr(y, field)
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field
+
+    def test_a_binding_reads_its_files_once(self, tmp_path, monkeypatch):
+        train = write_feature_file(tmp_path, count=60, seed=1, name="a.features")
+        test = write_feature_file(tmp_path, count=12, seed=2, name="b.features")
+        reads = self.count_reads(monkeypatch)
+        for test_path, files in ((None, 1), (test, 2)):
+            reads.clear()
+            binding = FeatureTaskBinding(train_path=train, test_path=test_path)
+            bundles = {(n, seed): binding.bundle(n, seed) for n, seed in ((4, 0), (4, 1), (5, 0))}
+            assert len(reads) == files
+            for (n, seed), bundle in bundles.items():
+                fresh = FeatureTaskBinding(train_path=train, test_path=test_path)
+                self.assert_same_bits(bundle, fresh.bundle(n, seed))
+
+    def test_runs_over_one_plan_read_the_file_once(self, tmp_path, monkeypatch):
+        path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
+        plan = ExperimentPlan(config=quad_config(T=3, n=4), binding=FeatureTaskBinding(train_path=path))
+        reads = self.count_reads(monkeypatch)
+        assert run_experiment(plan) == run_experiment(plan)
+        assert reads == [path]
+
+    def test_a_failed_read_is_not_kept(self, tmp_path, monkeypatch):
+        empty = tmp_path / "empty.features"
+        empty.write_text("dim=3,classes=2\n", encoding="utf-8")
+        binding = FeatureTaskBinding(train_path=str(empty))
+        reads = self.count_reads(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                binding.bundle(2, 0)
+            assert str(info.value) == "no example rows"
+        assert len(reads) == 2
+
+    def test_a_read_binding_compares_and_hashes_by_its_fields(self, tmp_path):
+        path = write_feature_file(tmp_path, count=40)
+        binding = FeatureTaskBinding(train_path=path, l2_lambda=1e-3)
+        binding.bundle(4, 0)
+        fresh = FeatureTaskBinding(train_path=path, l2_lambda=1e-3)
+        assert binding == fresh
+        assert hash(binding) == hash(fresh)
+        assert binding != FeatureTaskBinding(train_path=path)
 
     def test_bindings_reject_non_finite_and_out_of_range_settings(self):
         for settings, message in (
@@ -454,6 +514,11 @@ class TestGridSearch:
         _, sweep_one = grid_search(plan, GridSpec(etas=(0.2,), clip_cgs=(2.0,)), seeds=1)
         _, sweep_three = grid_search(plan, GridSpec(etas=(0.2,), clip_cgs=(2.0,)), seeds=3)
         assert sweep_one[0]["mean_final_accuracy"] != sweep_three[0]["mean_final_accuracy"]
+
+    def test_a_seed_shifted_past_the_range_is_refused(self):
+        plan = quad_plan(config=quad_config(T=2, master_seed=2**64 - 1))
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            grid_search(plan, GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=2)
 
     def test_seed_count_validated(self):
         with pytest.raises(ValueError, match="seeds must be >= 1"):

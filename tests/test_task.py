@@ -572,6 +572,45 @@ class TestFrozenFeatureFiles:
         with pytest.raises(ValueError, match="line 4: non-finite feature value"):
             load_frozen_features(path)
 
+    def test_errors_after_a_blank_line_name_the_file_line(self, tmp_path):
+        path = tmp_path / "bad.features"
+        for rows, message in (
+            ("0,1.0\n", "line 5: expected 2 features, got 1"),
+            ("0,1.0,oops\n", "line 5: unparseable numeric value"),
+            ("2,1.0,2.0\n", r"line 5: label 2 out of range \[0, 2\)"),
+        ):
+            path.write_text("dim=2,classes=2\n0,1.0,2.0\n\n   \n" + rows, encoding="utf-8")
+            with pytest.raises(ValueError, match=message):
+                load_frozen_features(path)
+
+    def test_errors_come_in_line_order(self, tmp_path):
+        path = tmp_path / "bad.features"
+        path.write_text("dim=2,classes=2\n0,1.0,oops\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: unparseable numeric value"):
+            load_frozen_features(path)
+        path.write_text("dim=2,classes=2\n0,nan,1.0\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: expected 2 features, got 1"):
+            load_frozen_features(path)
+
+    def test_header_width_alone_sizes_no_array(self, tmp_path):
+        # A header naming a huge dim must fail on the row that does not
+        # match it, not in allocating rows of that width.
+        path = tmp_path / "bad.features"
+        path.write_text("dim=1000000000000,classes=2\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: expected 1000000000000 features, got 1"):
+            load_frozen_features(path)
+
+    def test_parsed_arrays_are_c_contiguous_and_read_only(self, tmp_path):
+        path = tmp_path / "rows.features"
+        path.write_text("dim=3,classes=3\n0,1.0,2.0,3.0\n\n2,4.0,5.0,6.0\n", encoding="utf-8")
+        dataset, _ = load_frozen_features(path)
+        for array, dtype in ((dataset.features, np.float64), (dataset.labels, np.int64)):
+            assert array.dtype == dtype
+            assert array.flags.c_contiguous
+            assert not array.flags.writeable
+        np.testing.assert_array_equal(dataset.features, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(dataset.labels, [0, 2])
+
     def test_write_then_read_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(21)
         dataset = FeatureDataset(
