@@ -43,6 +43,7 @@ from .harness import (
     emit_metrics,
     grid_search,
     read_metrics,
+    round_streams,
     run_experiment,
     run_round,
 )

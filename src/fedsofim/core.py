@@ -55,16 +55,22 @@ class FederatedConfig:
     batch_size: int = 0
 
 
+def is_integer(value) -> bool:
+    """The rule for every count and seed: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_config(raw: FederatedConfig) -> FederatedConfig:
     """Return the config unchanged if every bound holds, else raise ValueError.
 
     All violations are reported in one message, each naming its field.
     """
     problems = []
-    if not isinstance(raw.n, int) or raw.n < 1:
-        problems.append("n must be a positive integer")
-    if not isinstance(raw.T, int) or raw.T < 1:
-        problems.append("T must be a positive integer")
+    for name, count in (("n", raw.n), ("T", raw.T)):
+        if not is_integer(count):
+            problems.append(f"{name} must be an integer")
+        elif count < 1:
+            problems.append(f"{name} must be a positive integer")
     if not 0 < raw.eta < math.inf:
         problems.append("eta must be positive and finite")
     if not 0 < raw.clip_cg < math.inf:
@@ -75,7 +81,7 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("beta must lie in [0,1)")
     if not 0 < raw.rho < math.inf:
         problems.append("rho must be positive and finite")
-    if not isinstance(raw.master_seed, int) or isinstance(raw.master_seed, bool):
+    if not is_integer(raw.master_seed):
         problems.append("master_seed must be an integer")
     elif not 0 <= raw.master_seed <= _MASK64:
         # Stream derivation reduces the seed mod 2**64, so a seed outside
@@ -83,7 +89,9 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("master_seed must lie in [0, 2**64)")
     if not isinstance(raw.optimizer, Optimizer):
         problems.append("optimizer must be SOFIM or FEDGD")
-    if not isinstance(raw.batch_size, int) or raw.batch_size < 0:
+    if not is_integer(raw.batch_size):
+        problems.append("batch_size must be an integer")
+    elif raw.batch_size < 0:
         problems.append("batch_size must be a nonnegative integer")
     if problems:
         raise ValueError("; ".join(problems))
@@ -251,10 +259,10 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
-def derive_noise_streams(master_seed: int, n_clients: int, rounds: int, first_round: int = 0):
-    """Yield, for each of ``rounds`` rounds from ``first_round`` on, the list
-    of ``n_clients`` generators that ``derive_noise_stream(master_seed,
-    client, round)`` gives, with the same bits.
+def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
+    """Yield, for each of rounds 0 .. rounds-1, the list of ``n_clients``
+    generators that ``derive_noise_stream(master_seed, client, round)``
+    gives, with the same bits.
 
     Stream seeds and their SeedSequence words are computed for a block of
     rounds at a time in numpy; each generator is still built fresh by
@@ -262,9 +270,8 @@ def derive_noise_streams(master_seed: int, n_clients: int, rounds: int, first_ro
     """
     prefixes = np.array([_client_prefix(master_seed, c) for c in range(n_clients)], dtype=np.uint64)
     block = max(1, _STREAM_BLOCK // n_clients)
-    stop = first_round + rounds
-    for start in range(first_round, stop, block):
-        offsets = np.arange(start, min(start + block, stop), dtype=np.uint64) + np.uint64(3 * _GOLDEN & _MASK64)
+    for start in range(0, rounds, block):
+        offsets = np.arange(start, min(start + block, rounds), dtype=np.uint64) + np.uint64(3 * _GOLDEN & _MASK64)
         seeds = _mix64_array(offsets[:, None] ^ prefixes[None, :])
         words = _seed_sequence_words(seeds)
         for row in words:

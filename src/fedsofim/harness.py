@@ -1,9 +1,10 @@
 """Experiment orchestration: round loop, plans, grid search, metrics emission.
 
 A plan resolves to (task bundle, config) deterministically from the master
-seed, and every client-round draws from its own derived stream.  Nothing in
-this module may import ``fedsofim.oracles`` — the dense preconditioner must
-stay unreachable from production runs.
+seed, and every client-round draws from its own derived stream, handed out by
+the run's one schedule, round_streams.  Nothing in this module may import
+``fedsofim.oracles`` — the dense preconditioner must stay unreachable from
+production runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     ServerState,
     derive_noise_streams,
     derive_stream_seed,
+    is_integer,
     validate_config,
     with_updates,
     HOLDOUT_STREAM_TAG,
@@ -196,6 +198,8 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
             raise ValueError("privacy target requires both epsilon and delta")
         if plan.config.sigma_g != 0:
             raise ValueError("set either a privacy target or an explicit sigma_g, not both")
+    if not is_integer(plan.eval_every):
+        raise ValueError("eval_every must be an integer")
     if plan.eval_every < 1:
         raise ValueError("eval_every must be >= 1")
     return plan
@@ -214,53 +218,26 @@ def resolve_sigma(plan: ExperimentPlan) -> FederatedConfig:
 # Round loop
 
 
-def run_round(
-    bundle: TaskBundle,
-    state: ServerState,
-    config: FederatedConfig,
-    round_index: int,
-    evaluate: bool = True,
-    streams=None,
-) -> tuple:
-    """Execute one full round: every client's release, aggregate, optimizer step.
-
-    Deterministic given (config, round_index): client i's release draws from
-    its own derived stream, ``derive_noise_stream(master_seed, i,
-    round_index)``; ``streams`` may hand in that round's n streams, already
-    derived.  Returns (new_state, RoundMetrics or None).
-    """
-    if not 0 <= round_index < config.T:
-        raise ValueError(f"round {round_index} outside [0, {config.T})")
-    if streams is None:
-        (streams,) = _stream_rounds(config, round_index, 1)
+def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
+    """One round: every client's private release, their average, and the
+    optimizer step.  ``streams`` is the round's entry of round_streams(config).
+    Returns (new_state, aggregate)."""
     releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
                              bundle.task, config.batch_size)
     g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
-            new_state = sofim_step(state, g, config)
-        else:
-            new_state = fedgd_step(state, g, config.eta)
-
-    metrics = None
-    if evaluate:
-        train_loss, test_accuracy, gap = bundle.evaluate(new_state.theta)
-        metrics = RoundMetrics(
-            round=round_index + 1,
-            train_loss=train_loss,
-            test_accuracy=test_accuracy,
-            aggregate_grad_norm=float(np.linalg.norm(g)),
-            suboptimality_gap=gap,
-        )
-    return new_state, metrics
+            return sofim_step(state, g, config), g
+        return fedgd_step(state, g, config.eta), g
 
 
-def _stream_rounds(config: FederatedConfig, first_round: int, rounds: int):
-    """Each round's n client streams from first_round on.  Releases that
-    draw nothing (no noise and no mini-batches) get None for a stream."""
+def round_streams(config: FederatedConfig):
+    """The run's stream schedule: for each of the T rounds, the n client
+    streams ``derive_noise_stream(master_seed, i, t)``.  Releases that draw
+    nothing (no noise and no mini-batches) get None for a stream."""
     if config.sigma_g > 0 or config.batch_size > 0:
-        return derive_noise_streams(config.master_seed, config.n, rounds, first_round)
-    return itertools.repeat((None,) * config.n, rounds)
+        return derive_noise_streams(config.master_seed, config.n, config.T)
+    return itertools.repeat((None,) * config.n, config.T)
 
 
 @dataclass(frozen=True)
@@ -282,23 +259,23 @@ class MetricsTable:
 
 
 def run_experiment(plan: ExperimentPlan) -> MetricsTable:
-    """Run a full T-round experiment from a validated plan.
+    """Run a full T-round experiment from a validated plan: run_round over
+    round_streams(config).
 
     Metrics are evaluated every eval_every rounds and always at the final
-    round.
+    round; elapsed is recorded only under record_timing.
     """
     config = resolve_sigma(plan)
     bundle = build_bundle(plan.binding, config.n, config.master_seed)
     state = ServerState.initial(np.zeros(bundle.task.dim))
     rows = []
     start = time.perf_counter()
-    for t, streams in enumerate(_stream_rounds(config, 0, config.T)):
-        evaluate = ((t + 1) % plan.eval_every == 0) or (t == config.T - 1)
-        state, metrics = run_round(bundle, state, config, t, evaluate=evaluate, streams=streams)
-        if metrics is not None:
-            if plan.record_timing:
-                metrics = replace(metrics, elapsed=time.perf_counter() - start)
-            rows.append(metrics)
+    for t, streams in enumerate(round_streams(config)):
+        state, g = run_round(bundle, state, config, streams)
+        if (t + 1) % plan.eval_every == 0 or t == config.T - 1:
+            train_loss, test_accuracy, gap = bundle.evaluate(state.theta)
+            elapsed = time.perf_counter() - start if plan.record_timing else 0.0
+            rows.append(RoundMetrics(t + 1, train_loss, test_accuracy, float(np.linalg.norm(g)), gap, elapsed))
     header = {
         "optimizer": config.optimizer.value,
         **{key: getattr(config, key) for key in CONFIG_TYPES if key != "optimizer"},
@@ -400,6 +377,8 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     mean final accuracy/loss.
     """
     validate_plan(base_plan)
+    if not is_integer(seeds):
+        raise ValueError("seeds must be an integer")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     candidates = [getattr(grid, axis + "s") or (getattr(base_plan.config, axis),) for axis in GRID_AXES]

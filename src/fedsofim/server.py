@@ -54,10 +54,8 @@ def sofim_step(state: ServerState, g: np.ndarray, config: FederatedConfig) -> Se
 
     The momentum buffer moves first and the preconditioner is built from the
     *new* buffer — the same-step coupling the convergence analysis assumes.
-    Do not reorder.
+    Do not reorder.  update_momentum refuses a g of another shape.
     """
-    if state.theta.shape != g.shape:
-        raise ValueError("dimension mismatch")
     momentum = update_momentum(state.momentum, g, config.beta)
     direction = precondition_apply(momentum, g, config.rho)
     return ServerState(theta=state.theta - config.eta * direction, momentum=momentum)

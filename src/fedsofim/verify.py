@@ -3,7 +3,8 @@
 Each suite re-derives one guarantee (operator identities, norm bounds, noise
 variance, contraction, complexity) from an independent direction — dense
 linear algebra, Monte Carlo, quadrature, or wall-clock measurement — and
-reports measured value, bound, and margin.  This module and the tests are the
+returns its checks (measured value, bound, and margin); verify_theory names
+the report by the suite's key in SUITES.  This module and the tests are the
 only importers of ``fedsofim.oracles``.
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import accountant
 from .client import clip_rows, release_round
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_streams
-from .harness import TaskBundle, clipped_aggregate, run_round
+from .harness import TaskBundle, clipped_aggregate, round_streams, run_round
 from .oracles import dense_preconditioner
 from .server import aggregate, precondition_apply, sofim_step
 from .task import QuadraticShard, make_synthetic_quadratic
@@ -75,7 +76,7 @@ def _random_direction(rng: np.random.Generator, d: int, lo: float = 0.1, hi: flo
     return v * (float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) / float(np.linalg.norm(v)))
 
 
-def suite_sherman_morrison(seed: int = 0) -> VerifyReport:
+def suite_sherman_morrison(seed: int = 0) -> tuple:
     rng = np.random.default_rng(seed)
     dims = (1, 2, 8, 64, 256)
     worst_identity = 0.0
@@ -149,14 +150,14 @@ def suite_sherman_morrison(seed: int = 0) -> VerifyReport:
         _check_max("anisotropy_orthogonal_rel_err", worst_perp, 1e-10,
                    "orthogonalization itself costs a few ulps"),
     ]
-    return VerifyReport("SHERMAN_MORRISON", tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
 # CLIP_NORM
 
 
-def suite_clip_norm(seed: int = 0) -> VerifyReport:
+def suite_clip_norm(seed: int = 0) -> tuple:
     """Aggregated clipped gradient never exceeds the clipping radius.
 
     The bulk check runs vectorized synthetic rounds (random per-example
@@ -191,14 +192,14 @@ def suite_clip_norm(seed: int = 0) -> VerifyReport:
         g = clipped_aggregate(bundle, theta, c_g)
         worst_path = max(worst_path, float(np.linalg.norm(g)) - c_g)
     checks.append(_check_max("release_path_norm_excess", worst_path, 0.0, "zero tolerance"))
-    return VerifyReport("CLIP_NORM", tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
 # MOMENTUM_MOMENT
 
 
-def suite_momentum_moment(seed: int = 0) -> VerifyReport:
+def suite_momentum_moment(seed: int = 0) -> tuple:
     """E||M_t||^2 stays under c_g^2 + (1-beta) d nu^2 (plus Monte Carlo slack).
 
     Worst-case drive: a fixed clipped aggregate of norm exactly c_g plus
@@ -225,22 +226,21 @@ def suite_momentum_moment(seed: int = 0) -> VerifyReport:
         excess = mean_sq - (bound + 5.0 * stderr)
         if excess > worst:
             worst, worst_round, measured_at_worst = excess, t, mean_sq
-    checks = [
+    return (
         _check_max(
             "second_moment_excess",
             worst,
             0.0,
             f"worst round {worst_round}: sample mean {measured_at_worst:.4f} vs bound {bound:.4f} + 5x stderr",
-        )
-    ]
-    return VerifyReport("MOMENTUM_MOMENT", tuple(checks))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # VARIANCE_REDUCTION
 
 
-def suite_variance_reduction(seed: int = 0) -> VerifyReport:
+def suite_variance_reduction(seed: int = 0) -> tuple:
     """Stationary per-coordinate variance of the momentum buffer at beta=0.9
     is nu^2 (1-beta)/(1+beta) = 1/19 for unit-variance driving noise."""
     rng = np.random.default_rng(seed)
@@ -252,10 +252,8 @@ def suite_variance_reduction(seed: int = 0) -> VerifyReport:
         momenta = beta * momenta + (1.0 - beta) * (constant + rng.normal(size=(paths, d)))
     measured = float(momenta.var(axis=0, ddof=1).mean())
     rel_err = abs(measured - target) / target
-    checks = [
-        _check_max("stationary_variance_rel_err", rel_err, 0.03, f"measured {measured:.6f} vs {target:.6f}")
-    ]
-    return VerifyReport("VARIANCE_REDUCTION", tuple(checks))
+    return (_check_max("stationary_variance_rel_err", rel_err, 0.03,
+                       f"measured {measured:.6f} vs {target:.6f}"),)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     return float(var.mean())
 
 
-def suite_noise_floor(seed: int = 0) -> VerifyReport:
+def suite_noise_floor(seed: int = 0) -> tuple:
     c_g, sigma_g = 10.0, 2.0
     checks = []
     for label, sizes in (("equal_sizes", [10, 10, 10, 10]), ("mixed_sizes", [5, 10, 20, 40])):
@@ -301,14 +299,14 @@ def suite_noise_floor(seed: int = 0) -> VerifyReport:
             )
         )
         checks.append(_check_max(f"{label}_nu_sq_within_uniform_bound", nu_sq, uniform))
-    return VerifyReport("NOISE_FLOOR", tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
 # DESCENT
 
 
-def suite_descent(seed: int = 0) -> VerifyReport:
+def suite_descent(seed: int = 0) -> tuple:
     """Noiseless preconditioned rounds strictly decrease F when eta sits in
     the stability range (and under the smoothness threshold)."""
     rounds = 200
@@ -330,22 +328,19 @@ def suite_descent(seed: int = 0) -> VerifyReport:
     )
     state = ServerState.initial(theta0)
     values = [task.global_value(state.theta)]
-    for t in range(rounds):
-        state, _ = run_round(bundle, state, config, t, evaluate=False)
+    for streams in round_streams(config):
+        state, _ = run_round(bundle, state, config, streams)
         values.append(task.global_value(state.theta))
     decreases = np.diff(values)
-    checks = [
-        _check_max("worst_round_increase", float(decreases.max()), 0.0,
-                   f"min decrease {-decreases.max():.3e}, eta={eta:.3e}"),
-    ]
-    return VerifyReport("DESCENT", tuple(checks))
+    return (_check_max("worst_round_increase", float(decreases.max()), 0.0,
+                       f"min decrease {-decreases.max():.3e}, eta={eta:.3e}"),)
 
 
 # ---------------------------------------------------------------------------
 # CONVERGENCE_FLOOR
 
 
-def suite_convergence_floor(seed: int = 0) -> VerifyReport:
+def suite_convergence_floor(seed: int = 0) -> tuple:
     """Mean terminal gap under DP noise stays below the theoretical floor.
 
     One fixed ill-conditioned quadratic (kappa = 100); the Monte Carlo seeds
@@ -371,28 +366,27 @@ def suite_convergence_floor(seed: int = 0) -> VerifyReport:
     for k in range(num_seeds):
         seed_config = replace(config, master_seed=seed + 1000 + k)
         state = ServerState.initial(np.zeros(d))
-        for t in range(rounds):
+        for streams in round_streams(seed_config):
             grad = bundle.task.global_gradient(state.theta)
             g_max = max(g_max, float(np.linalg.norm(grad)))
             zeta = clipped_aggregate(bundle, state.theta, c_g) - grad
             zeta_max = max(zeta_max, float(np.linalg.norm(zeta)))
-            state, _ = run_round(bundle, state, seed_config, t, evaluate=False)
+            state, _ = run_round(bundle, state, seed_config, streams)
         terminal_gaps.append(task.gap(state.theta))
     _, nu_uniform = accountant.noise_floor(c_g, sigma_g, n, [m] * n)
     gamma, floor, rate = accountant.theoretical_floor(
         task.mu, task.L, eta, rho, beta, c_g, nu_uniform, d, zeta_max, g_max, tau, tau
     )
     mean_gap = float(np.mean(terminal_gaps))
-    checks = [
+    return (
         _check_max(
             "mean_terminal_gap_vs_floor",
             mean_gap,
             floor,
             f"rate={rate:.4f}, gamma={gamma:.4g}, initial_gap={task.gap(np.zeros(d)):.4g}, "
             f"G_max={g_max:.4g}, zeta_max={zeta_max:.4g} (empirical maxima)",
-        )
-    ]
-    return VerifyReport("CONVERGENCE_FLOOR", tuple(checks))
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +425,7 @@ def _cold_data_step_seconds(d: int, rng: np.random.Generator, config: FederatedC
     return best
 
 
-def suite_complexity_scaling(seed: int = 0) -> VerifyReport:
+def suite_complexity_scaling(seed: int = 0) -> tuple:
     """Server-step wall time is O(d): at most 3x per doubling of d, and peak
     allocation during a step stays linear in d."""
     rng = np.random.default_rng(seed)
@@ -466,7 +460,7 @@ def suite_complexity_scaling(seed: int = 0) -> VerifyReport:
             "linear-in-d allocation budget; a dense d x d would need 34 GB",
         )
     )
-    return VerifyReport("COMPLEXITY_SCALING", tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +509,7 @@ def grid_sweep_minimum(epsilon: float, delta: float, n: int, T: int) -> float:
     return float(coarse[first])
 
 
-def suite_accountant(seed: int = 0) -> VerifyReport:
+def suite_accountant(seed: int = 0) -> tuple:
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -578,7 +572,7 @@ def suite_accountant(seed: int = 0) -> VerifyReport:
         worst_t1 = max(worst_t1, abs(single - composed))
     checks.append(_check_max("composed_T1_matches_single_round", worst_t1, 1e-15,
                              "clipping radius and d_min cancel"))
-    return VerifyReport("ACCOUNTANT", tuple(checks))
+    return tuple(checks)
 
 
 SUITES = {
@@ -599,4 +593,4 @@ def verify_theory(suite: str, seed: int = 0) -> VerifyReport:
     name = suite.upper()
     if name not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed)
+    return VerifyReport(name, SUITES[name](seed))

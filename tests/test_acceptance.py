@@ -24,6 +24,7 @@ from fedsofim.harness import (
     build_bundle,
     clipped_aggregate,
     grid_search,
+    round_streams,
     run_round,
 )
 from fedsofim.task import make_anisotropic_features, save_frozen_features
@@ -171,12 +172,12 @@ def test_criterion_09_noiseless_per_round_contraction():
     gaps = [bundle.task.gap(state.theta)]
     g_max = 0.0
     zeta_max = 0.0
-    for t in range(config.T):
+    for streams in round_streams(config):
         agg = clipped_aggregate(bundle, state.theta, c_g)
         g_max = max(g_max, float(np.linalg.norm(agg)))
         zeta = float(np.linalg.norm(agg - bundle.task.global_gradient(state.theta)))
         zeta_max = max(zeta_max, zeta)
-        state, _ = run_round(bundle, state, config, t, evaluate=False)
+        state, _ = run_round(bundle, state, config, streams)
         gaps.append(bundle.task.gap(state.theta))
 
     assert c_g >= g_max, f"clipping radius {c_g} below observed maximum {g_max}"
@@ -219,9 +220,9 @@ def test_criterion_10_first_order_limit_equivalence():
     state_s = ServerState.initial(theta0.copy())
     state_f = ServerState.initial(theta0.copy())
     worst_rel = 0.0
-    for t in range(rounds):
-        state_s, _ = run_round(bundle, state_s, config_sofim, t, evaluate=False)
-        state_f, _ = run_round(bundle, state_f, config_fedgd, t, evaluate=False)
+    for streams_s, streams_f in zip(round_streams(config_sofim), round_streams(config_fedgd)):
+        state_s, _ = run_round(bundle, state_s, config_sofim, streams_s)
+        state_f, _ = run_round(bundle, state_f, config_fedgd, streams_f)
         rel = float(
             np.linalg.norm(state_s.theta - state_f.theta)
             / max(np.linalg.norm(state_f.theta), 1e-12)

@@ -543,13 +543,15 @@ class TestRoundRelease:
         n = len(shards)
         stacked = task.stack(tuple(shards))
         rng = np.random.default_rng(n)
+        # One round of streams per (sigma_g, batch_size, scale) case.
+        schedule = derive_noise_streams(self.SEED, n, 2 * len(batch_sizes) * 2)
         rounds = 0
         for sigma_g in (0.0, 0.7):
             for batch_size in batch_sizes:
                 for scale in (0.1, 3.0):
                     theta = rng.normal(size=task.dim) * scale
                     c_g = float(rng.uniform(0.05, 2.0))
-                    (streams,) = derive_noise_streams(self.SEED, n, 1, first_round=rounds)
+                    streams = next(schedule)
                     releases = release_round(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
                     assert isinstance(releases, np.ndarray) and releases.shape == (n, task.dim)
                     for i, (release, shard) in enumerate(zip(releases, shards)):

@@ -51,6 +51,16 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match="T must be a positive integer"):
             validate_config(make_config(T=0))
 
+    def test_counts_must_be_integers(self):
+        # A bool is an int to Python but no count: n=True would run as 1.
+        for field in ("n", "T", "batch_size"):
+            for bad in (True, False, 2.5, 3.0, "3", None):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+                    validate_config(make_config(**{field: bad}))
+        with pytest.raises(ValueError, match="batch_size must be a nonnegative integer"):
+            validate_config(make_config(batch_size=-1))
+        assert validate_config(make_config(n=1, T=1, batch_size=0)).batch_size == 0
+
     def test_all_violations_reported_together(self):
         with pytest.raises(ValueError) as err:
             validate_config(make_config(eta=0.0, clip_cg=-1.0, rho=-2.0))

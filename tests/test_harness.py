@@ -18,6 +18,7 @@ from fedsofim.core import (
     Optimizer,
     RoundMetrics,
     ServerState,
+    derive_noise_stream,
     derive_stream_seed,
     validate_config,
 )
@@ -35,6 +36,7 @@ from fedsofim.harness import (
     grid_search,
     read_metrics,
     resolve_sigma,
+    round_streams,
     run_experiment,
     run_round,
     validate_plan,
@@ -264,6 +266,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="eval_every must be >= 1"):
             validate_plan(quad_plan(eval_every=0))
 
+    def test_eval_cadence_must_be_an_integer(self):
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="^eval_every must be an integer$"):
+                validate_plan(quad_plan(eval_every=bad))
+
     def test_resolve_sigma_calibrates_the_target(self):
         plan = quad_plan(epsilon=2.0, delta=1e-5)
         config = resolve_sigma(plan)
@@ -283,11 +290,10 @@ class TestRunRound:
         bundle = build_bundle(binding, 3, 0)
         state = ServerState.initial(bundle.task.theta_star.copy())
         config = quad_config(n=3)
-        new_state, metrics = run_round(bundle, state, config, 0)
+        new_state, g = run_round(bundle, state, config, next(round_streams(config)))
         np.testing.assert_allclose(new_state.theta, state.theta, rtol=0.0, atol=1e-13)
-        assert metrics.round == 1
-        np.testing.assert_allclose(metrics.aggregate_grad_norm, 0.0, atol=1e-13)
-        np.testing.assert_allclose(metrics.suboptimality_gap, 0.0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(g), 0.0, atol=1e-13)
+        np.testing.assert_allclose(bundle.task.gap(new_state.theta), 0.0, atol=1e-15)
 
     def test_single_client_fedgd_is_centralized_gradient_descent(self):
         binding = QuadraticTaskBinding(d=5, mu=0.4, L=1.6, heterogeneity=0.7)
@@ -295,22 +301,30 @@ class TestRunRound:
         config = quad_config(n=1, eta=0.5, clip_cg=1e9, optimizer=Optimizer.FEDGD)
         state = ServerState.initial(np.zeros(5))
         reference = np.zeros(5)
-        for t in range(20):
-            state, _ = run_round(bundle, state, config, t, evaluate=False)
+        for streams in round_streams(config):
+            state, _ = run_round(bundle, state, config, streams)
             reference = reference - config.eta * bundle.task.global_gradient(reference)
             assert np.linalg.norm(state.theta - reference) <= 1e-12
 
-    def test_round_metrics_are_optional(self):
-        bundle = build_bundle(QuadraticTaskBinding(d=3, mu=0.5, L=1.0), 2, 0)
-        state = ServerState.initial(np.zeros(3))
-        _, metrics = run_round(bundle, state, quad_config(n=2), 0, evaluate=False)
-        assert metrics is None
 
-    def test_nan_aggregate_is_recorded_as_nan_not_inf(self):
-        bundle = build_bundle(QuadraticTaskBinding(d=4, mu=0.5, L=2.0), 3, 0)
-        state = ServerState.initial(np.full(4, np.nan))
-        _, metrics = run_round(bundle, state, quad_config(n=3), 0)
-        assert math.isnan(metrics.aggregate_grad_norm)
+class TestRoundStreams:
+    def test_each_round_gets_the_n_derived_streams(self):
+        config = quad_config(n=3, T=5, sigma_g=0.5)
+        schedule = list(round_streams(config))
+        assert len(schedule) == config.T
+        for t, streams in enumerate(schedule):
+            assert len(streams) == config.n
+            for i, stream in enumerate(streams):
+                expected = derive_noise_stream(config.master_seed, i, t)
+                assert stream.bit_generator.state == expected.bit_generator.state, (i, t)
+
+    def test_mini_batches_draw_streams_without_noise(self):
+        config = quad_config(n=2, T=3, batch_size=4)
+        assert all(stream is not None for streams in round_streams(config) for stream in streams)
+
+    def test_rounds_that_draw_nothing_get_none(self):
+        config = quad_config(n=3, T=4)
+        assert list(round_streams(config)) == [(None, None, None)] * 4
 
 
 class TestEvaluate:
@@ -331,6 +345,46 @@ class TestEvaluate:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("config", [
+        # quadratic_noisy's golden settings: every round draws its streams.
+        quad_config(n=4, T=30, eta=0.2, clip_cg=3.0, sigma_g=0.5, master_seed=3),
+        # noiseless and full-batch: every stream is None.
+        quad_config(T=30),
+    ], ids=["noisy", "noiseless"])
+    def test_rows_equal_a_hand_driven_round_loop(self, config):
+        plan = quad_plan(config=config, eval_every=5)
+        bundle = build_bundle(plan.binding, config.n, config.master_seed)
+        state = ServerState.initial(np.zeros(bundle.task.dim))
+        rows = []
+        for t, streams in enumerate(round_streams(config)):
+            state, g = run_round(bundle, state, config, streams)
+            if (t + 1) % 5 == 0:
+                loss, accuracy, gap = bundle.evaluate(state.theta)
+                rows.append(RoundMetrics(t + 1, loss, accuracy, float(np.linalg.norm(g)), gap))
+        assert run_experiment(plan).rows == tuple(rows)
+
+    def test_a_run_derives_its_streams_once(self, monkeypatch):
+        calls = []
+        derive = harness_module.derive_noise_streams
+
+        def counted(*args):
+            calls.append(args)
+            return derive(*args)
+
+        monkeypatch.setattr(harness_module, "derive_noise_streams", counted)
+        config = quad_config(T=12, sigma_g=0.8)
+        run_experiment(quad_plan(config=config, eval_every=3))
+        assert calls == [(config.master_seed, config.n, config.T)]
+
+    def test_nan_aggregate_is_recorded_as_nan_not_inf(self):
+        # eta = 1e308 overflows theta to inf in the first step; the second
+        # round's releases, and so their average, are NaN.
+        config = quad_config(n=3, T=2, eta=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = run_experiment(quad_plan(config=config, eval_every=1))
+        assert math.isfinite(table.rows[0].aggregate_grad_norm)
+        assert math.isnan(table.rows[1].aggregate_grad_norm)
+
     def test_single_round_run_produces_one_row(self):
         table = run_experiment(quad_plan(config=quad_config(T=1), eval_every=1))
         assert len(table.rows) == 1
@@ -523,6 +577,9 @@ class TestGridSearch:
     def test_seed_count_validated(self):
         with pytest.raises(ValueError, match="seeds must be >= 1"):
             grid_search(quad_plan(), GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=0)
+        for bad in (2.5, True, "2"):
+            with pytest.raises(ValueError, match="^seeds must be an integer$"):
+                grid_search(quad_plan(), GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=bad)
 
 
 class TestDiagnostics:
