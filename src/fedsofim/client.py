@@ -52,6 +52,12 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     # (norms <= c_g).all() makes, at half the dispatch.
     if np.maximum.reduce(norms, initial=0.0) <= c_g:
         return grads
+    # A finite row whose squares overflow would scale to zero by its inf
+    # norm; it takes its norm from the row divided by its largest entry.
+    for row in np.flatnonzero(norms == math.inf):
+        peak = np.maximum.reduce(np.abs(grads[row]))
+        if peak < math.inf:
+            norms[row] = peak * _row_norms(grads[row:row + 1] / peak)[0]
     # Rows inside the ball are multiplied by exactly 1.0, a no-op in IEEE
     # arithmetic; rows with a NaN norm fail the test above and become NaN.
     scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))

@@ -222,10 +222,10 @@ def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, s
     """One round: every client's private release, their average, and the
     optimizer step.  ``streams`` is the round's entry of round_streams(config).
     Returns (new_state, aggregate)."""
-    releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
-                             bundle.task, config.batch_size)
-    g = aggregate(releases, config.n)
     with np.errstate(over="ignore", invalid="ignore"):
+        releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
+                                 bundle.task, config.batch_size)
+        g = aggregate(releases, config.n)
         if config.optimizer is Optimizer.SOFIM:
             return sofim_step(state, g, config), g
         return fedgd_step(state, g, config.eta), g

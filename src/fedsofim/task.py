@@ -93,27 +93,31 @@ def _layout(sizes: tuple) -> tuple:
 
 
 class FeatureStack:
-    """Every training shard of a softmax run, stacked once: the augmented
-    features [x, 1] (M, p+1) and labels (M,) in shard order, and the shard
-    sizes, with their ``_layout``.  It also holds what the releases read of
-    each row for the whole run, computed once: ||x_i||^2 (M,) and the
-    one-hot labels (M, K).  Every array is read-only."""
+    """Every training shard of a softmax run, stacked once and class-major:
+    the augmented features [x, 1] transposed, x_t (p+1, M), the labels (M,)
+    in shard order, and the shard sizes, with their ``_layout``.  It also
+    holds, computed once, what the releases read of each example: ||x_i||^2
+    (M,), the one-hot labels (K, M) and each label's flat index in a (K, M)
+    array, labels*M + arange(M).  Every array is read-only."""
 
-    def __init__(self, x_aug: np.ndarray, labels: np.ndarray, sizes: tuple,
-                 sq_norms: np.ndarray, onehot: np.ndarray):
-        for array in (x_aug, labels, sq_norms, onehot):
+    def __init__(self, x_t: np.ndarray, labels: np.ndarray, sizes: tuple, sq_norms: np.ndarray, classes: int):
+        count = labels.shape[0]
+        self.label_index = labels * count + np.arange(count)
+        self.onehot = np.zeros((classes, count))
+        np.put(self.onehot, self.label_index, 1.0)
+        for array in (x_t, labels, sq_norms, self.onehot, self.label_index):
             array.flags.writeable = False
-        self.x_aug, self.labels, self.sizes = x_aug, labels, sizes
-        self.sq_norms, self.onehot = sq_norms, onehot
+        self.x_t, self.labels, self.sizes, self.sq_norms = x_t, labels, sizes, sq_norms
         self.starts, self.runs, self.counts = _layout(sizes)
 
     def subset(self, picks: list) -> "FeatureStack":
-        """The stack with shard i cut to its rows picks[i] (all of them where
-        picks[i] is None), its constants indexed from this one's."""
-        rows = np.concatenate([np.arange(row, row + size) if pick is None else row + pick
-                               for row, size, pick in zip(self.starts, self.sizes, picks)])
+        """The stack with shard i cut to its examples picks[i] (all of them
+        where picks[i] is None), its constants gathered from this one's."""
+        cols = np.concatenate([np.arange(col, col + size) if pick is None else col + pick
+                               for col, size, pick in zip(self.starts, self.sizes, picks)])
         sizes = tuple(size if pick is None else len(pick) for size, pick in zip(self.sizes, picks))
-        return FeatureStack(self.x_aug[rows], self.labels[rows], sizes, self.sq_norms[rows], self.onehot[rows])
+        return FeatureStack(self.x_t.take(cols, axis=1), self.labels[cols], sizes, self.sq_norms[cols],
+                            self.onehot.shape[0])
 
 
 class QuadraticStack:
@@ -136,6 +140,23 @@ def _as_theta(theta: np.ndarray, dim: int) -> np.ndarray:
     if theta.shape != (dim,):
         raise ValueError(f"theta must have dimension {dim}, got {theta.shape}")
     return theta
+
+
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """The (K, M) rows' sum, in numpy's order for a row of K terms: in order
+    below eight; up to 128, eight partial sums (one per row mod 8) joined as
+    a tree, then the rest in order; past 128, two halves cut at a multiple of 8."""
+    k = rows.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _class_sum(rows[:half]) + _class_sum(rows[half:])
+    if k < 8:
+        return np.add.reduce(rows, axis=0)
+    acc = np.add.reduce(rows[:k - k % 8].reshape(k // 8, 8, rows.shape[1]), axis=0)
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in rows[k - k % 8:]:
+        total += row
+    return total
 
 
 class SoftmaxHeadTask:
@@ -165,34 +186,20 @@ class SoftmaxHeadTask:
     def dim(self) -> int:
         return self.num_classes * (self.feature_dim + 1)
 
-    def _log_probs(self, theta: np.ndarray, x_aug: np.ndarray) -> tuple:
-        """(logits, log-softmax of the logits), per example."""
-        weights = theta.reshape(self.num_classes, self.feature_dim + 1)
-        logits = x_aug @ weights.T
-        # Row maxima as a chain over the class columns: a maximum is exact,
-        # so the chain gives the bits of logits.max(axis=1), while a reduce
-        # over rows this short is mostly per-row loop overhead.
-        row_max = logits[:, 0]
-        for k in range(1, self.num_classes):
-            row_max = np.maximum(row_max, logits[:, k])
-        shifted = logits - row_max[:, None]
-        exps = np.exp(shifted)
-        if self.num_classes < 8:
-            # Row sums as a chain too: numpy adds fewer than eight terms in
-            # order, so this has the bits of exps.sum(axis=1); from eight on
-            # it keeps eight partial sums, which a chain would not match.
-            totals = exps[:, 0] + exps[:, 1]
-            for k in range(2, self.num_classes):
-                totals += exps[:, k]
-            totals = totals[:, None]
-        else:
-            totals = exps.sum(axis=1, keepdims=True)
-        return logits, shifted - np.log(totals)
+    def _log_probs(self, theta: np.ndarray, x_t: np.ndarray) -> tuple:
+        """(logits, log-softmax of the logits), class-major: (K, M) each.
+        Every reduction runs over the contiguous class rows, in the order
+        logits.T.max(axis=1) and exps.T.sum(axis=1) take, so the bits are
+        those of the example-major reduce formulation."""
+        logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ x_t
+        shifted = logits - np.maximum.reduce(logits, axis=0)
+        shifted -= np.log(_class_sum(np.exp(shifted)))
+        return logits, shifted
 
     def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
-        """(Z, R): logits and R = softmax(Z) - onehot, with the bits of
-        subtracting 1 at each label, since p - 0.0 = p."""
-        logits, log_probs = self._log_probs(theta, stacked.x_aug)
+        """(Z, R), class-major: logits and R = softmax(Z) - onehot, with the
+        bits of subtracting 1 at each label, since p - 0.0 = p."""
+        logits, log_probs = self._log_probs(theta, stacked.x_t)
         residuals = np.exp(log_probs)
         residuals -= stacked.onehot
         return logits, residuals
@@ -203,52 +210,51 @@ class SoftmaxHeadTask:
         theta = _as_theta(theta, self.dim)
         stacked = self.stack((dataset,))
         _, residuals = self._factors(theta, stacked)
-        grads = np.einsum("mk,mp->mkp", residuals, stacked.x_aug).reshape(dataset.size, self.dim)
+        grads = np.einsum("km,pm->mkp", residuals, stacked.x_t).reshape(dataset.size, self.dim)
         if self.l2_lambda:
             grads += self.l2_lambda * theta
         return grads
 
     def stack(self, shards) -> FeatureStack:
-        """The shards' augmented features and labels in one contiguous stack:
-        the one place features get their bias column, and the one place
-        the stack's constants are computed.  Its bytes are those
-        np.hstack([features, ones]) builds, without its dispatch."""
+        """The shards' augmented features, transposed, and labels in one
+        contiguous stack, one column block per shard: the one place features
+        get their bias row, and the one place the stack's constants are
+        computed."""
         sizes = tuple(shard.size for shard in shards)
-        x_aug = np.empty((sum(sizes), self.feature_dim + 1))
-        row = 0
+        x_t = np.empty((self.feature_dim + 1, sum(sizes)))
+        col = 0
         for shard in shards:
             if shard.features.shape[1] != self.feature_dim:
                 raise ValueError(f"features must have dimension {self.feature_dim}")
-            x_aug[row:row + shard.size, :-1] = shard.features
-            row += shard.size
-        x_aug[:, -1] = 1.0
+            x_t[:-1, col:col + shard.size] = shard.features.T
+            col += shard.size
+        x_t[-1] = 1.0
         labels = np.concatenate([shard.labels for shard in shards])
-        onehot = np.zeros((labels.shape[0], self.num_classes))
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        return FeatureStack(x_aug, labels, sizes, np.einsum("ij,ij->i", x_aug, x_aug), onehot)
+        return FeatureStack(x_t, labels, sizes, np.einsum("ji,ji->i", x_t, x_t), self.num_classes)
 
     def clipped_sums(self, theta: np.ndarray, stacked: FeatureStack, c_g: float) -> np.ndarray:
         """Row i: the sum over shard i of the per-example gradients
         g_j = vec(r_j x_j') + l2_lambda theta, each clipped to norm c_g, from
         the factors (ghost clipping) without building them:
-        vec((s R)' X) + l2_lambda theta sum(s).  One logits product serves
+        vec((R s) X') + l2_lambda theta sum(s).  One logits product serves
         every shard, and each run of equal-sized shards takes its sums from
-        one batched product."""
+        one batched product of its (K, size) residual blocks and its
+        transposed (p+1, size) feature blocks."""
         if not 0 < c_g < math.inf:
             raise ValueError("c_g must be positive and finite")
         theta = _as_theta(theta, self.dim)
-        x_aug = stacked.x_aug
+        x_t = stacked.x_t
         logits, residuals = self._factors(theta, stacked)
         scale = self._clip_scales(theta, stacked.sq_norms, logits, residuals, c_g)
-        residuals *= scale[:, None]
+        residuals *= scale
         n, classes, width = len(stacked.sizes), self.num_classes, self.feature_dim + 1
         sums = np.empty((n, classes, width))
         scale_sums = np.empty(n)
-        for first, count, size, row in stacked.runs:
-            rows, shards = slice(row, row + count * size), slice(first, first + count)
-            sums[shards] = np.matmul(residuals[rows].reshape(count, size, classes).transpose(0, 2, 1),
-                                     x_aug[rows].reshape(count, size, width))
-            scale_sums[shards] = np.add.reduce(scale[rows].reshape(count, size), axis=1)
+        for first, count, size, col in stacked.runs:
+            cols, shards = slice(col, col + count * size), slice(first, first + count)
+            sums[shards] = np.matmul(residuals[:, cols].reshape(classes, count, size).transpose(1, 0, 2),
+                                     x_t[:, cols].reshape(width, count, size).transpose(1, 2, 0))
+            scale_sums[shards] = np.add.reduce(scale[cols].reshape(count, size), axis=1)
         sums = sums.reshape(n, self.dim)
         sums += (self.l2_lambda * scale_sums)[:, None] * theta
         return sums
@@ -257,37 +263,37 @@ class SoftmaxHeadTask:
         """min(1, c_g/||g_i||), ||g_i||^2 = ||r_i||^2 ||x_i||^2 + 2 lam r_i.z_i
         + lam^2 ||theta||^2, less 4 ulps times how far the cross term cancels
         the squares, so that no scaled row leaves the ball.  x_sq_norms holds
-        the ||x_i||^2."""
+        the ||x_i||^2; the dots add the class rows in order."""
         lam = self.l2_lambda
-        squares = np.einsum("ij,ij->i", residuals, residuals) * x_sq_norms
+        squares = np.einsum("km,km->m", residuals, residuals) * x_sq_norms
         squares += lam * lam * float(theta @ theta)
-        sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("ij,ij->i", residuals, logits), _TINY)
+        sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("km,km->m", residuals, logits), _TINY)
         safety = 1.0 - 4.0 * _EPS * np.maximum(1.0, squares / sq_norms)
         # A NaN norm gives a NaN scale, as a NaN row norm does in clip_rows.
         return np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
 
     def loss_and_accuracy(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
-        """Loss and accuracy over every row of the stack, as one dataset."""
+        """Loss and accuracy over every example of the stack, as one dataset."""
         theta = _as_theta(theta, self.dim)
         labels = stacked.labels
         if labels.size == 0:
             raise ValueError("empty dataset")
-        _, log_probs = self._log_probs(theta, stacked.x_aug)
-        nll = -log_probs[np.arange(labels.size), labels]
+        _, log_probs = self._log_probs(theta, stacked.x_t)
+        nll = -log_probs.take(stacked.label_index)
         loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
         # np.argmax resolves ties toward the lowest class index, which is the
         # documented deterministic tie-break.
-        predictions = np.argmax(log_probs, axis=1)
+        predictions = np.argmax(log_probs, axis=0)
         accuracy = float(np.mean(predictions == labels))
         return loss, accuracy
 
     def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
         """Each shard's loss_and_accuracy loss, from one pass over the stack."""
-        _, log_probs = self._log_probs(theta, stacked.x_aug)
-        nll = -log_probs[np.arange(stacked.labels.shape[0]), stacked.labels]
+        _, log_probs = self._log_probs(theta, stacked.x_t)
+        nll = -log_probs.take(stacked.label_index)
         means = np.empty(len(stacked.sizes))
-        for first, count, size, row in stacked.runs:
-            means[first:first + count] = np.add.reduce(nll[row:row + count * size].reshape(count, size), axis=1) / size
+        for first, count, size, col in stacked.runs:
+            means[first:first + count] = np.add.reduce(nll[col:col + count * size].reshape(count, size), axis=1) / size
         return means + 0.5 * self.l2_lambda * float(theta @ theta)
 
     def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureStack) -> tuple:

@@ -229,6 +229,23 @@ class TestClipRowsMatchesReference:
                 assert_matches_reference(grads, 2.0)
             assert_matches_reference(np.broadcast_to([bad, 1.0], (5, 2)), 2.0)
 
+    def test_a_finite_row_whose_squares_overflow_lands_on_the_radius(self):
+        # Its squared norm is inf, yet the row is finite: it is scaled onto
+        # the radius, not to zero, and every other row keeps its bits.
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(clip_rows(np.array([[1e200, 0.0]]), 1.0), [[1.0, 0.0]])
+            rng = np.random.default_rng(127)
+            for _ in range(100):
+                grads = random_stack(rng, (0.0, 4.0))
+                wide = rng.integers(grads.shape[0])
+                grads[wide] = rng.normal(size=grads.shape[1]) * 10.0 ** rng.uniform(155.0, 307.0)
+                out = clip_rows(grads, 2.0)
+                rest = np.arange(grads.shape[0]) != wide
+                np.testing.assert_array_equal(out[rest], reference_clip_rows(grads[rest], 2.0))
+                assert 2.0 * (1 - 1e-15) <= np.linalg.norm(out, axis=1)[wide] <= 2.0
+                np.testing.assert_allclose(out[wide], grads[wide] / np.linalg.norm(grads[wide] / 1e300) / 1e300 * 2.0,
+                                           rtol=1e-14)
+
     def test_input_is_never_modified(self):
         grads = np.array([[3.0, 4.0], [0.1, 0.2]])
         before = grads.copy()

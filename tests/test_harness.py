@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -96,12 +97,12 @@ class TestBuildBundle:
         assert max(train_sizes) - min(train_sizes) <= 1
 
     def assert_read_only_one_shard_stack(self, stacked, dataset):
-        """The test set is stacked once: its rows with a bias column of ones."""
+        """The test set is stacked once: its rows, transposed, with a bias row of ones."""
         assert stacked.sizes == (dataset.size,)
-        np.testing.assert_array_equal(stacked.x_aug[:, :-1], dataset.features)
-        np.testing.assert_array_equal(stacked.x_aug[:, -1], 1.0)
+        np.testing.assert_array_equal(stacked.x_t[:-1], dataset.features.T)
+        np.testing.assert_array_equal(stacked.x_t[-1], 1.0)
         np.testing.assert_array_equal(stacked.labels, dataset.labels)
-        assert not stacked.x_aug.flags.writeable
+        assert not stacked.x_t.flags.writeable
         assert not stacked.labels.flags.writeable
 
     def test_feature_stack_holds_the_partition_in_order(self, tmp_path):
@@ -111,9 +112,9 @@ class TestBuildBundle:
         shards = task_module.partition_iid(data, 4, seed=derive_stream_seed(0, PARTITION_STREAM_TAG, 0))
         stacked = bundle.train
         assert stacked.sizes == tuple(s.size for s in shards)
-        np.testing.assert_array_equal(stacked.x_aug[:, :-1], np.concatenate([s.features for s in shards]))
+        np.testing.assert_array_equal(stacked.x_t[:-1], np.concatenate([s.features for s in shards]).T)
         np.testing.assert_array_equal(stacked.labels, np.concatenate([s.labels for s in shards]))
-        np.testing.assert_array_equal(stacked.x_aug[:, -1], 1.0)
+        np.testing.assert_array_equal(stacked.x_t[-1], 1.0)
 
     def test_explicit_test_file_disables_the_holdout(self, tmp_path):
         train = write_feature_file(tmp_path, count=40, seed=1, name="a.features")
@@ -127,9 +128,9 @@ class TestBuildBundle:
         a = build_bundle(FeatureTaskBinding(train_path=path), 5, 9)
         b = build_bundle(FeatureTaskBinding(train_path=path), 5, 9)
         assert a.train.sizes == b.train.sizes
-        np.testing.assert_array_equal(a.train.x_aug, b.train.x_aug)
+        np.testing.assert_array_equal(a.train.x_t, b.train.x_t)
         np.testing.assert_array_equal(a.train.labels, b.train.labels)
-        np.testing.assert_array_equal(a.test.x_aug, b.test.x_aug)
+        np.testing.assert_array_equal(a.test.x_t, b.test.x_t)
 
     def test_mismatched_test_dimension_rejected(self, tmp_path):
         train = write_feature_file(tmp_path, dim=3, name="a.features")
@@ -167,7 +168,7 @@ class TestBuildBundle:
         assert (a.task.num_classes, a.task.dim) == (b.task.num_classes, b.task.dim)
         for x, y in ((a.train, b.train), (a.test, b.test)):
             assert x.sizes == y.sizes
-            for field in ("x_aug", "labels", "sq_norms", "onehot"):
+            for field in ("x_t", "labels", "sq_norms", "onehot", "label_index"):
                 u, v = getattr(x, field), getattr(y, field)
                 assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes()), field
 
@@ -306,6 +307,21 @@ class TestRunRound:
             reference = reference - config.eta * bundle.task.global_gradient(reference)
             assert np.linalg.norm(state.theta - reference) <= 1e-12
 
+    def test_an_overflowing_round_raises_no_warning_and_keeps_its_checks(self):
+        # eta = 1e300 sends theta past 1e150, where the gradients' squared
+        # norms overflow; the whole round runs under the same errstate.
+        config = quad_config(n=3, T=6, eta=1e300, clip_cg=100.0)
+        bundle = build_bundle(QuadraticTaskBinding(d=4, mu=0.5, L=2.0, heterogeneity=1.0), 3, 0)
+        state = ServerState.initial(np.zeros(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for streams in round_streams(config):
+                state, _ = run_round(bundle, state, config, streams)
+            with pytest.raises(ValueError, match="one stream per shard"):
+                run_round(bundle, state, config, (None,) * 2)
+            with pytest.raises(ValueError, match="theta must have dimension 4"):
+                run_round(bundle, ServerState.initial(np.zeros(3)), config, (None,) * 3)
+
 
 class TestRoundStreams:
     def test_each_round_gets_the_n_derived_streams(self):
@@ -384,6 +400,16 @@ class TestRunExperiment:
             table = run_experiment(quad_plan(config=config, eval_every=1))
         assert math.isfinite(table.rows[0].aggregate_grad_norm)
         assert math.isnan(table.rows[1].aggregate_grad_norm)
+
+    def test_a_diverged_quadratic_run_keeps_clipping_onto_the_radius(self):
+        # Past round 1 every gradient's squared norm overflows; each finite
+        # gradient still clips onto c_g, so the aggregate is not frozen at 0.
+        config = quad_config(n=3, T=8, eta=1e300, clip_cg=100.0)
+        table = run_experiment(quad_plan(QuadraticTaskBinding(d=4, mu=0.5, L=2.0, heterogeneity=1.0),
+                                         config=config, eval_every=1))
+        assert all(row.train_loss == math.inf for row in table.rows)
+        for row in table.rows[1:]:
+            assert row.aggregate_grad_norm == pytest.approx(100.0, rel=1e-12)
 
     def test_single_round_run_produces_one_row(self):
         table = run_experiment(quad_plan(config=quad_config(T=1), eval_every=1))

@@ -105,12 +105,13 @@ class TestSoftmaxGradient:
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
     def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
-        # The column-chain row maximum and row sum (below eight classes) and
-        # the stack's preallocated augmented matrix must give exactly what
-        # max(axis=1), sum(axis=1) and np.hstack give, ties and non-finite
-        # logits included, on both sides of the cut-over at eight classes.
+        # The class-major row maximum and row sum, and the stack's transposed
+        # augmented matrix, must give exactly what max(axis=1), sum(axis=1)
+        # and np.hstack give on the example-major logits, ties and
+        # non-finite logits included: below eight classes, across the
+        # pairwise sum's eight partial sums, and past its split at 128.
         rng = np.random.default_rng(17)
-        for classes in range(2, 11):
+        for classes in (*range(2, 11), 15, 16, 17, 20, 24, 130):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
             features = rng.normal(size=(40, 5)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 1))
             features[3] = features[4]
@@ -119,16 +120,19 @@ class TestSoftmaxGradient:
             theta[: task.feature_dim + 1] = theta[task.feature_dim + 1: 2 * (task.feature_dim + 1)]
             x_aug = np.hstack([features, np.ones((40, 1))])
             stacked = task.stack((FeatureDataset(features, np.zeros(40, dtype=np.int64)),))
-            np.testing.assert_array_equal(stacked.x_aug, x_aug)
+            np.testing.assert_array_equal(stacked.x_t, x_aug.T)
+            assert stacked.x_t.flags.c_contiguous
             with np.errstate(invalid="ignore"):
                 logits = x_aug @ theta.reshape(classes, 6).T
                 logits -= logits.max(axis=1, keepdims=True)
                 expected = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-                np.testing.assert_array_equal(task._log_probs(theta, x_aug)[1], expected)
+                np.testing.assert_array_equal(task._log_probs(theta, stacked.x_t)[1], expected.T,
+                                              err_msg=f"{classes} classes")
 
     def test_factors_keep_the_bits_of_the_label_scatter(self):
-        # Subtracting the stack's one-hot labels must give exactly what
-        # subtracting 1 at each row's label gives, non-finite rows included.
+        # Subtracting the stack's (K, M) one-hot labels must give exactly
+        # what subtracting 1 at each example's label gives, non-finite
+        # examples included, and the flat label index must pick those labels.
         rng = np.random.default_rng(19)
         for classes in (2, 5, 10):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
@@ -139,11 +143,12 @@ class TestSoftmaxGradient:
             theta = rng.normal(size=task.dim)
             with np.errstate(invalid="ignore"):
                 logits, residuals = task._factors(theta, stacked)
-                expected_logits, log_probs = task._log_probs(theta, stacked.x_aug)
+                expected_logits, log_probs = task._log_probs(theta, stacked.x_t)
                 expected = np.exp(log_probs)
-            expected[np.arange(30), labels] -= 1.0
+            expected[labels, np.arange(30)] -= 1.0
             np.testing.assert_array_equal(logits, expected_logits)
             np.testing.assert_array_equal(residuals, expected)
+            np.testing.assert_array_equal(log_probs.take(stacked.label_index), log_probs[labels, np.arange(30)])
 
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
@@ -242,9 +247,10 @@ def clipped_sum(task, theta, dataset, c_g):
 
 
 def factors(task, theta, dataset):
-    """(X, Z, R): one shard's augmented features, logits and R = softmax(Z) - onehot."""
+    """(X, Z, R), example-major: one shard's augmented features, logits and
+    R = softmax(Z) - onehot, from the stack's class-major arrays."""
     stacked = task.stack((dataset,))
-    return (stacked.x_aug, *task._factors(theta, stacked))
+    return tuple(array.T for array in (stacked.x_t, *task._factors(theta, stacked)))
 
 
 def ghost_scales(task, theta, dataset, c_g):
@@ -255,19 +261,23 @@ def ghost_scales(task, theta, dataset, c_g):
 
 
 class TestFeatureStack:
-    """The per-run constants a stack holds: each row's ||x||^2 and one-hot label."""
+    """The per-run constants a stack holds: each example's ||x||^2, its
+    one-hot label as a (K, M) column, and its label's flat index there."""
 
     def three_shards(self, task, rng):
         return tuple(FeatureDataset(rng.normal(size=(size, task.feature_dim)) * rng.uniform(0.1, 10.0),
                                     rng.integers(0, task.num_classes, size=size)) for size in (9, 12, 12))
 
     def assert_constants_of(self, stacked, task):
-        """The constants are read-only and recompute from x_aug and labels to the bit."""
-        x_aug, labels = stacked.x_aug, stacked.labels
-        np.testing.assert_array_equal(stacked.sq_norms, np.einsum("ij,ij->i", x_aug, x_aug))
-        np.testing.assert_array_equal(stacked.onehot, np.eye(task.num_classes)[labels])
+        """The constants are read-only and recompute from x_t and labels to the bit."""
+        x_t, labels = stacked.x_t, stacked.labels
+        count = labels.shape[0]
+        assert x_t.shape == (task.feature_dim + 1, count) and x_t.flags.c_contiguous
+        np.testing.assert_array_equal(stacked.sq_norms, np.einsum("ji,ji->i", x_t, x_t))
+        np.testing.assert_array_equal(stacked.onehot, np.eye(task.num_classes)[:, labels])
+        np.testing.assert_array_equal(stacked.label_index, labels * count + np.arange(count))
         assert stacked.onehot.dtype == np.float64
-        for array in (x_aug, labels, stacked.sq_norms, stacked.onehot):
+        for array in (x_t, labels, stacked.sq_norms, stacked.onehot, stacked.label_index):
             assert not array.flags.writeable
 
     def test_constants_are_read_only_recomputations(self):
@@ -288,7 +298,7 @@ class TestFeatureStack:
                                      for shard, pick in zip(shards, picks)))
             self.assert_constants_of(cut, task)
             assert cut.sizes == fresh.sizes == (4, 12, 7)
-            for name in ("x_aug", "labels", "sq_norms", "onehot"):
+            for name in ("x_t", "labels", "sq_norms", "onehot", "label_index"):
                 np.testing.assert_array_equal(getattr(cut, name), getattr(fresh, name), err_msg=name)
             theta = rng.normal(size=task.dim)
             for c_g in (0.01, 1.0, 100.0):
