@@ -62,9 +62,10 @@ class FeatureTaskBinding:
     Without an explicit test file, a deterministic seeded holdout split is
     carved from the training file (fraction controlled by holdout_fraction).
 
-    The binding reads its files when it builds its first bundle and keeps
-    the parse, so a file edited after that needs a new binding; bindings
-    over identical content share one read-only parse (load_frozen_features).
+    The binding reads and stacks each file once, at its first bundle, and
+    every bundle's stacks are column gathers of those; so a file edited after
+    that needs a new binding.  Bindings over identical content share one
+    read-only parse (load_frozen_features).
     """
 
     train_path: str
@@ -85,36 +86,36 @@ class FeatureTaskBinding:
 
     @functools.cached_property
     def _files(self) -> tuple:
-        """(train dataset, classes, test dataset or None), read once: a
-        failed read raises and keeps nothing, so the next bundle reads again."""
+        """(head, train file's stack, test file's stack or None), built once:
+        a failed read raises and keeps nothing, so the next bundle reads again."""
         train_data, classes = load_frozen_features(self.train_path)
+        head = SoftmaxHeadTask(classes, train_data.feature_dim, self.l2_lambda)
         if self.test_path is None:
-            return train_data, classes, None
+            return head, head.stack((train_data,)), None
         test_data, test_classes = load_frozen_features(self.test_path)
         if test_data.feature_dim != train_data.feature_dim:
             raise ValueError("train and test feature dimensions differ")
         if test_classes != classes:
             raise ValueError("train and test class counts differ")
-        return train_data, classes, test_data
+        return head, head.stack((train_data,)), head.stack((test_data,))
 
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
         """The softmax head over the file's features, its training rows
         split into n shards by master_seed's partition stream."""
-        train_data, classes, test_data = self._files
-        if test_data is None:
+        head, whole, test = self._files
+        rows = np.arange(whole.sizes[0])
+        if test is None:
             holdout_rng = np.random.default_rng(derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0))
-            perm = holdout_rng.permutation(train_data.size)
-            cut = int(round(self.holdout_fraction * train_data.size))
+            rows = holdout_rng.permutation(rows.size)
+            cut = int(round(self.holdout_fraction * rows.size))
             if cut == 0:
-                raise ValueError(f"holdout_fraction {self.holdout_fraction!r} holds out no row "
-                                 f"of {train_data.size}")
-            if cut >= train_data.size:
+                raise ValueError(f"holdout_fraction {self.holdout_fraction!r} holds out no row of {rows.size}")
+            if cut >= rows.size:
                 raise ValueError("holdout fraction leaves no training data")
-            test_data = train_data.subset(perm[:cut])
-            train_data = train_data.subset(perm[cut:])
-        shards = partition_iid(train_data, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
-        head = SoftmaxHeadTask(classes, train_data.feature_dim, self.l2_lambda)
-        return TaskBundle(task=head, train=head.stack(shards), test=head.stack((test_data,)))
+            test, rows = whole.take(rows[:cut], (cut,)), rows[cut:]
+        shards = partition_iid(rows.size, n, seed=derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0))
+        train = whole.take(rows[np.concatenate(shards)], tuple(shard.size for shard in shards))
+        return TaskBundle(task=head, train=train, test=test)
 
 
 @dataclass(frozen=True)

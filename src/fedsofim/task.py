@@ -18,6 +18,7 @@ from typing import Union
 import numpy as np
 
 from .client import clip_rows
+from .core import is_integer
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
@@ -42,9 +43,6 @@ class FeatureDataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices: np.ndarray) -> "FeatureDataset":
-        return FeatureDataset(self.features[indices], self.labels[indices])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +91,12 @@ def _layout(sizes: tuple) -> tuple:
 
 
 class FeatureStack:
-    """Every training shard of a softmax run, stacked once and class-major:
-    the augmented features [x, 1] transposed, x_t (p+1, M), the labels (M,)
-    in shard order, and the shard sizes, with their ``_layout``.  It also
-    holds, computed once, what the releases read of each example: ||x_i||^2
-    (M,), the one-hot labels (K, M) and each label's flat index in a (K, M)
-    array, labels*M + arange(M).  Every array is read-only."""
+    """Examples of a softmax task in shards, class-major: the augmented
+    features [x, 1] transposed, x_t (p+1, M), the labels (M,) in shard order,
+    and the shard sizes, with their ``_layout``.  It also holds what the
+    releases read of each example: ||x_i||^2 (M,), the one-hot labels (K, M)
+    and each label's flat index in a (K, M) array, labels*M + arange(M).
+    Every array is read-only."""
 
     def __init__(self, x_t: np.ndarray, labels: np.ndarray, sizes: tuple, sq_norms: np.ndarray, classes: int):
         count = labels.shape[0]
@@ -110,14 +108,18 @@ class FeatureStack:
         self.x_t, self.labels, self.sizes, self.sq_norms = x_t, labels, sizes, sq_norms
         self.starts, self.runs, self.counts = _layout(sizes)
 
+    def take(self, cols: np.ndarray, sizes: tuple) -> "FeatureStack":
+        """The examples at cols, in that order, as shards of these sizes."""
+        return FeatureStack(self.x_t.take(cols, axis=1), self.labels[cols], sizes, self.sq_norms[cols],
+                            self.onehot.shape[0])
+
     def subset(self, picks: list) -> "FeatureStack":
         """The stack with shard i cut to its examples picks[i] (all of them
-        where picks[i] is None), its constants gathered from this one's."""
+        where picks[i] is None)."""
         cols = np.concatenate([np.arange(col, col + size) if pick is None else col + pick
                                for col, size, pick in zip(self.starts, self.sizes, picks)])
         sizes = tuple(size if pick is None else len(pick) for size, pick in zip(self.sizes, picks))
-        return FeatureStack(self.x_t.take(cols, axis=1), self.labels[cols], sizes, self.sq_norms[cols],
-                            self.onehot.shape[0])
+        return self.take(cols, sizes)
 
 
 class QuadraticStack:
@@ -216,18 +218,14 @@ class SoftmaxHeadTask:
         return grads
 
     def stack(self, shards) -> FeatureStack:
-        """The shards' augmented features, transposed, and labels in one
-        contiguous stack, one column block per shard: the one place features
-        get their bias row, and the one place the stack's constants are
-        computed."""
+        """The shards' augmented features [x, 1], transposed, and labels as one
+        stack, a column block per shard: the one place an example gets its bias
+        row and its ||x||^2, which every gathered stack (take) keeps."""
+        if any(shard.features.shape[1] != self.feature_dim for shard in shards):
+            raise ValueError(f"features must have dimension {self.feature_dim}")
         sizes = tuple(shard.size for shard in shards)
         x_t = np.empty((self.feature_dim + 1, sum(sizes)))
-        col = 0
-        for shard in shards:
-            if shard.features.shape[1] != self.feature_dim:
-                raise ValueError(f"features must have dimension {self.feature_dim}")
-            x_t[:-1, col:col + shard.size] = shard.features.T
-            col += shard.size
+        np.concatenate([shard.features for shard in shards], out=x_t[:-1].T)
         x_t[-1] = 1.0
         labels = np.concatenate([shard.labels for shard in shards])
         return FeatureStack(x_t, labels, sizes, np.einsum("ji,ji->i", x_t, x_t), self.num_classes)
@@ -410,18 +408,14 @@ class QuadraticTask:
 Task = Union[SoftmaxHeadTask, QuadraticTask]
 
 
-def partition_iid(dataset: FeatureDataset, n: int, seed: int) -> list:
-    """Seeded uniform shuffle split into n shards with sizes differing by <= 1.
-
-    When the count is not divisible by n, the earlier shards take the extra
-    example.
-    """
-    if dataset.size < n:
-        raise ValueError(f"cannot partition {dataset.size} examples across {n} clients")
+def partition_iid(count: int, n: int, seed: int) -> list:
+    """Seeded uniform shuffle of range(count), split into n index arrays
+    whose sizes differ by <= 1, the earlier arrays taking the extra indices."""
+    if count < n:
+        raise ValueError(f"cannot partition {count} examples across {n} clients")
     if n < 1:
         raise ValueError("n must be >= 1")
-    perm = np.random.default_rng(seed).permutation(dataset.size)
-    return [dataset.subset(chunk) for chunk in np.array_split(perm, n)]
+    return np.array_split(np.random.default_rng(seed).permutation(count), n)
 
 
 # Parsed feature files keyed by a digest of their bytes.  A grid search
@@ -531,8 +525,8 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
 def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_size: int) -> list:
     """What is wrong with these synthetic quadratic settings, one message each."""
     problems = []
-    if not 1 <= d <= 64:
-        problems.append("d must lie in [1, 64]")
+    if not (is_integer(d) and 1 <= d <= 64):
+        problems.append("d must lie in [1, 64]" if is_integer(d) else "d must be an integer")
     if not 0 < mu < math.inf:
         problems.append("mu must be positive and finite")
     if not abs(L) < math.inf:
@@ -541,8 +535,8 @@ def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_
         problems.append("mu must not exceed L")
     if not 0 <= heterogeneity < math.inf:
         problems.append("heterogeneity must be nonnegative and finite")
-    if not shard_size >= 1:
-        problems.append("shard_size must be >= 1")
+    if not (is_integer(shard_size) and shard_size >= 1):
+        problems.append("shard_size must be >= 1" if is_integer(shard_size) else "shard_size must be an integer")
     return problems
 
 
@@ -563,8 +557,8 @@ def make_synthetic_quadratic(
     (QuadraticTask, list of QuadraticShard).
     """
     problems = quadratic_problems(d, mu, L, heterogeneity, shard_size)
-    if not n >= 1:
-        problems.append("n must be >= 1")
+    if not (is_integer(n) and n >= 1):
+        problems.append("n must be >= 1" if is_integer(n) else "n must be an integer")
     if problems:
         raise ValueError("; ".join(problems))
     rng = np.random.default_rng(seed)

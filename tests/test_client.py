@@ -67,16 +67,15 @@ class StubStack:
         self.counts = np.array(self.sizes, dtype=float)[:, None]
 
     def subset(self, picks):
-        return StubStack(shard if pick is None else shard.subset(pick) for shard, pick in zip(self.shards, picks))
+        """The stack gathers the picked rows itself, as FeatureStack does."""
+        return StubStack(shard if pick is None else StubDataset([shard.rows[i] for i in pick])
+                         for shard, pick in zip(self.shards, picks))
 
 
 class StubDataset:
     def __init__(self, rows):
         self.rows = [list(map(float, r)) for r in rows]
         self.size = len(self.rows)
-
-    def subset(self, indices):
-        return StubDataset([self.rows[i] for i in indices])
 
 
 def stub_release(rows, c_g, sigma_g=0.0, n=1, stream=None, batch_size=0):
@@ -549,7 +548,8 @@ class TestRoundRelease:
     def softmax_case(self, n):
         task = SoftmaxHeadTask(num_classes=4, feature_dim=6, l2_lambda=1e-3)
         data = make_anisotropic_features(1003, 6, 4, condition=1e2, separation=1.0, seed=n)
-        return task, partition_iid(data, n, seed=n)
+        parts = partition_iid(data.size, n, seed=n)
+        return task, [FeatureDataset(data.features[rows], data.labels[rows]) for rows in parts]
 
     def quadratic_case(self, n):
         task, shards = make_synthetic_quadratic(5, n, mu=0.5, L=2.0, heterogeneity=1.0, seed=n)

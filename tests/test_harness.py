@@ -91,7 +91,8 @@ class TestBuildBundle:
         bundle = build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.2), 4, 7)
         data, _ = task_module.load_frozen_features(path)
         perm = np.random.default_rng(derive_stream_seed(7, HOLDOUT_STREAM_TAG, 0)).permutation(100)
-        self.assert_read_only_one_shard_stack(bundle.test, data.subset(perm[:20]))
+        held = perm[:20]
+        self.assert_read_only_one_shard_stack(bundle.test, FeatureDataset(data.features[held], data.labels[held]))
         train_sizes = bundle.train.sizes
         assert sum(train_sizes) == 80
         assert max(train_sizes) - min(train_sizes) <= 1
@@ -109,11 +110,12 @@ class TestBuildBundle:
         path = write_feature_file(tmp_path, count=100, dim=3, classes=2)
         bundle = build_bundle(FeatureTaskBinding(train_path=path, test_path=path), 4, 0)
         data, _ = task_module.load_frozen_features(path)
-        shards = task_module.partition_iid(data, 4, seed=derive_stream_seed(0, PARTITION_STREAM_TAG, 0))
+        shards = task_module.partition_iid(100, 4, seed=derive_stream_seed(0, PARTITION_STREAM_TAG, 0))
         stacked = bundle.train
         assert stacked.sizes == tuple(s.size for s in shards)
-        np.testing.assert_array_equal(stacked.x_t[:-1], np.concatenate([s.features for s in shards]).T)
-        np.testing.assert_array_equal(stacked.labels, np.concatenate([s.labels for s in shards]))
+        rows = np.concatenate(shards)
+        np.testing.assert_array_equal(stacked.x_t[:-1], data.features[rows].T)
+        np.testing.assert_array_equal(stacked.labels, data.labels[rows])
         np.testing.assert_array_equal(stacked.x_t[-1], 1.0)
 
     def test_explicit_test_file_disables_the_holdout(self, tmp_path):
@@ -185,6 +187,56 @@ class TestBuildBundle:
                 fresh = FeatureTaskBinding(train_path=train, test_path=test_path)
                 self.assert_same_bits(bundle, fresh.bundle(n, seed))
 
+    def stacked_bundle(self, binding, n, master_seed):
+        """The bundle as parsed rows stacked per shard: the holdout and each
+        partition chunk cut from the training file as a dataset of their own,
+        then stacked, with no gather from a stack."""
+        data, classes = task_module.load_frozen_features(binding.train_path)
+        head = SoftmaxHeadTask(classes, data.feature_dim, binding.l2_lambda)
+
+        def rows_of(rows):
+            return FeatureDataset(data.features[rows], data.labels[rows])
+
+        if binding.test_path is None:
+            holdout_seed = derive_stream_seed(master_seed, HOLDOUT_STREAM_TAG, 0)
+            perm = np.random.default_rng(holdout_seed).permutation(data.size)
+            cut = int(round(binding.holdout_fraction * data.size))
+            test, data = rows_of(perm[:cut]), rows_of(perm[cut:])
+        else:
+            test, _ = task_module.load_frozen_features(binding.test_path)
+        partition_seed = derive_stream_seed(master_seed, PARTITION_STREAM_TAG, 0)
+        shards = tuple(rows_of(rows) for rows in task_module.partition_iid(data.size, n, seed=partition_seed))
+        return TaskBundle(task=head, train=head.stack(shards), test=head.stack((test,)))
+
+    def test_gathered_bundles_have_the_bits_of_stacked_shards(self, tmp_path):
+        # Every stack a bundle holds is a column gather of the training
+        # file's stack; it must keep the bits of stacking the rows afresh,
+        # ||x||^2 included.
+        for count, dim, classes in ((97, 3, 2), (230, 256, 10)):
+            shape = dict(dim=dim, classes=classes)
+            train = write_feature_file(tmp_path, count=count, seed=dim, name="a.features", **shape)
+            test = write_feature_file(tmp_path, count=31, seed=dim + 1, name="b.features", **shape)
+            for binding in (FeatureTaskBinding(train_path=train, l2_lambda=1e-3, holdout_fraction=0.3),
+                            FeatureTaskBinding(train_path=train, test_path=test)):
+                for n, seed in ((1, 0), (7, 3), (20, 11)):
+                    bundle = binding.bundle(n, seed)
+                    self.assert_same_bits(bundle, self.stacked_bundle(binding, n, seed))
+                    for stacked in (bundle.train, bundle.test):
+                        assert stacked.x_t.flags.c_contiguous
+
+    def test_a_binding_shares_its_test_stack_and_frees_its_stacks(self, tmp_path):
+        train = write_feature_file(tmp_path, count=60, seed=1, name="a.features")
+        test = write_feature_file(tmp_path, count=12, seed=2, name="b.features")
+        binding = FeatureTaskBinding(train_path=train, test_path=test)
+        bundle = binding.bundle(4, 0)
+        for n, seed in ((4, 1), (5, 0)):
+            assert binding.bundle(n, seed).test is bundle.test
+        assert not bundle.test.x_t.flags.writeable
+        ref = weakref.ref(binding._files[1].x_t)
+        del binding, bundle
+        gc.collect()
+        assert ref() is None
+
     def test_runs_over_one_plan_read_the_file_once(self, tmp_path, monkeypatch):
         path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
         plan = ExperimentPlan(config=quad_config(T=3, n=4), binding=FeatureTaskBinding(train_path=path))
@@ -232,6 +284,19 @@ class TestBuildBundle:
             (dict(d=0, mu=3.0, heterogeneity=math.inf, shard_size=0),
              "d must lie in [1, 64]; mu must not exceed L; heterogeneity must be nonnegative and finite; "
              "shard_size must be >= 1"),
+        ):
+            with pytest.raises(ValueError) as info:
+                QuadraticTaskBinding(**{**dict(d=4, mu=0.5, L=2.0), **settings})
+            assert str(info.value) == message
+
+    def test_quadratic_counts_refuse_a_bool_or_a_float(self):
+        # shard_size=2.5 used to be reported as the bundle's sizes, and a
+        # bool or float d to fail only in the bundle, with a TypeError.
+        for settings, message in (
+            (dict(shard_size=2.5), "shard_size must be an integer"),
+            (dict(shard_size=True), "shard_size must be an integer"),
+            (dict(d=True), "d must be an integer"),
+            (dict(d=3.0, shard_size=2.0), "d must be an integer; shard_size must be an integer"),
         ):
             with pytest.raises(ValueError) as info:
                 QuadraticTaskBinding(**{**dict(d=4, mu=0.5, L=2.0), **settings})
@@ -480,9 +545,9 @@ class TestSoftmaxRunPath:
         best, sweep = grid_search(plan, GridSpec(etas=(0.3,), clip_cgs=(0.5,)))
         assert len(sweep) == 1 and best.eta == 0.3
 
-    def test_a_run_stacks_each_split_once(self, tmp_path, monkeypatch):
-        # The training shards and the test set are each stacked when the
-        # bundle is built; no evaluation stacks anything again.
+    def test_a_binding_stacks_each_file_once(self, tmp_path, monkeypatch):
+        # The binding stacks each of its files when it builds its first
+        # bundle; no later bundle, release or evaluation stacks anything.
         calls = []
         stack = SoftmaxHeadTask.stack
 
@@ -492,10 +557,14 @@ class TestSoftmaxRunPath:
 
         monkeypatch.setattr(SoftmaxHeadTask, "stack", counted)
         path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
-        plan = ExperimentPlan(config=quad_config(T=6, n=4), binding=FeatureTaskBinding(train_path=path),
-                              eval_every=1)
-        assert len(run_experiment(plan).rows) == 6
-        assert calls == [4, 1]
+        test = write_feature_file(tmp_path, count=12, dim=3, classes=3, seed=1, name="test.features")
+        for test_path, stacks in ((None, [1]), (test, [1, 1])):
+            calls.clear()
+            plan = ExperimentPlan(config=quad_config(T=6, n=4), eval_every=1,
+                                  binding=FeatureTaskBinding(train_path=path, test_path=test_path))
+            first, second = run_experiment(plan), run_experiment(plan)
+            assert first == second and len(first.rows) == 6
+            assert calls == stacks
 
 
 class TestMetricsIO:

@@ -294,8 +294,9 @@ class TestFeatureStack:
             picks = [np.sort(rng.choice(9, size=4, replace=False)), None,
                      np.sort(rng.choice(12, size=7, replace=False))]
             cut = task.stack(shards).subset(picks)
-            fresh = task.stack(tuple(shard if pick is None else shard.subset(pick)
-                                     for shard, pick in zip(shards, picks)))
+            fresh = task.stack(tuple(
+                shard if pick is None else FeatureDataset(shard.features[pick], shard.labels[pick])
+                for shard, pick in zip(shards, picks)))
             self.assert_constants_of(cut, task)
             assert cut.sizes == fresh.sizes == (4, 12, 7)
             for name in ("x_t", "labels", "sq_norms", "onehot", "label_index"):
@@ -463,6 +464,17 @@ class TestQuadraticTask:
         with pytest.raises(ValueError, match="^mu must be positive and finite; n must be >= 1$"):
             make_synthetic_quadratic(4, 0, mu=math.nan, L=1.0, heterogeneity=0.0, seed=0)
 
+    def test_counts_refuse_a_bool_or_a_float(self):
+        # A bool or a float count would pass the range checks and fail, or
+        # be reported as a size, only later.
+        for bad in (True, 3.0):
+            assert quadratic_problems(bad, 0.5, 1.0, 0.0, 10) == ["d must be an integer"]
+        for bad in (True, 2.5):
+            assert quadratic_problems(4, 0.5, 1.0, 0.0, bad) == ["shard_size must be an integer"]
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match="^n must be an integer$"):
+                make_synthetic_quadratic(4, bad, mu=0.5, L=1.0, heterogeneity=0.0, seed=0)
+
     def test_clipped_sum_is_the_sum_of_the_clipped_repetition(self):
         task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
         theta = np.random.default_rng(5).normal(size=5) * 3.0
@@ -486,49 +498,35 @@ class TestQuadraticTask:
 
 
 class TestPartition:
-    def make_dataset(self, count, dim=3):
-        rng = np.random.default_rng(count)
-        return FeatureDataset(
-            features=rng.normal(size=(count, dim)),
-            labels=rng.integers(0, 2, size=count),
-        )
+    """partition_iid deals the indices range(count) out as n index arrays."""
 
     def test_divisible_case_gives_equal_shards(self):
-        shards = partition_iid(self.make_dataset(100), 20, seed=0)
+        shards = partition_iid(100, 20, seed=0)
         assert [s.size for s in shards].count(5) == 20
 
     def test_remainder_spreads_one_extra_example(self):
-        shards = partition_iid(self.make_dataset(101), 20, seed=0)
-        sizes = sorted(s.size for s in shards)
-        assert sizes == [5] * 19 + [6]
+        shards = partition_iid(101, 20, seed=0)
+        assert [s.size for s in shards] == [6] + [5] * 19
 
     def test_partition_is_a_bijection_on_examples(self):
-        dataset = self.make_dataset(47)
-        shards = partition_iid(dataset, 7, seed=3)
-        recombined = np.vstack([s.features for s in shards])
-        original = sorted(map(tuple, dataset.features))
-        assert sorted(map(tuple, recombined)) == original
-        assert sum(s.size for s in shards) == 47
+        shards = partition_iid(47, 7, seed=3)
+        assert all(s.dtype.kind == "i" for s in shards)
+        np.testing.assert_array_equal(np.sort(np.concatenate(shards)), np.arange(47))
 
     def test_same_seed_reproduces_the_partition(self):
-        dataset = self.make_dataset(30)
-        first = partition_iid(dataset, 4, seed=9)
-        second = partition_iid(dataset, 4, seed=9)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.features, b.features)
-            np.testing.assert_array_equal(a.labels, b.labels)
+        first = partition_iid(30, 4, seed=9)
+        second = partition_iid(30, 4, seed=9)
+        for a, b in zip(first, second, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_shuffle_differently(self):
-        dataset = self.make_dataset(30)
-        first = partition_iid(dataset, 4, seed=1)
-        second = partition_iid(dataset, 4, seed=2)
-        assert any(
-            not np.array_equal(a.features, b.features) for a, b in zip(first, second)
-        )
+        first = partition_iid(30, 4, seed=1)
+        second = partition_iid(30, 4, seed=2)
+        assert any(not np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_too_few_examples_rejected(self):
         with pytest.raises(ValueError, match="cannot partition 3 examples across 5 clients"):
-            partition_iid(self.make_dataset(3), 5, seed=0)
+            partition_iid(3, 5, seed=0)
 
 
 class TestFrozenFeatureFiles:
