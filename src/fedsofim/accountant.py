@@ -115,10 +115,12 @@ def calibrate_sigma(epsilon: float, delta: float, n: int, T: int) -> float:
 
     Bisects composed_delta (strictly decreasing in sigma_g) over the fixed
     bracket until the endpoints are within 0.1% of each other, returning the
-    feasible upper endpoint.  Raises if even the top of the bracket cannot
-    reach the target; if the bottom already satisfies it, the bottom is
-    returned (the true optimum is below anything this simulator can use).
+    feasible upper endpoint.  Raises for a non-finite epsilon or if the top
+    of the bracket cannot reach the target; if the bottom already meets it,
+    the bottom is returned (the true optimum is below anything usable here).
     """
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0,1)")
     lo, hi = CALIBRATION_BRACKET

@@ -55,6 +55,22 @@ logger = logging.getLogger(__name__)
 # Task bindings and bundles
 
 
+def _keeps_its_last_bundle(build):
+    """Keep a binding's bundle for its last (n, master_seed), types included:
+    that key returns the same bundle, and any other key drops it before
+    building, so a binding holds at most one.  A failed build keeps nothing."""
+    @functools.wraps(build)
+    def bundle(self, n: int, master_seed: int) -> "TaskBundle":
+        key = (type(n), n, type(master_seed), master_seed)
+        kept = self.__dict__.pop("_kept_bundle", None)
+        if kept is None or kept[0] != key:
+            del kept  # the old bundle goes before the new one is built
+            kept = key, build(self, n, master_seed)
+        self.__dict__["_kept_bundle"] = kept
+        return kept[1]
+    return bundle
+
+
 @dataclass(frozen=True)
 class FeatureTaskBinding:
     """Frozen-feature file task: path(s) plus head hyperparameters.
@@ -65,7 +81,7 @@ class FeatureTaskBinding:
     The binding reads and stacks each file once, at its first bundle, and
     every bundle's stacks are column gathers of those; so a file edited after
     that needs a new binding.  Bindings over identical content share one
-    read-only parse (load_frozen_features).
+    read-only parse (load_frozen_features).  It keeps its last bundle.
     """
 
     train_path: str
@@ -99,6 +115,7 @@ class FeatureTaskBinding:
             raise ValueError("train and test class counts differ")
         return head, head.stack((train_data,)), head.stack((test_data,))
 
+    @_keeps_its_last_bundle
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
         """The softmax head over the file's features, its training rows
         split into n shards by master_seed's partition stream."""
@@ -120,7 +137,7 @@ class FeatureTaskBinding:
 
 @dataclass(frozen=True)
 class QuadraticTaskBinding:
-    """Synthetic quadratic task generated from the plan's master seed."""
+    """Synthetic quadratic task generated from the plan's master seed; it keeps its last bundle."""
 
     d: int
     mu: float
@@ -133,6 +150,7 @@ class QuadraticTaskBinding:
         if problems:
             raise ValueError("; ".join(problems))
 
+    @_keeps_its_last_bundle
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
         """The quadratic drawn from master_seed's task stream, in n shards."""
         task, shards = make_synthetic_quadratic(self.d, n, self.mu, self.L, self.heterogeneity,
@@ -371,11 +389,13 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     """Sweep the grid, averaging final test accuracy over ``seeds`` reruns.
 
     Seed k shifts the master seed by k, changing noise, partition, and task
-    draws together.  Selection is the argmax of mean final accuracy; exact
-    ties break toward smaller eta, then smaller clip_cg, rho and beta (an
-    axis left out of the grid keeps the base config's value).  Returns
-    (best_config, sweep_rows) where each sweep row records the cell and its
-    mean final accuracy/loss.
+    draws together.  Seeds are the outer loop, so a seed's cells share the
+    binding's kept bundle, and a run evaluates only its final round (the
+    plan's eval_every changes no row).  Selection is the argmax of mean final
+    accuracy; exact ties break toward smaller eta, then smaller clip_cg, rho
+    and beta (an axis left out of the grid keeps the base config's value).
+    Returns (best_config, sweep_rows) where each sweep row records the cell
+    and its mean final accuracy/loss over its seeds, in seed order.
     """
     validate_plan(base_plan)
     if not is_integer(seeds):
@@ -383,17 +403,15 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     candidates = [getattr(grid, axis + "s") or (getattr(base_plan.config, axis),) for axis in GRID_AXES]
-    sweep = []
-    for values in itertools.product(*candidates):
-        cell = dict(zip(GRID_AXES, values))
-        accs, losses = [], []
-        for k in range(seeds):
+    cells = [dict(zip(GRID_AXES, values)) for values in itertools.product(*candidates)]
+    tables = [[] for _ in cells]
+    for k in range(seeds):
+        for cell, runs in zip(cells, tables):
             config = with_updates(base_plan.config, **cell, master_seed=base_plan.config.master_seed + k)
-            table = run_experiment(replace(base_plan, config=config, output_path=None))
-            accs.append(table.final_accuracy())
-            losses.append(table.final_loss())
-        sweep.append({**cell, "mean_final_accuracy": float(np.mean(accs)),
-                      "mean_final_loss": float(np.mean(losses))})
+            runs.append(run_experiment(replace(base_plan, config=config, eval_every=config.T, output_path=None)))
+    sweep = [{**cell, "mean_final_accuracy": float(np.mean([run.final_accuracy() for run in runs])),
+              "mean_final_loss": float(np.mean([run.final_loss() for run in runs]))}
+             for cell, runs in zip(cells, tables)]
     best = min(sweep, key=lambda r: (-r["mean_final_accuracy"], *(r[axis] for axis in GRID_AXES)))
     return with_updates(base_plan.config, **{axis: best[axis] for axis in GRID_AXES}), sweep
 

@@ -15,6 +15,7 @@ import pytest
 from scipy import integrate
 from scipy import stats
 
+import fedsofim.accountant as accountant_module
 from fedsofim.accountant import (
     calibrate_sigma,
     compose_adaptive,
@@ -230,6 +231,19 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 1.0, 20, 70)
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             calibrate_sigma(math.nan, 1e-5, 20, 70)
+
+    def test_a_nan_or_infinite_epsilon_is_refused_before_bisecting(self, monkeypatch):
+        # An infinite target used to return the bottom of the bracket.
+        def refuse(*args):
+            raise AssertionError("composed_delta evaluated for a non-finite target")
+
+        monkeypatch.setattr(accountant_module, "composed_delta", refuse)
+        for epsilon in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^epsilon must be nonnegative and finite$"):
+                calibrate_sigma(epsilon, 1e-5, 20, 70)
+
+    def test_composed_delta_keeps_delta_zero_at_infinite_epsilon(self):
+        assert composed_delta(math.inf, 1.0, 20, 70) == 0.0
 
 
 class TestComposeAdaptive:

@@ -139,6 +139,19 @@ class TestRunCommand:
         expected = calibrate_sigma(5.0, 1e-5, 4, 8)
         assert f"sigma_g = {expected}" in stdout
 
+    @pytest.mark.parametrize("command", ["run", "grid", "calibrate"])
+    def test_an_infinite_epsilon_target_fails_naming_epsilon(self, command, capsys):
+        # It used to run at the bottom of the calibration bracket and echo
+        # epsilon = inf, or print sigma_g = 0.001 and delta = 0.0.
+        target = ["--epsilon", "inf", "--delta", "1e-5"]
+        argv = {"run": ["run", *QUAD_FLAGS, *target],
+                "grid": ["grid", *QUAD_FLAGS, *target, "--etas", "0.2", "--clip_cgs", "1"],
+                "calibrate": ["calibrate", *target, "--n", "4", "--T", "8"]}[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: epsilon must be nonnegative and finite"
+        assert captured.out == ""
+
 
 class TestCalibrateCommand:
     def test_two_line_key_value_output(self, capsys):
@@ -179,6 +192,16 @@ class TestGridCommand:
         )
         assert lines[1].startswith("eta=0.2 clip_cg=100.0 rho=1.0 beta=0.9 accuracy=")
         assert lines[2:] == ["best:", f"eta = {best.eta!r}", "clip_cg = 100.0", "rho = 1.0", "beta = 0.9"]
+
+    def test_the_eval_cadence_changes_nothing_a_grid_prints(self, capsys):
+        # A grid reads only each run's final round, which is always evaluated.
+        args = ["grid", *QUAD_FLAGS, "--sigma_g", "1.0", "--etas", "0.05,0.2", "--clip_cgs", "1,100", "--seeds", "2"]
+        printed = []
+        for every in ("1", "3", "8"):
+            assert cli.main([*args, "--eval-every", every]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+        assert len(printed[0].splitlines()) == 4 + 5
 
     def test_bad_grid_list_fails_cleanly(self, capsys):
         code = cli.main([

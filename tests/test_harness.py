@@ -1,9 +1,11 @@
 """Round loop, experiment orchestration, metrics IO, and grid search."""
 
 import gc
+import json
 import math
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,7 +79,8 @@ class TestBuildBundle:
         assert bundle.test is None
 
     def test_dropped_quadratic_bundle_is_freed(self):
-        # No cache may keep a run's training data alive after the run.
+        # No cache but the binding's one kept bundle may keep a run's
+        # training data alive; once the binding goes, the bundle goes too.
         bundle = build_bundle(QuadraticTaskBinding(d=64, mu=0.5, L=2.0, shard_size=7), 100, 0)
         shard = bundle.train.shards[0]
         client_module.private_release(shard, np.zeros(64), 1.0, 0.0, 100, None, bundle.task)
@@ -256,13 +259,15 @@ class TestBuildBundle:
         assert len(reads) == 2
 
     def test_a_read_binding_compares_and_hashes_by_its_fields(self, tmp_path):
+        # Neither the read files nor the kept bundle take part.
         path = write_feature_file(tmp_path, count=40)
-        binding = FeatureTaskBinding(train_path=path, l2_lambda=1e-3)
-        binding.bundle(4, 0)
-        fresh = FeatureTaskBinding(train_path=path, l2_lambda=1e-3)
-        assert binding == fresh
-        assert hash(binding) == hash(fresh)
-        assert binding != FeatureTaskBinding(train_path=path)
+        for binding, other in ((FeatureTaskBinding(train_path=path, l2_lambda=1e-3), dict(l2_lambda=1e-4)),
+                               (QuadraticTaskBinding(d=4, mu=0.5, L=2.0), dict(mu=0.25))):
+            binding.bundle(4, 0)
+            fresh = replace(binding)
+            assert binding == fresh
+            assert hash(binding) == hash(fresh)
+            assert binding != replace(binding, **other)
 
     def test_bindings_reject_non_finite_and_out_of_range_settings(self):
         for settings, message in (
@@ -316,6 +321,81 @@ class TestBuildBundle:
         path = write_feature_file(tmp_path, count=10)
         with pytest.raises(ValueError, match="holdout fraction leaves no training data"):
             build_bundle(FeatureTaskBinding(train_path=path, holdout_fraction=0.999), 2, 0)
+
+
+class TestKeptBundle:
+    """A binding keeps its last bundle: a repeated (n, master_seed) returns
+    it, any other key drops it before building anew."""
+
+    KINDS = ("feature", "quadratic")
+
+    def binding_and_builds(self, kind, tmp_path, monkeypatch, on_build=None):
+        """A fresh binding of the kind, and the list its builds append to:
+        each build makes one call to partition_iid (feature) or
+        make_synthetic_quadratic, before any array of the new bundle exists;
+        the call is counted, and on_build runs first."""
+        if kind == "feature":
+            binding = FeatureTaskBinding(train_path=write_feature_file(tmp_path, count=60))
+            name = "partition_iid"
+        else:
+            binding = QuadraticTaskBinding(d=4, mu=0.5, L=2.0, shard_size=3)
+            name = "make_synthetic_quadratic"
+        builds, build = [], getattr(harness_module, name)
+
+        def counted(*args, **kwargs):
+            if on_build is not None:
+                on_build()
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, name, counted)
+        return binding, builds
+
+    @staticmethod
+    def data_of(bundle):
+        """An array only this bundle holds: the feature stack's x_t, or the
+        quadratic's stack of shards."""
+        return bundle.train.x_t if isinstance(bundle.train, task_module.FeatureStack) else bundle.train
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_repeated_key_returns_the_same_bundle(self, kind, tmp_path, monkeypatch):
+        takes = []
+        take = task_module.FeatureStack.take
+        monkeypatch.setattr(task_module.FeatureStack, "take", lambda *args: takes.append(1) or take(*args))
+        binding, builds = self.binding_and_builds(kind, tmp_path, monkeypatch)
+        first = binding.bundle(4, 0)
+        counts = len(builds), len(takes)
+        assert binding.bundle(4, 0) is first
+        assert build_bundle(binding, 4, 0) is first
+        assert (len(builds), len(takes)) == counts == (1, 2 if kind == "feature" else 0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_new_key_frees_the_old_bundle_before_building(self, kind, tmp_path, monkeypatch):
+        refs, seen = [], []
+        binding, builds = self.binding_and_builds(kind, tmp_path, monkeypatch,
+                                                  on_build=lambda: seen.append([ref() for ref in refs]))
+        bundle = binding.bundle(4, 0)
+        refs.append(weakref.ref(self.data_of(bundle)))
+        del bundle
+        assert refs[0]() is not None  # kept by the binding
+        fresh = binding.bundle(4, 1)
+        assert seen == [[], [None]]  # dead when the new build began
+        assert binding.bundle(4, 1) is fresh and len(builds) == 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_failing_key_raises_each_time_and_keeps_nothing(self, kind, tmp_path, monkeypatch):
+        # 60 rows leave 48 to partition; a quadratic refuses a bool n, which
+        # must not be served the bundle kept for n=1.
+        binding, builds = self.binding_and_builds(kind, tmp_path, monkeypatch)
+        bad, message = (49, "cannot partition 48 examples across 49 clients") if kind == "feature" else \
+            (True, "n must be an integer")
+        good = binding.bundle(1, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                binding.bundle(bad, 0)
+        again = binding.bundle(1, 0)
+        assert again is not good and len(builds) == 4
+        assert binding.bundle(1, 0) is again
 
 
 class TestPlanValidation:
@@ -663,6 +743,32 @@ class TestGridSearch:
         _, sweep_one = grid_search(plan, GridSpec(etas=(0.2,), clip_cgs=(2.0,)), seeds=1)
         _, sweep_three = grid_search(plan, GridSpec(etas=(0.2,), clip_cgs=(2.0,)), seeds=3)
         assert sweep_one[0]["mean_final_accuracy"] != sweep_three[0]["mean_final_accuracy"]
+
+    @pytest.mark.parametrize("settings, target", [(dict(), dict(epsilon=5.0, delta=1e-5)),
+                                                  (dict(batch_size=6, sigma_g=0.5), dict())])
+    def test_a_seed_outer_grid_keeps_the_rows_of_independent_runs(self, settings, target, tmp_path, monkeypatch):
+        # Each cell at seed k reuses seed k's kept bundle and evaluates only
+        # its final round; its rows must keep the bytes of fresh runs at the
+        # plan's own cadence, each on a binding of its own.
+        path = write_feature_file(tmp_path, count=90, dim=4, classes=3)
+        plan = ExperimentPlan(config=quad_config(n=3, T=5, master_seed=40, **settings), eval_every=2,
+                              binding=FeatureTaskBinding(train_path=path), **target)
+        cells, seeds = [dict(eta=0.3, clip_cg=0.5), dict(eta=1.0, clip_cg=0.5)], 3
+        expected = []
+        for cell in cells:
+            tables = []
+            for k in range(seeds):
+                config = quad_config(n=3, T=5, master_seed=40 + k, **settings, **cell)
+                tables.append(run_experiment(replace(plan, config=config, binding=FeatureTaskBinding(train_path=path))))
+            assert all(len(table.rows) == 3 for table in tables)
+            expected.append({**cell, "rho": plan.config.rho, "beta": plan.config.beta,
+                             "mean_final_accuracy": float(np.mean([t.final_accuracy() for t in tables])),
+                             "mean_final_loss": float(np.mean([t.final_loss() for t in tables]))})
+        builds, partition = [], harness_module.partition_iid
+        monkeypatch.setattr(harness_module, "partition_iid", lambda *a, **kw: builds.append(a) or partition(*a, **kw))
+        _, sweep = grid_search(plan, GridSpec(etas=(0.3, 1.0), clip_cgs=(0.5,)), seeds=seeds)
+        assert json.dumps(sweep).encode() == json.dumps(expected).encode()
+        assert len(builds) == seeds
 
     def test_a_seed_shifted_past_the_range_is_refused(self):
         plan = quad_plan(config=quad_config(T=2, master_seed=2**64 - 1))
