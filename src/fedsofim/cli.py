@@ -52,7 +52,6 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shard-size", type=int, default=10)
     p.add_argument("--epsilon", type=float, default=None, help="privacy target (requires --delta, sigma_g = 0)")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eval-every", type=int, default=10)
 
 
 def _resolve_plan(args: argparse.Namespace, **extra) -> ExperimentPlan:
@@ -66,7 +65,6 @@ def _resolve_plan(args: argparse.Namespace, **extra) -> ExperimentPlan:
         binding=_resolve_binding(args),
         epsilon=args.epsilon,
         delta=args.delta,
-        eval_every=args.eval_every,
         **extra,
     )
 
@@ -88,7 +86,8 @@ def _resolve_binding(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    table = run_experiment(_resolve_plan(args, output_path=args.output, record_timing=args.timing))
+    plan = _resolve_plan(args, eval_every=args.eval_every, output_path=args.output, record_timing=args.timing)
+    table = run_experiment(plan)
     for key, value in table.header.items():
         print(f"{key} = {value}")
     if args.output is not None:
@@ -161,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one federated experiment")
     _add_plan_flags(p_run)
+    p_run.add_argument("--eval-every", type=int, default=10, help="evaluate every K rounds and at the last")
     p_run.add_argument("--output", default=None, metavar="PATH", help="metrics file (stdout when omitted)")
     p_run.add_argument("--timing", action="store_true", help="record wall-clock in the elapsed column")
     p_run.set_defaults(handler=_cmd_run)

@@ -175,7 +175,7 @@ class TestCalibrateCommand:
 class TestGridCommand:
     def test_sweep_prints_cells_and_winner(self, capsys):
         code = cli.main([
-            "grid", *QUAD_FLAGS, "--eval-every", "8",
+            "grid", *QUAD_FLAGS,
             "--etas", "0.05,0.2", "--clip_cgs", "100",
         ])
         assert code == 0
@@ -193,15 +193,14 @@ class TestGridCommand:
         assert lines[1].startswith("eta=0.2 clip_cg=100.0 rho=1.0 beta=0.9 accuracy=")
         assert lines[2:] == ["best:", f"eta = {best.eta!r}", "clip_cg = 100.0", "rho = 1.0", "beta = 0.9"]
 
-    def test_the_eval_cadence_changes_nothing_a_grid_prints(self, capsys):
-        # A grid reads only each run's final round, which is always evaluated.
-        args = ["grid", *QUAD_FLAGS, "--sigma_g", "1.0", "--etas", "0.05,0.2", "--clip_cgs", "1,100", "--seeds", "2"]
-        printed = []
-        for every in ("1", "3", "8"):
-            assert cli.main([*args, "--eval-every", every]) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1] == printed[2]
-        assert len(printed[0].splitlines()) == 4 + 5
+    def test_a_grid_takes_no_eval_cadence(self, capsys):
+        # A grid evaluates only each run's final round, so the flag is run's alone.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["grid", *QUAD_FLAGS, "--etas", "0.2", "--clip_cgs", "1", "--eval-every", "8"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --eval-every 8" in captured.err
+        assert captured.out == ""
 
     def test_bad_grid_list_fails_cleanly(self, capsys):
         code = cli.main([
