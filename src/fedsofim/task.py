@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Union
@@ -424,38 +425,76 @@ def partition_iid(count: int, n: int, seed: int) -> list:
 # file is never served stale.
 _PARSED_FEATURE_FILES: "OrderedDict[bytes, tuple]" = OrderedDict()
 _PARSED_FEATURE_FILES_KEPT = 4
+# Every pass over a feature file reads it this many bytes at a time.
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunks(fh):
+    fh.seek(0)
+    while chunk := fh.read(_CHUNK_BYTES):
+        yield chunk
+
+
+def _decoded_lines(fh, digest):
+    r"""The file's lines as ``str.splitlines`` splits the whole text, with
+    every byte read fed to ``digest``.  Each chunk is decoded up to its last
+    ``\n``: a cut just after a ``\n`` splits no UTF-8 sequence and no line
+    separator (``\r\n`` ends there)."""
+    pending = bytearray()
+    for chunk in _chunks(fh):
+        digest.update(chunk)
+        pending += chunk
+        cut = pending.rfind(b"\n", len(pending) - len(chunk)) + 1
+        if cut:
+            text = pending[:cut].decode("utf-8")
+            del pending[:cut]
+            yield from text.splitlines()
+    yield from pending.decode("utf-8").splitlines()
 
 
 def load_frozen_features(path) -> tuple:
-    """Read the frozen-feature text format.
+    r"""Read the frozen-feature text format.
 
     First line ``dim=<int>,classes=<int>``; each following line
     ``label,f1,...,fdim``.  Returns (FeatureDataset, num_classes); the width
     and row count are the dataset's.  Loads of identical content share one
     read-only dataset.
+
+    The file is read in chunks of ``_CHUNK_BYTES``, never whole: a SHA-256
+    pass looks the content up in the parse cache (and goes with the cache),
+    and new content is parsed after a pass that counts its ``\n`` bytes to
+    size the arrays.  A load holds the parsed arrays, one chunk of text and
+    one row of Python floats.  A file that changes between the lookup and
+    the parse raises ValueError and is not cached.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    key = hashlib.sha256(data).digest()
-    if key in _PARSED_FEATURE_FILES:
-        _PARSED_FEATURE_FILES.move_to_end(key)
-    else:
-        # Parsing peaks with the lines alive; dropping the bytes and the
-        # text first keeps that peak where a plain read-and-split leaves it.
-        text = data.decode("utf-8")
-        del data
-        lines = text.splitlines()
-        del text
-        _PARSED_FEATURE_FILES[key] = _parse_frozen_features(lines)
-        if len(_PARSED_FEATURE_FILES) > _PARSED_FEATURE_FILES_KEPT:
-            _PARSED_FEATURE_FILES.popitem(last=False)
-    return _PARSED_FEATURE_FILES[key]
+        lookup = hashlib.sha256()
+        for chunk in _chunks(fh):
+            lookup.update(chunk)
+        key = lookup.digest()
+        if key in _PARSED_FEATURE_FILES:
+            _PARSED_FEATURE_FILES.move_to_end(key)
+            return _PARSED_FEATURE_FILES[key]
+        newlines = sum(chunk.count(b"\n") for chunk in _chunks(fh))
+        digest = hashlib.sha256()
+        size = os.fstat(fh.fileno()).st_size
+        parsed = _parse_frozen_features(_decoded_lines(fh, digest), newlines + 1, size)
+    if digest.digest() != key:
+        raise ValueError(f"{path}: the file changed while it was read")
+    _PARSED_FEATURE_FILES[key] = parsed
+    if len(_PARSED_FEATURE_FILES) > _PARSED_FEATURE_FILES_KEPT:
+        _PARSED_FEATURE_FILES.popitem(last=False)
+    return parsed
 
 
-def _parse_frozen_features(lines: list) -> tuple:
-    if not lines:
+def _parse_frozen_features(lines, most_lines: int, size: int) -> tuple:
+    r"""Parse an iterator over the lines of a feature file of ``size`` bytes,
+    of which there are at most ``most_lines`` if ``\n`` is their only
+    separator."""
+    header = next(lines, None)
+    if header is None:
         raise ValueError("malformed header: empty file")
-    header = lines[0].strip()
+    header = header.strip()
     parts = header.split(",")
     if len(parts) != 2 or not parts[0].startswith("dim=") or not parts[1].startswith("classes="):
         raise ValueError(f"malformed header: expected 'dim=<int>,classes=<int>', got {header!r}")
@@ -467,33 +506,48 @@ def _parse_frozen_features(lines: list) -> tuple:
     if dim < 1 or classes < 2:
         raise ValueError("malformed header: dim must be >= 1 and classes >= 2")
 
-    # Rows are written into arrays sized up front.  The header's dim sizes
-    # them only up to the first row of another width, whose error is raised
-    # once the rows before it have parsed, so errors still come in line order.
-    rows = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
-    if not rows:
-        raise ValueError("no example rows")
-    fit = next((i for i, (_, line) in enumerate(rows) if line.count(",") != dim), len(rows))
-    matrix = np.empty((fit, dim), dtype=np.float64)
-    label_array = np.empty(fit, dtype=np.int64)
-    for i, (lineno, line) in enumerate(rows[:fit]):
+    # Rows are written into arrays allocated at the first row of the header's
+    # width, one row per line that may be left but no more than the bytes
+    # hold (a row is at least 2 * dim + 1 of them), so neither the header's
+    # dim nor a run of blank lines sizes them alone.  Separators other than
+    # \n can leave them short, and blank or missing lines long; either is
+    # mended in place.  A row of another width raises once the rows before it
+    # have parsed, so errors still come in line order.
+    count = 0
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        if line.count(",") != dim:
+            raise ValueError(f"line {lineno}: expected {dim} features, got {line.count(',')}")
+        if count == 0:
+            rows = max(min(most_lines - lineno + 1, size // (2 * dim + 1)), 1)
+            matrix = np.empty((rows, dim), dtype=np.float64)
+            label_array = np.empty(rows, dtype=np.int64)
+            linenos = np.empty(rows, dtype=np.int64)
+        elif count == len(linenos):
+            for array in (matrix, label_array, linenos):
+                array.resize((2 * count,) + array.shape[1:], refcheck=False)
         cells = line.split(",")
         try:
             label = int(cells[0])
-            matrix[i] = list(map(float, cells[1:]))
+            matrix[count] = list(map(float, cells[1:]))
         except ValueError:
             raise ValueError(f"line {lineno}: unparseable numeric value") from None
         if not 0 <= label < classes:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {classes})")
-        label_array[i] = label
-    if fit < len(rows):
-        lineno, line = rows[fit]
-        raise ValueError(f"line {lineno}: expected {dim} features, got {line.count(',')}")
+        label_array[count] = label
+        linenos[count] = lineno
+        count += 1
+    if not count:
+        raise ValueError("no example rows")
+    if count < len(linenos):
+        for array in (matrix, label_array, linenos):
+            array.resize((count,) + array.shape[1:], refcheck=False)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         # A nan or inf would otherwise surface later as an inf loss, which
         # reads like a diverged run rather than bad data.
-        raise ValueError(f"line {rows[int(np.argmin(finite))][0]}: non-finite feature value")
+        raise ValueError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
     matrix.flags.writeable = False
     label_array.flags.writeable = False
     return FeatureDataset(matrix, label_array), classes
@@ -515,11 +569,20 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append("feature values must be finite")
     if problems:
         raise ValueError("; ".join(problems))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim={dataset.feature_dim},classes={num_classes}\n")
-        for i in range(dataset.size):
-            row = ",".join(repr(float(v)) for v in dataset.features[i])
-            fh.write(f"{int(dataset.labels[i])},{row}\n")
+    # Written beside the target and renamed over it, so a write that stops
+    # part-way leaves the old file or none, never one cut at a row boundary
+    # (which would load cleanly with fewer rows).
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(f"dim={dataset.feature_dim},classes={num_classes}\n")
+            for i in range(dataset.size):
+                row = ",".join(repr(float(v)) for v in dataset.features[i])
+                fh.write(f"{int(dataset.labels[i])},{row}\n")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_size: int) -> list:

@@ -6,10 +6,13 @@ solve for the quadratic minimizer, and full-precision summation for losses.
 """
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fedsofim.task as task_module
 from fedsofim.client import clip_rows, private_release
 from fedsofim.task import (
     FeatureDataset,
@@ -529,6 +532,21 @@ class TestPartition:
             partition_iid(3, 5, seed=0)
 
 
+def whole_text_oracle(data: bytes):
+    """Whole-text oracle for the chunked reader: decode the file at once,
+    split it with str.splitlines, and take every non-blank line after the
+    header as a row.  Returns (features, labels)."""
+    rows = [line.split(",") for line in data.decode("utf-8").splitlines()[1:] if line.strip()]
+    return np.array([[float(v) for v in row[1:]] for row in rows]), np.array([int(row[0]) for row in rows])
+
+
+def load_fresh(path):
+    """load_frozen_features with the content's cached parse dropped, so the
+    file is read and parsed again."""
+    task_module._PARSED_FEATURE_FILES.clear()
+    return load_frozen_features(path)
+
+
 class TestFrozenFeatureFiles:
     def test_documented_format_parses(self, tmp_path):
         path = tmp_path / "tiny.features"
@@ -677,6 +695,147 @@ class TestFrozenFeatureFiles:
         np.testing.assert_array_equal(before.features, [[1.0, 2.0]])
         np.testing.assert_array_equal(after.features, [[5.0, 2.0]])
         np.testing.assert_array_equal(after.labels, [1])
+
+    # A file of several 64-byte chunks: CRLF ends, blank lines, rows of
+    # about 230 bytes, and an 18-byte header line, "dim=12,classes=3\r\n".
+    # The chunk sizes cut inside a line, between the header's \r and \n
+    # (17), exactly after its \n (18) and after that; 1 << 16 reads it whole.
+    CHUNK_SIZES = (1, 7, 17, 18, 19, 64, 1 << 16)
+
+    def chunked_file(self, tmp_path, bad_cell=None):
+        rng = np.random.default_rng(8)
+        rows = [[str(k % 3)] + [repr(float(v)) for v in rng.normal(size=12)] for k in range(9)]
+        if bad_cell is not None:
+            rows[6][4] = bad_cell
+        lines = [",".join(row) for row in rows]
+        text = "\r\n".join(["dim=12,classes=3"] + lines[:3] + ["", "  "] + lines[3:]) + "\r\n"
+        path = tmp_path / "chunked.features"
+        path.write_bytes(text.encode())
+        assert path.stat().st_size > 8 * 64
+        return path, text.encode()
+
+    def test_chunked_read_gives_the_whole_text_arrays(self, tmp_path, monkeypatch):
+        path, data = self.chunked_file(tmp_path)
+        features, labels = whole_text_oracle(data)
+        assert features.shape == (9, 12)
+        for chunk_bytes in self.CHUNK_SIZES:
+            monkeypatch.setattr(task_module, "_CHUNK_BYTES", chunk_bytes)
+            dataset, classes = load_fresh(path)
+            assert classes == 3
+            assert dataset.features.tobytes() == features.tobytes()
+            np.testing.assert_array_equal(dataset.labels, labels)
+            assert dataset.features.flags.c_contiguous
+
+    def test_chunked_read_errors_name_the_whole_text_line(self, tmp_path, monkeypatch):
+        for cell, message in (("oops", "unparseable numeric value"), ("-inf", "non-finite feature value")):
+            path, data = self.chunked_file(tmp_path, bad_cell=cell)
+            lines = data.decode().splitlines()
+            (lineno,) = [k for k, line in enumerate(lines, start=1) if cell in line.split(",")]
+            assert lineno == 10  # the header, three rows, two blank lines, then rows 4-6
+            for chunk_bytes in self.CHUNK_SIZES:
+                monkeypatch.setattr(task_module, "_CHUNK_BYTES", chunk_bytes)
+                with pytest.raises(ValueError, match=f"^line {lineno}: {message}$"):
+                    load_fresh(path)
+
+    def test_other_line_separators_number_lines_as_splitlines(self, tmp_path, monkeypatch):
+        # Lone \r, \f, \x1c and \u2028 end lines as str.splitlines ends them,
+        # so the file holds more rows than \n bytes.
+        path = tmp_path / "separators.features"
+        text = "dim=1,classes=2\r0,1.0\f1,2.0\x1c\r\n0,3.0\u20281,4.0\r0,5.0\n1,6.0"
+        path.write_bytes(text.encode())
+        features, labels = whole_text_oracle(text.encode())
+        bad = text.replace("1,4.0", "1,oops")
+        lineno = bad.splitlines().index("1,oops") + 1
+        assert lineno == 6
+        for chunk_bytes in (1, 2, 5, 16, 1 << 16):
+            monkeypatch.setattr(task_module, "_CHUNK_BYTES", chunk_bytes)
+            path.write_bytes(text.encode())
+            dataset, _ = load_fresh(path)
+            np.testing.assert_array_equal(dataset.features, features)
+            np.testing.assert_array_equal(dataset.labels, labels)
+            path.write_bytes(bad.encode())
+            with pytest.raises(ValueError, match=f"^line {lineno}: unparseable numeric value$"):
+                load_fresh(path)
+
+    def test_a_load_holds_the_arrays_and_a_chunk_not_the_text(self, tmp_path):
+        dataset = make_anisotropic_features(3000, 96, 4, condition=10.0, separation=1.0, seed=3)
+        path = tmp_path / "big.features"
+        save_frozen_features(path, dataset, num_classes=4)
+        size = path.stat().st_size
+        assert size > 5_000_000
+        task_module._PARSED_FEATURE_FILES.clear()
+        tracemalloc.start()
+        try:
+            loaded, _ = load_frozen_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The arrays, the one-byte-per-value finiteness mask, and a fixed
+        # allowance for a chunk, its text, its lines and one row of floats.
+        matrix = loaded.features.nbytes
+        assert peak <= matrix + loaded.features.size + 2 * loaded.labels.nbytes + (1 << 20), (peak, matrix)
+        assert peak < size / 2
+
+    def test_blank_lines_size_no_array_beyond_the_bytes(self, tmp_path):
+        # A row for each line left would take 32 GB; the 0.28 MB file holds 7.
+        dim = 20_000
+        path = tmp_path / "blank.features"
+        path.write_text(f"dim={dim},classes=2\n1," + ",".join(["0.5"] * dim) + "\n" * 200_000)
+        task_module._PARSED_FEATURE_FILES.clear()
+        tracemalloc.start()
+        try:
+            dataset, _ = load_frozen_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.features.shape == (1, dim)
+        assert peak < 16 << 20
+
+    def test_a_file_changed_between_lookup_and_parse_fails_and_is_not_cached(self, tmp_path, monkeypatch):
+        path = tmp_path / "moving.features"
+        path.write_text("dim=2,classes=2\n0,1.0,2.0\n", encoding="utf-8")
+        read_lines = task_module._decoded_lines
+
+        def rewritten_first(fh, digest):
+            path.write_text("dim=2,classes=2\n1,5.0,2.0\n", encoding="utf-8")
+            return read_lines(fh, digest)
+
+        kept = list(task_module._PARSED_FEATURE_FILES)
+        monkeypatch.setattr(task_module, "_decoded_lines", rewritten_first)
+        with pytest.raises(ValueError) as info:
+            load_frozen_features(path)
+        assert str(info.value) == f"{path}: the file changed while it was read"
+        assert list(task_module._PARSED_FEATURE_FILES) == kept
+        monkeypatch.undo()
+        dataset, _ = load_frozen_features(path)
+        np.testing.assert_array_equal(dataset.features, [[5.0, 2.0]])
+
+    def test_a_write_that_stops_part_way_leaves_the_old_file_or_none(self, tmp_path, monkeypatch):
+        class FailsAtRow2(np.ndarray):
+            def __getitem__(self, index):
+                if isinstance(index, int) and index == 2:
+                    raise OSError("No space left on device")
+                return super().__getitem__(index)
+
+        failing = FeatureDataset(np.ones((5, 3)).view(FailsAtRow2), np.array([0, 1, 0, 1, 0]))
+        path = tmp_path / "target.features"
+        with pytest.raises(OSError, match="No space left"):
+            save_frozen_features(path, failing, num_classes=2)
+        assert os.listdir(tmp_path) == []
+        good = FeatureDataset(np.full((2, 3), 0.5), np.array([1, 0]))
+        save_frozen_features(path, good, num_classes=2)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="No space left"):
+            save_frozen_features(path, failing, num_classes=2)
+
+        def replace_fails(src, dst):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError, match="No space left"):
+            save_frozen_features(path, good, num_classes=2)
+        assert os.listdir(tmp_path) == ["target.features"]
+        assert path.read_bytes() == before
 
 
 class TestAnisotropicFeatures:
