@@ -81,7 +81,8 @@ class FeatureTaskBinding:
     The binding reads and stacks each file once, at its first bundle, and
     every bundle's stacks are column gathers of those; so a file edited after
     that needs a new binding.  Bindings over identical content share one
-    read-only parse (load_frozen_features).  It keeps its last bundle.
+    read-only parse (load_frozen_features), whose buffer each file's stack
+    wraps: the process holds a file's features once.  It keeps its last bundle.
     """
 
     train_path: str

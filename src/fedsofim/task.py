@@ -8,8 +8,10 @@ theory-verification suites.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import itertools
 import math
 import os
 from collections import OrderedDict
@@ -26,7 +28,8 @@ _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Column-stacked examples: features (m, p) float64, labels (m,) int64."""
+    """Examples: features (m, p) float64, labels (m,) int64.  A loaded file's
+    features are the read-only [:-1].T view of its softmax stack's x_t."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -221,13 +224,20 @@ class SoftmaxHeadTask:
     def stack(self, shards) -> FeatureStack:
         """The shards' augmented features [x, 1], transposed, and labels as one
         stack, a column block per shard: the one place an example gets its bias
-        row and its ||x||^2, which every gathered stack (take) keeps."""
+        row and its ||x||^2, which every gathered stack (take) keeps.  A lone
+        shard whose features are the [:-1].T view of a read-only C-ordered
+        float64 array with a last row of ones, as a loaded file's are, is
+        wrapped, not copied."""
         if any(shard.features.shape[1] != self.feature_dim for shard in shards):
             raise ValueError(f"features must have dimension {self.feature_dim}")
         sizes = tuple(shard.size for shard in shards)
-        x_t = np.empty((self.feature_dim + 1, sum(sizes)))
-        np.concatenate([shard.features for shard in shards], out=x_t[:-1].T)
-        x_t[-1] = 1.0
+        x_t = shards[0].features.base if len(shards) == 1 else None
+        if not (isinstance(x_t, np.ndarray) and x_t.dtype == np.float64 and x_t.flags.c_contiguous
+                and not x_t.flags.writeable
+                and x_t[:-1].T.__array_interface__ == shards[0].features.__array_interface__ and (x_t[-1] == 1).all()):
+            x_t = np.empty((self.feature_dim + 1, sum(sizes)))
+            np.concatenate([shard.features for shard in shards], out=x_t[:-1].T)
+            x_t[-1] = 1.0
         labels = np.concatenate([shard.labels for shard in shards])
         return FeatureStack(x_t, labels, sizes, np.einsum("ji,ji->i", x_t, x_t), self.num_classes)
 
@@ -436,20 +446,20 @@ def _chunks(fh):
 
 
 def _decoded_lines(fh, digest):
-    r"""The file's lines as ``str.splitlines`` splits the whole text, with
-    every byte read fed to ``digest``.  Each chunk is decoded up to its last
-    ``\n``: a cut just after a ``\n`` splits no UTF-8 sequence and no line
-    separator (``\r\n`` ends there)."""
+    r"""The file's lines as ``str.splitlines`` splits the whole text, a list
+    per chunk, with every byte read fed to ``digest``.  Each chunk is decoded
+    up to its last ``\n``: a cut just after a ``\n`` splits no UTF-8 sequence
+    and no line separator (``\r\n`` ends there)."""
     pending = bytearray()
     for chunk in _chunks(fh):
         digest.update(chunk)
         pending += chunk
         cut = pending.rfind(b"\n", len(pending) - len(chunk)) + 1
         if cut:
-            text = pending[:cut].decode("utf-8")
+            lines = pending[:cut].decode("utf-8").splitlines()
             del pending[:cut]
-            yield from text.splitlines()
-    yield from pending.decode("utf-8").splitlines()
+            yield lines
+    yield pending.decode("utf-8").splitlines()
 
 
 def load_frozen_features(path) -> tuple:
@@ -458,27 +468,28 @@ def load_frozen_features(path) -> tuple:
     First line ``dim=<int>,classes=<int>``; each following line
     ``label,f1,...,fdim``.  Returns (FeatureDataset, num_classes); the width
     and row count are the dataset's.  Loads of identical content share one
-    read-only dataset.
+    read-only dataset, whose features are the ``[:-1].T`` view of one
+    C-ordered (dim+1, rows) buffer with a last row of ones.
 
     The file is read in chunks of ``_CHUNK_BYTES``, never whole: a SHA-256
-    pass looks the content up in the parse cache (and goes with the cache),
-    and new content is parsed after a pass that counts its ``\n`` bytes to
-    size the arrays.  A load holds the parsed arrays, one chunk of text and
-    one row of Python floats.  A file that changes between the lookup and
-    the parse raises ValueError and is not cached.
+    pass looks the content up in the parse cache (and goes with the cache);
+    new content is parsed (_read_rows) after a pass that counts the ``\n``
+    bytes that size the buffer.  A load holds the buffer, the labels and one
+    chunk's text and rows.  A file that changes between the lookup and the
+    parse raises ValueError and is not cached.
     """
     with open(path, "rb") as fh:
-        lookup = hashlib.sha256()
+        lookup, chunk = hashlib.sha256(), b""
         for chunk in _chunks(fh):
             lookup.update(chunk)
         key = lookup.digest()
         if key in _PARSED_FEATURE_FILES:
             _PARSED_FEATURE_FILES.move_to_end(key)
             return _PARSED_FEATURE_FILES[key]
-        newlines = sum(chunk.count(b"\n") for chunk in _chunks(fh))
+        newlines = sum(part.count(b"\n") for part in _chunks(fh))
         digest = hashlib.sha256()
         size = os.fstat(fh.fileno()).st_size
-        parsed = _parse_frozen_features(_decoded_lines(fh, digest), newlines + 1, size)
+        parsed = _parse_frozen_features(_decoded_lines(fh, digest), newlines + (not chunk.endswith(b"\n")), size)
     if digest.digest() != key:
         raise ValueError(f"{path}: the file changed while it was read")
     _PARSED_FEATURE_FILES[key] = parsed
@@ -487,14 +498,14 @@ def load_frozen_features(path) -> tuple:
     return parsed
 
 
-def _parse_frozen_features(lines, most_lines: int, size: int) -> tuple:
+def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
     r"""Parse an iterator over the lines of a feature file of ``size`` bytes,
-    of which there are at most ``most_lines`` if ``\n`` is their only
-    separator."""
-    header = next(lines, None)
-    if header is None:
+    a list of them per chunk, of which there are at most ``most_lines`` if
+    ``\n`` is their only separator."""
+    lines = next(chunks, [])
+    if not lines:
         raise ValueError("malformed header: empty file")
-    header = header.strip()
+    header = lines.pop(0).strip()
     parts = header.split(",")
     if len(parts) != 2 or not parts[0].startswith("dim=") or not parts[1].startswith("classes="):
         raise ValueError(f"malformed header: expected 'dim=<int>,classes=<int>', got {header!r}")
@@ -506,56 +517,74 @@ def _parse_frozen_features(lines, most_lines: int, size: int) -> tuple:
     if dim < 1 or classes < 2:
         raise ValueError("malformed header: dim must be >= 1 and classes >= 2")
 
-    # Rows are written into arrays allocated at the first row of the header's
-    # width, one row per line that may be left but no more than the bytes
-    # hold (a row is at least 2 * dim + 1 of them), so neither the header's
-    # dim nor a run of blank lines sizes them alone.  Separators other than
-    # \n can leave them short, and blank or missing lines long; either is
-    # mended in place.  A row of another width raises once the rows before it
-    # have parsed, so errors still come in line order.
-    count = 0
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
+    # The buffer has a column per line left at the first row, but no more
+    # than the bytes hold (a row takes 2 * dim + 1); it is copied only if
+    # separators other than \n leave it short, or blank lines long.
+    x_t, count, lineno, non_finite, labels = None, 0, 2, None, []
+    for lines in itertools.chain([lines], chunks):
+        rows = [(k, line) for k, line in enumerate(lines, start=lineno) if line.strip()]
+        lineno += len(lines)
+        lines.clear()  # The reader and the chain hold the list; rows alone hold its text.
+        if not rows:
             continue
+        values = _read_rows(rows, dim, classes, labels)
+        if x_t is None:
+            x_t = np.empty((dim + 1, max(min(most_lines - rows[0][0] + 1, size // (2 * dim + 1)), len(rows))))
+        elif count + len(rows) > x_t.shape[1]:
+            x_t = np.concatenate([x_t[:, :count], np.empty((dim + 1, max(x_t.shape[1], len(rows))))], axis=1)
+        x_t[:-1, count:count + len(rows)] = values.T
+        count += len(rows)
+        if non_finite is None and not np.isfinite(values).all():
+            # A nan or inf would otherwise surface later as an inf loss,
+            # which reads like a diverged run rather than bad data.
+            non_finite = rows[int(np.argmin(np.isfinite(values).all(axis=1)))][0]
+        del rows  # before the next chunk is decoded
+    if not count:
+        raise ValueError("no example rows")
+    if non_finite is not None:
+        raise ValueError(f"line {non_finite}: non-finite feature value")
+    if count < x_t.shape[1]:
+        x_t = x_t[:, :count].copy()
+    x_t[-1] = 1.0
+    labels = np.array(labels, dtype=np.int64)
+    # Frozen before the view is taken: freezing a buffer leaves earlier views writable.
+    x_t.flags.writeable = labels.flags.writeable = False
+    return FeatureDataset(x_t[:-1].T, labels), classes
+
+
+def _read_rows(rows, dim: int, classes: int, labels: list) -> np.ndarray:
+    """The (r, dim) values of a chunk's (lineno, line) rows, with their labels
+    appended to labels: from numpy's C parser and int where the chunk is
+    ASCII without \\x1f (which numpy strips and float refuses) and reads,
+    else line by line with int and float, raising at the first bad line."""
+    lines = [line for _, line in rows]
+    if all(line.isascii() and "\x1f" not in line for line in lines):
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            read = [int(line[:line.index(",")]) for line in lines]
+            if values.shape[1] == dim + 1 and 0 <= min(read) and max(read) < classes:
+                labels += read
+                return values[:, 1:]
+    values = []
+    for lineno, line in rows:
         if line.count(",") != dim:
             raise ValueError(f"line {lineno}: expected {dim} features, got {line.count(',')}")
-        if count == 0:
-            rows = max(min(most_lines - lineno + 1, size // (2 * dim + 1)), 1)
-            matrix = np.empty((rows, dim), dtype=np.float64)
-            label_array = np.empty(rows, dtype=np.int64)
-            linenos = np.empty(rows, dtype=np.int64)
-        elif count == len(linenos):
-            for array in (matrix, label_array, linenos):
-                array.resize((2 * count,) + array.shape[1:], refcheck=False)
         cells = line.split(",")
         try:
             label = int(cells[0])
-            matrix[count] = list(map(float, cells[1:]))
+            values.append(list(map(float, cells[1:])))
         except ValueError:
             raise ValueError(f"line {lineno}: unparseable numeric value") from None
         if not 0 <= label < classes:
             raise ValueError(f"line {lineno}: label {label} out of range [0, {classes})")
-        label_array[count] = label
-        linenos[count] = lineno
-        count += 1
-    if not count:
-        raise ValueError("no example rows")
-    if count < len(linenos):
-        for array in (matrix, label_array, linenos):
-            array.resize((count,) + array.shape[1:], refcheck=False)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        # A nan or inf would otherwise surface later as an inf loss, which
-        # reads like a diverged run rather than bad data.
-        raise ValueError(f"line {linenos[int(np.argmin(finite))]}: non-finite feature value")
-    matrix.flags.writeable = False
-    label_array.flags.writeable = False
-    return FeatureDataset(matrix, label_array), classes
+        labels.append(label)
+    return np.array(values)
 
 
 def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> None:
     """Write a FeatureDataset in the frozen-feature text format.  What
-    load_frozen_features would reject is refused before the file is opened."""
+    load_frozen_features would reject is refused before the file is opened,
+    and so are labels of a dtype other than an integer one."""
     problems = []
     if dataset.size < 1:
         problems.append("no example rows")
@@ -563,7 +592,9 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append("dim must be >= 1")
     if num_classes < 2:
         problems.append("classes must be >= 2")
-    if not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
+    if not np.issubdtype(dataset.labels.dtype, np.integer):
+        problems.append(f"labels must be integers, not {dataset.labels.dtype}")
+    elif not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
         problems.append(f"labels must lie in [0, {num_classes})")
     if not np.isfinite(dataset.features).all():
         problems.append("feature values must be finite")
@@ -577,7 +608,7 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         with open(partial, "w", encoding="utf-8") as fh:
             fh.write(f"dim={dataset.feature_dim},classes={num_classes}\n")
             for i in range(dataset.size):
-                row = ",".join(repr(float(v)) for v in dataset.features[i])
+                row = ",".join(map(repr, dataset.features[i].astype(float).tolist()))
                 fh.write(f"{int(dataset.labels[i])},{row}\n")
         os.replace(partial, path)
     finally:

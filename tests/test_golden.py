@@ -25,7 +25,7 @@ from fedsofim.harness import (
     grid_search,
     run_experiment,
 )
-from fedsofim.task import make_anisotropic_features, save_frozen_features
+from fedsofim.task import FeatureDataset, make_anisotropic_features, save_frozen_features
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 NUMPY_VERSION_FILE = GOLDEN_DIR / "numpy_version.txt"
@@ -101,7 +101,23 @@ def grid_2x2(work_dir: Path) -> bytes:
     return (json.dumps({"best": best_fields, "sweep": sweep}, sort_keys=True, indent=1) + "\n").encode()
 
 
+def features_small(work_dir: Path) -> bytes:
+    """The bytes save_frozen_features writes for a small crafted dataset:
+    a signed zero, the smallest subnormal, values on either side of repr's
+    switch to exponent form, and every label up to classes - 1."""
+    features = np.array([
+        [-0.0, 5e-324, 1e16, 0.5],
+        [1e-7, 0.1, 123456789.0, -2.0],
+        [1e-5, 1e15, 2.0 / 3.0, 0.0],
+        [-1.7976931348623157e308, 1e-4, 9007199254740993.0, 3.0],
+    ])
+    path = work_dir / "small.features"
+    save_frozen_features(path, FeatureDataset(features, np.array([0, 2, 3, 1])), num_classes=4)
+    return path.read_bytes()
+
+
 CASES = {
+    "features_small.features": features_small,
     "quadratic_noisy.csv": quadratic_noisy,
     "softmax_calibrated.csv": softmax_calibrated,
     "softmax_minibatch_wide.csv": softmax_minibatch_wide,

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -44,7 +45,14 @@ from fedsofim.harness import (
     run_round,
     validate_plan,
 )
-from fedsofim.task import FeatureDataset, SoftmaxHeadTask, make_synthetic_quadratic, save_frozen_features
+from fedsofim.task import (
+    FeatureDataset,
+    SoftmaxHeadTask,
+    load_frozen_features,
+    make_anisotropic_features,
+    make_synthetic_quadratic,
+    save_frozen_features,
+)
 
 
 def quad_config(**overrides):
@@ -228,6 +236,8 @@ class TestBuildBundle:
                         assert stacked.x_t.flags.c_contiguous
 
     def test_a_binding_shares_its_test_stack_and_frees_its_stacks(self, tmp_path):
+        # A file's stack wraps its parse's buffer, so it lives as long as the
+        # parse cache holds that parse, and goes once both are dropped.
         train = write_feature_file(tmp_path, count=60, seed=1, name="a.features")
         test = write_feature_file(tmp_path, count=12, seed=2, name="b.features")
         binding = FeatureTaskBinding(train_path=train, test_path=test)
@@ -235,10 +245,35 @@ class TestBuildBundle:
         for n, seed in ((4, 1), (5, 0)):
             assert binding.bundle(n, seed).test is bundle.test
         assert not bundle.test.x_t.flags.writeable
-        ref = weakref.ref(binding._files[1].x_t)
+        assert np.shares_memory(binding._files[1].x_t, load_frozen_features(train)[0].features)
+        assert np.shares_memory(bundle.test.x_t, load_frozen_features(test)[0].features)
+        refs = [weakref.ref(binding._files[1].x_t), weakref.ref(bundle.test.x_t)]
         del binding, bundle
         gc.collect()
-        assert ref() is None
+        assert all(ref() is not None for ref in refs)
+        task_module._PARSED_FEATURE_FILES.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_a_binding_and_its_bundle_hold_the_matrix_about_twice(self, tmp_path):
+        # The parse's buffer, which the binding's stack wraps, and the
+        # bundle's training and holdout gathers of it; the allowance covers
+        # each stack's per-example constants (labels, ||x||^2, one-hot rows).
+        dataset = make_anisotropic_features(3000, 96, 4, condition=10.0, separation=1.0, seed=3)
+        path = tmp_path / "big.features"
+        save_frozen_features(path, dataset, num_classes=4)
+        task_module._PARSED_FEATURE_FILES.clear()
+        tracemalloc.start()
+        try:
+            binding = FeatureTaskBinding(train_path=str(path))
+            bundle = binding.bundle(4, 0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(binding._files[1].x_t, load_frozen_features(path)[0].features)
+        assert bundle.train.x_t.shape == (97, 2400)
+        matrix = dataset.features.nbytes
+        assert held <= 2.1 * matrix + (1 << 18), (held, matrix)
 
     def test_runs_over_one_plan_read_the_file_once(self, tmp_path, monkeypatch):
         path = write_feature_file(tmp_path, count=48, dim=3, classes=3)

@@ -540,6 +540,31 @@ def whole_text_oracle(data: bytes):
     return np.array([[float(v) for v in row[1:]] for row in rows]), np.array([int(row[0]) for row in rows])
 
 
+def whole_text_error(data: bytes, dim: int, classes: int):
+    """The error the reader's rules give a file whose header is dim=<dim>,
+    classes=<classes>, found on its whole text, or None: the first bad row
+    in line order, else a file without rows, else the first non-finite row."""
+    rows, non_finite = 0, None
+    for lineno, line in enumerate(data.decode("utf-8").splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        if line.count(",") != dim:
+            return f"line {lineno}: expected {dim} features, got {line.count(',')}"
+        cells = line.split(",")
+        try:
+            label, values = int(cells[0]), [float(cell) for cell in cells[1:]]
+        except ValueError:
+            return f"line {lineno}: unparseable numeric value"
+        if not 0 <= label < classes:
+            return f"line {lineno}: label {label} out of range [0, {classes})"
+        rows += 1
+        if non_finite is None and not all(map(math.isfinite, values)):
+            non_finite = lineno
+    if not rows:
+        return "no example rows"
+    return None if non_finite is None else f"line {non_finite}: non-finite feature value"
+
+
 def load_fresh(path):
     """load_frozen_features with the content's cached parse dropped, so the
     file is read and parsed again."""
@@ -627,13 +652,19 @@ class TestFrozenFeatureFiles:
             load_frozen_features(path)
 
     def test_parsed_arrays_are_c_contiguous_and_read_only(self, tmp_path):
+        # The features are the read-only [:-1].T view of one C-ordered
+        # (dim+1, rows) buffer whose last row is the bias ones.
         path = tmp_path / "rows.features"
         path.write_text("dim=3,classes=3\n0,1.0,2.0,3.0\n\n2,4.0,5.0,6.0\n", encoding="utf-8")
         dataset, _ = load_frozen_features(path)
-        for array, dtype in ((dataset.features, np.float64), (dataset.labels, np.int64)):
+        x_t = dataset.features.base
+        for array, dtype in ((x_t, np.float64), (dataset.labels, np.int64)):
             assert array.dtype == dtype
             assert array.flags.c_contiguous
             assert not array.flags.writeable
+        assert not dataset.features.flags.writeable
+        np.testing.assert_array_equal(x_t, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0], [1.0, 1.0]])
+        assert SoftmaxHeadTask(3, 3).stack((dataset,)).x_t is x_t
         np.testing.assert_array_equal(dataset.features, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         np.testing.assert_array_equal(dataset.labels, [0, 2])
 
@@ -666,6 +697,31 @@ class TestFrozenFeatureFiles:
                 save_frozen_features(path, dataset, num_classes=classes)
             assert str(info.value) == message
             assert not path.exists()
+
+    def test_writer_refuses_labels_of_a_non_integer_dtype(self, tmp_path):
+        # int() would cut 0.7 and 1.9 to 0 and 1, and write True as 1.
+        path = tmp_path / "refused.features"
+        for labels, classes, message in (
+            (np.array([0.7, 1.9]), 2, "labels must be integers, not float64"),
+            (np.array([True, False]), 2, "labels must be integers, not bool"),
+            (np.array([0.0, 1.0]), 1, "classes must be >= 2; labels must be integers, not float64"),
+        ):
+            with pytest.raises(ValueError) as info:
+                save_frozen_features(path, FeatureDataset(np.ones((2, 2)), labels), num_classes=classes)
+            assert str(info.value) == message
+            assert not path.exists()
+        save_frozen_features(path, FeatureDataset(np.ones((2, 2)), np.array([1, 0], dtype=np.uint8)), num_classes=2)
+        assert path.read_text() == "dim=2,classes=2\n1,1.0,1.0\n0,1.0,1.0\n"
+
+    def test_a_loaded_dataset_writes_back_its_file(self, tmp_path):
+        # The loaded features are a transposed view; the writer reads its rows.
+        dataset = make_anisotropic_features(40, 7, 3, condition=10.0, separation=1.0, seed=4)
+        first, second = tmp_path / "first.features", tmp_path / "second.features"
+        save_frozen_features(first, dataset, num_classes=3)
+        loaded, classes = load_fresh(first)
+        assert not loaded.features.flags.c_contiguous
+        save_frozen_features(second, loaded, num_classes=classes)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_crlf_line_ends_parse_like_lf(self, tmp_path):
         text = "dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n"
@@ -724,7 +780,7 @@ class TestFrozenFeatureFiles:
             assert classes == 3
             assert dataset.features.tobytes() == features.tobytes()
             np.testing.assert_array_equal(dataset.labels, labels)
-            assert dataset.features.flags.c_contiguous
+            assert SoftmaxHeadTask(3, 12).stack((dataset,)).x_t is dataset.features.base
 
     def test_chunked_read_errors_name_the_whole_text_line(self, tmp_path, monkeypatch):
         for cell, message in (("oops", "unparseable numeric value"), ("-inf", "non-finite feature value")):
@@ -757,6 +813,64 @@ class TestFrozenFeatureFiles:
             with pytest.raises(ValueError, match=f"^line {lineno}: unparseable numeric value$"):
                 load_fresh(path)
 
+    # The fuzz's traps: cells that numpy's C parser and int or float read
+    # apart or that either refuses (\x1f it strips as whitespace, where
+    # float refuses it), every str.splitlines separator, and blank lines
+    # that only str.strip sees as blank.
+    FUZZ_LABELS = ("1.0", "+1", " 1", "0001", "\u0661", "1_0", "1e0", "-1", "9" * 20, "", "#1")
+    FUZZ_CELLS = ("1_000", "0x10", "Infinity", "1e400", "nan", "1\x002", "\u0661\u0662", "#", "1#2", " 2.5 ",
+                  "\x1f1.5", "1.5\x1f", "\t3", "", "1e", "\xa04", "-0.0", "5e-324", "1e-400")
+    SEPARATORS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    BLANKS = ("", " ", "\t", "\x1f", "\u3000")
+
+    def fuzz_text(self, rng, dim, classes):
+        lines = [f"dim={dim},classes={classes}"]
+        for _ in range(rng.integers(0, 9)):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(self.BLANKS)))
+            label = str(rng.integers(classes)) if rng.random() < 0.93 else str(rng.choice(self.FUZZ_LABELS))
+            cells = [repr(float(v)) if rng.random() < 0.96 else str(rng.choice(self.FUZZ_CELLS))
+                     for v in rng.normal(size=dim + int(rng.choice((-1, 1))) * (rng.random() < 0.03))]
+            lines.append(",".join([label] + cells))
+        ends = [str(rng.choice(self.SEPARATORS)) if rng.random() < 0.15 else "\n" for _ in lines]
+        return "".join(line + end for line, end in zip(lines, ends))[:None if rng.random() < 0.8 else -1]
+
+    def test_fuzzed_files_load_as_the_whole_text_rules_read_them(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2026)
+        path = tmp_path / "fuzz.features"
+        loadtxt = np.loadtxt
+        reads = []
+
+        def counted(*args, **kwargs):
+            reads.append(False)
+            values = loadtxt(*args, **kwargs)
+            reads[-1] = True
+            return values
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        outcomes = set()
+        for _ in range(300):
+            dim, classes = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            data = self.fuzz_text(rng, dim, classes).encode()
+            path.write_bytes(data)
+            monkeypatch.setattr(task_module, "_CHUNK_BYTES", int(rng.choice(list(range(1, 13)) + [1 << 16])))
+            error = whole_text_error(data, dim, classes)
+            outcomes.add(error.split(": ")[-1].split(" ")[0] if error else "accepted")
+            if error is not None:
+                with pytest.raises(ValueError) as info:
+                    load_fresh(path)
+                assert str(info.value) == error, data
+                continue
+            dataset, loaded_classes = load_fresh(path)
+            features, labels = whole_text_oracle(data)
+            assert loaded_classes == classes
+            assert dataset.features.tobytes() == features.reshape(-1, dim).tobytes(), data
+            np.testing.assert_array_equal(dataset.labels, labels)
+            assert SoftmaxHeadTask(classes, dim).stack((dataset,)).x_t is dataset.features.base
+        assert outcomes == {"accepted", "expected", "unparseable", "label", "non-finite", "no"}
+        # numpy's parser read some chunks and refused others.
+        assert True in reads and False in reads
+
     def test_a_load_holds_the_arrays_and_a_chunk_not_the_text(self, tmp_path):
         dataset = make_anisotropic_features(3000, 96, 4, condition=10.0, separation=1.0, seed=3)
         path = tmp_path / "big.features"
@@ -770,8 +884,9 @@ class TestFrozenFeatureFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The arrays, the one-byte-per-value finiteness mask, and a fixed
-        # allowance for a chunk, its text, its lines and one row of floats.
+        # The buffer (the matrix and its row of ones) and the labels fit in
+        # matrix + 2 * labels; a byte per value and a fixed allowance cover
+        # a chunk, its text, its lines and its parsed rows.
         matrix = loaded.features.nbytes
         assert peak <= matrix + loaded.features.size + 2 * loaded.labels.nbytes + (1 << 20), (peak, matrix)
         assert peak < size / 2
