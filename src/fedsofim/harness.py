@@ -238,14 +238,22 @@ def resolve_sigma(plan: ExperimentPlan) -> FederatedConfig:
 # Round loop
 
 
+def _inside_ball(g: np.ndarray, c_g: float) -> np.ndarray:
+    """A noiseless mean of rows clipped to c_g, scaled to c_g (1 - 4 eps) if rounding put it past c_g."""
+    norm = np.linalg.norm(g)
+    return g * (c_g * (1.0 - 4.0 * np.finfo(np.float64).eps) / norm) if norm > c_g else g
+
+
 def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
-    """One round: every client's private release, their average, and the
-    optimizer step.  ``streams`` is the round's entry of round_streams(config).
-    Returns (new_state, aggregate)."""
+    """One round: the clients' releases, their average (kept inside the ball
+    if noiseless, as clipped_aggregate's), and the optimizer step, for the
+    round's entry of round_streams(config).  Returns (new_state, aggregate)."""
     with np.errstate(over="ignore", invalid="ignore"):
         releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
                                  bundle.task, config.batch_size)
         g = aggregate(releases, config.n)
+        if config.sigma_g == 0:
+            g = _inside_ball(g, config.clip_cg)
         if config.optimizer is Optimizer.SOFIM:
             return sofim_step(state, g, config), g
         return fedgd_step(state, g, config.eta), g
@@ -422,9 +430,10 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 
 
 def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.ndarray:
-    """Noiseless clipped aggregate at theta (sigma_g = 0 path, no streams)."""
+    """run_round's noiseless aggregate at theta, inside the ball of radius c_g (no streams)."""
     n = len(bundle.train.sizes)
-    return aggregate(release_round(bundle.train, theta, c_g, 0.0, n, (None,) * n, bundle.task), n)
+    releases = release_round(bundle.train, theta, c_g, 0.0, n, (None,) * n, bundle.task)
+    return _inside_ball(aggregate(releases, n), c_g)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

@@ -127,13 +127,13 @@ class FeatureStack:
 
 
 class QuadraticStack:
-    """Every shard of a quadratic run, and their sizes with their
-    ``_layout``.  A shard's samples are all alike, so there are no rows to
-    stack."""
+    """Every shard of a quadratic run, their sizes, and the counts column of
+    their ``_layout``.  A shard's samples are all alike, so there are no rows
+    to stack."""
 
     def __init__(self, shards: tuple, sizes: tuple):
         self.shards, self.sizes = shards, sizes
-        self.starts, self.runs, self.counts = _layout(sizes)
+        self.counts = _layout(sizes)[2]
 
     def subset(self, picks: list) -> "QuadraticStack":
         """The stack with shard i cut to len(picks[i]) samples."""
@@ -146,23 +146,6 @@ def _as_theta(theta: np.ndarray, dim: int) -> np.ndarray:
     if theta.shape != (dim,):
         raise ValueError(f"theta must have dimension {dim}, got {theta.shape}")
     return theta
-
-
-def _class_sum(rows: np.ndarray) -> np.ndarray:
-    """The (K, M) rows' sum, in numpy's order for a row of K terms: in order
-    below eight; up to 128, eight partial sums (one per row mod 8) joined as
-    a tree, then the rest in order; past 128, two halves cut at a multiple of 8."""
-    k = rows.shape[0]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _class_sum(rows[:half]) + _class_sum(rows[half:])
-    if k < 8:
-        return np.add.reduce(rows, axis=0)
-    acc = np.add.reduce(rows[:k - k % 8].reshape(k // 8, 8, rows.shape[1]), axis=0)
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for row in rows[k - k % 8:]:
-        total += row
-    return total
 
 
 class SoftmaxHeadTask:
@@ -193,13 +176,12 @@ class SoftmaxHeadTask:
         return self.num_classes * (self.feature_dim + 1)
 
     def _log_probs(self, theta: np.ndarray, x_t: np.ndarray) -> tuple:
-        """(logits, log-softmax of the logits), class-major: (K, M) each.
-        Every reduction runs over the contiguous class rows, in the order
-        logits.T.max(axis=1) and exps.T.sum(axis=1) take, so the bits are
-        those of the example-major reduce formulation."""
+        """(logits, log-softmax of the logits), class-major: (K, M) each.  Both
+        reductions run over the class rows in order: the example-major form's
+        bits below eight classes, and within a few ulps of its sum above."""
         logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ x_t
         shifted = logits - np.maximum.reduce(logits, axis=0)
-        shifted -= np.log(_class_sum(np.exp(shifted)))
+        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0))
         return logits, shifted
 
     def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
@@ -378,20 +360,9 @@ class QuadraticTask:
 
     def clipped_sums(self, theta: np.ndarray, stacked: QuadraticStack, c_g: float) -> np.ndarray:
         """Row i: the sum over shard i of its per-example gradients, each
-        clipped to norm c_g.  Each shard's one gradient is clipped once, and
-        its sum runs over a stride-0 repetition of it, with the bits of a sum
-        over the clipped (m, d) stack."""
+        clipped to norm c_g, which is its one clipped gradient times its count."""
         theta = _as_theta(theta, self.dim)
-        rows = clip_rows(np.array([shard.a_matrix @ (theta - shard.center) for shard in stacked.shards]), c_g)
-        step = rows.strides[0]
-        sums = [
-            # The stride-0 view np.broadcast_to returns, without its
-            # dispatch, which takes several times as long as the view.
-            np.add.reduce(np.ndarray((count, size, self.dim), rows.dtype, rows, first * step,
-                                     (step, 0, rows.itemsize)), 1)
-            for first, count, size, _ in stacked.runs
-        ]
-        return sums[0] if len(sums) == 1 else np.concatenate(sums)
+        return clip_rows(np.array([s.a_matrix @ (theta - s.center) for s in stacked.shards]), c_g) * stacked.counts
 
     # Kept because perfbench patches it by name; it goes with the benchmark change of ROADMAP item 1.
     def loss_and_accuracy(self, theta: np.ndarray, shard: QuadraticShard) -> tuple:
@@ -590,11 +561,12 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append("no example rows")
     if dataset.feature_dim < 1:
         problems.append("dim must be >= 1")
-    if num_classes < 2:
-        problems.append("classes must be >= 2")
+    integral = isinstance(num_classes, (int, np.integer)) and not isinstance(num_classes, bool)
+    if not (integral and num_classes >= 2):
+        problems.append("classes must be >= 2" if integral else "classes must be an integer")
     if not np.issubdtype(dataset.labels.dtype, np.integer):
         problems.append(f"labels must be integers, not {dataset.labels.dtype}")
-    elif not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
+    elif integral and not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
         problems.append(f"labels must lie in [0, {num_classes})")
     if not np.isfinite(dataset.features).all():
         problems.append("feature values must be finite")

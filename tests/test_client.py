@@ -435,7 +435,8 @@ class TestMiniBatchSelection:
 
     def test_quadratic_batches_keep_the_bits_of_index_then_clip(self):
         # The release clips a QuadraticShard of batch_size rows; the oracle
-        # indexes the full stack's rows, then clips each one.
+        # indexes the full stack's rows, clips each one, and releases
+        # (clipped row * batch + noise) / batch.
         task, shards = make_synthetic_quadratic(6, 3, mu=0.5, L=2.0, heterogeneity=1.0, seed=9, shard_size=11)
         rng = np.random.default_rng(53)
         for trial in range(200):
@@ -446,8 +447,9 @@ class TestMiniBatchSelection:
                                       task, batch_size=batch)
             stream = derive_noise_stream(17, trial % 3, trial)
             indices = stream.choice(shard.size, size=batch, replace=False)
-            grads = task.per_example_gradients(theta, shard)[np.sort(indices)]
-            expected = np.add.reduce(clip_rows(grads, c_g), axis=0)
+            clipped = clip_rows(task.per_example_gradients(theta, shard)[np.sort(indices)], c_g)
+            np.testing.assert_array_equal(clipped, np.broadcast_to(clipped[0], clipped.shape))
+            expected = clipped[0] * batch
             if sigma_g:
                 expected += stream.normal(0.0, c_g * sigma_g / math.sqrt(3), size=6)
             np.testing.assert_array_equal(release, expected / batch)
@@ -534,9 +536,9 @@ class TestReleaseOnRealTasks:
         theta = np.linspace(-1.0, 1.0, 5)
         c_g = 0.5
         release = private_release(shards[1], theta, c_g, 0.0, 3, None, task)
-        grads = task.per_example_gradients(theta, shards[1])
-        oracle = clip_rows(grads, c_g).sum(axis=0) / shards[1].size
-        np.testing.assert_array_equal(release, oracle)
+        clipped = clip_rows(task.per_example_gradients(theta, shards[1]), c_g)
+        np.testing.assert_array_equal(clipped, np.broadcast_to(clipped[0], clipped.shape))
+        np.testing.assert_array_equal(release, clipped[0] * shards[1].size / shards[1].size)
 
 
 class TestRoundRelease:

@@ -9,6 +9,7 @@ Streams come from numpy's PCG64 and ziggurat sampler, so the files are
 exact only for the numpy version recorded in ``golden/numpy_version.txt``.
 """
 
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -134,3 +135,14 @@ def test_golden_trace_is_byte_identical(name, tmp_path):
         f"{NUMPY_VERSION_FILE.read_text(encoding='utf-8').strip()} and this run uses numpy {np.__version__}. "
         "If the change is intended, rewrite them with `python tests/golden/regen.py`."
     )
+
+
+def test_regen_reports_how_far_a_changed_file_moved():
+    spec = importlib.util.spec_from_file_location("regen", GOLDEN_DIR / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    old = b"round,loss,gap\n5,2.0,\n10,1.0,1e-05\n"
+    assert regen.moved(old, old) == "(0 of 3 cells, max rel 0)"
+    assert regen.moved(old, b"round,loss,gap\n5,2.0,\n10,1.5,1e-05\n") == "(1 of 3 cells, max rel 0.33)"
+    assert regen.moved(old, b"round,loss,gap\n5,2.0,\n10,1.0,inf\n") == "(1 of 3 cells, max rel inf)"
+    assert regen.moved(old, b"round,loss,gap\n5,2.0,\n15,1.0,1e-05\n") == "(its text outside the float cells changed)"

@@ -825,15 +825,47 @@ class TestDiagnostics:
         clipped = clipped_aggregate(bundle, theta, c_g=1e9)
         np.testing.assert_allclose(clipped, bundle.task.global_gradient(theta), rtol=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="known defect: m parallel clipped rows summed, then divided by m, "
-                                           "can round one ulp past c_g")
     def test_one_client_clipped_aggregate_stays_inside_the_ball(self):
-        # A shard of 10 equal examples, each clipped to norm exactly 1; the
-        # sum of the 10 clipped rows divided by 10 comes out 1 + 2^-52.
+        # A shard of 10 equal examples, each clipped to norm 1, whose sum
+        # divided by 10 can round to 1 + 2^-52.
         task, shards = make_synthetic_quadratic(d=6, n=1, mu=0.5, L=4.0, heterogeneity=2.0, seed=1)
         theta = 3.0 * np.random.default_rng(1).normal(size=(5, 6))[4]
         aggregate = clipped_aggregate(TaskBundle(task=task, train=task.stack(shards)), theta, 1.0)
         assert np.linalg.norm(aggregate) <= 1.0
+
+    def assert_noiseless_aggregate_stays_inside_the_ball(self, bundle, theta, c_g):
+        # run_round's noiseless aggregate has clipped_aggregate's bits, and
+        # its norm, as np.linalg.norm computes it, is at most c_g exactly.
+        n = len(bundle.train.sizes)
+        config = quad_config(n=n, T=1, clip_cg=c_g, optimizer=Optimizer.FEDGD)
+        _, g = run_round(bundle, ServerState.initial(theta), config, (None,) * n)
+        np.testing.assert_array_equal(g, clipped_aggregate(bundle, theta, c_g))
+        assert np.linalg.norm(g) <= c_g
+
+    @pytest.mark.parametrize("n, heterogeneity", [(1, 2.0), (4, 2.0), (4, 0.0), (20, 0.0)])
+    def test_noiseless_quadratic_aggregate_stays_inside_the_ball(self, n, heterogeneity):
+        # Each clipped row has norm <= c_g, but a shard's clipped row times
+        # m, divided by m and averaged over n clients can round an ulp or
+        # three past it: without the guard, 30, 0, 21 and 337 of these 2,000
+        # draws go over.
+        task, shards = make_synthetic_quadratic(d=6, n=n, mu=0.5, L=4.0, heterogeneity=heterogeneity, seed=1)
+        bundle = TaskBundle(task=task, train=task.stack(shards))
+        for theta in 3.0 * np.random.default_rng(1).normal(size=(2000, 6)):
+            self.assert_noiseless_aggregate_stays_inside_the_ball(bundle, theta, 1.0)
+
+    def test_noiseless_aggregate_of_identical_softmax_examples_stays_inside_the_ball(self):
+        # One client of m identical examples: the ghost clip's 4-ulp margin
+        # keeps each row inside, but the product over m columns, divided by
+        # m, can still round past c_g (without the guard, 103 of these 3,000 do).
+        rng = np.random.default_rng(29)
+        for case in range(3000):
+            classes, width, m = int(rng.integers(2, 12)), int(rng.integers(1, 8)), int(rng.integers(2, 1000))
+            task = SoftmaxHeadTask(classes, width, (0.0, 1e-4, 1e-2)[case % 3])
+            x = rng.normal(size=width) * 3.0
+            dataset = FeatureDataset(np.repeat(x[None], m, axis=0), np.full(m, rng.integers(0, classes)))
+            bundle = TaskBundle(task=task, train=task.stack((dataset,)))
+            theta = rng.normal(size=task.dim)
+            self.assert_noiseless_aggregate_stays_inside_the_ball(bundle, theta, float(rng.uniform(0.1, 2.0)))
 
     def row(self, round_index, accuracy):
         return RoundMetrics(round=round_index, train_loss=1.0, test_accuracy=accuracy,

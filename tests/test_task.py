@@ -108,11 +108,15 @@ class TestSoftmaxGradient:
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
     def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
-        # The class-major row maximum and row sum, and the stack's transposed
-        # augmented matrix, must give exactly what max(axis=1), sum(axis=1)
-        # and np.hstack give on the example-major logits, ties and
-        # non-finite logits included: below eight classes, across the
-        # pairwise sum's eight partial sums, and past its split at 128.
+        # The stack's transposed augmented matrix and the class-major row
+        # maximum must give exactly what np.hstack and max(axis=1) give on
+        # the example-major logits, ties and non-finite logits included.
+        # The sum over classes adds the class rows in order where
+        # sum(axis=1) adds a row pairwise from eight classes on, so its log
+        # is exact below eight classes and otherwise within the two orders'
+        # error bounds, 2 (K - 1) eps relative to a sum >= 1, plus each
+        # log's rounding, eps log K: across the pairwise sum's eight partial
+        # sums and past its split at 128.
         rng = np.random.default_rng(17)
         for classes in (*range(2, 11), 15, 16, 17, 20, 24, 130):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
@@ -126,11 +130,17 @@ class TestSoftmaxGradient:
             np.testing.assert_array_equal(stacked.x_t, x_aug.T)
             assert stacked.x_t.flags.c_contiguous
             with np.errstate(invalid="ignore"):
-                logits = x_aug @ theta.reshape(classes, 6).T
-                logits -= logits.max(axis=1, keepdims=True)
-                expected = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-                np.testing.assert_array_equal(task._log_probs(theta, stacked.x_t)[1], expected.T,
-                                              err_msg=f"{classes} classes")
+                shifted = x_aug @ theta.reshape(classes, 6).T
+                shifted -= shifted.max(axis=1, keepdims=True)
+                log_sums = np.log(np.exp(shifted).sum(axis=1))
+                log_probs = task._log_probs(theta, stacked.x_t)[1].T
+            # The largest logit's log-probability is 0.0 - log-sum, exactly.
+            actual_log_sums = -log_probs[np.arange(40), np.argmax(shifted, axis=1)]
+            np.testing.assert_array_equal(log_probs, shifted - actual_log_sums[:, None],
+                                          err_msg=f"{classes} classes")
+            tolerance = 0.0 if classes < 8 else (2 * (classes - 1) + math.log(classes)) * np.finfo(float).eps
+            np.testing.assert_allclose(actual_log_sums, log_sums, rtol=0, atol=tolerance,
+                                       err_msg=f"{classes} classes")
 
     def test_factors_keep_the_bits_of_the_label_scatter(self):
         # Subtracting the stack's (K, M) one-hot labels must give exactly
@@ -479,11 +489,18 @@ class TestQuadraticTask:
                 make_synthetic_quadratic(4, bad, mu=0.5, L=1.0, heterogeneity=0.0, seed=0)
 
     def test_clipped_sum_is_the_sum_of_the_clipped_repetition(self):
+        # The sum is the one clipped row times the shard size m, bit for bit.
+        # Summed one row at a time, the clipped repetition lands within
+        # (m - 1) eps of the exact m g, and the product within eps / 2, so
+        # the two agree within m eps relative.
         task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
         theta = np.random.default_rng(5).normal(size=5) * 3.0
+        m = shards[0].size
         for c_g in (0.1, 100.0):
-            expected = np.add.reduce(clip_rows(task.per_example_gradients(theta, shards[0]), c_g), axis=0)
-            np.testing.assert_array_equal(clipped_sum(task, theta, shards[0], c_g), expected)
+            clipped = clip_rows(task.per_example_gradients(theta, shards[0]), c_g)
+            actual = clipped_sum(task, theta, shards[0], c_g)
+            np.testing.assert_array_equal(actual, clipped[0] * m)
+            np.testing.assert_allclose(actual, np.add.reduce(clipped, axis=0), rtol=m * np.finfo(float).eps, atol=0)
 
     def test_per_example_gradients_are_a_read_only_repetition_of_one_row(self):
         task, shards = make_synthetic_quadratic(d=5, n=2, mu=0.5, L=2.0, heterogeneity=1.0, seed=4, shard_size=7)
@@ -712,6 +729,20 @@ class TestFrozenFeatureFiles:
             assert not path.exists()
         save_frozen_features(path, FeatureDataset(np.ones((2, 2)), np.array([1, 0], dtype=np.uint8)), num_classes=2)
         assert path.read_text() == "dim=2,classes=2\n1,1.0,1.0\n0,1.0,1.0\n"
+
+    def test_writer_refuses_a_class_count_that_is_not_an_integer(self, tmp_path):
+        # The reader takes the header's classes with int(), so 2.5, 3.0 or
+        # True would be written into a header that it rejects.
+        path = tmp_path / "refused.features"
+        dataset = FeatureDataset(np.ones((2, 2)), np.array([0, 1]))
+        for classes in (2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"):
+            with pytest.raises(ValueError) as info:
+                save_frozen_features(path, dataset, num_classes=classes)
+            assert str(info.value) == "classes must be an integer"
+            assert not path.exists()
+        save_frozen_features(path, dataset, num_classes=np.int64(3))
+        assert path.read_text() == "dim=2,classes=3\n0,1.0,1.0\n1,1.0,1.0\n"
+        assert load_frozen_features(path)[1] == 3
 
     def test_a_loaded_dataset_writes_back_its_file(self, tmp_path):
         # The loaded features are a transposed view; the writer reads its rows.
