@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
+from .core import is_integer
+
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -102,6 +104,9 @@ def composed_delta(epsilon: float, sigma_g: float, n: int, T: int) -> float:
     """
     if not sigma_g > 0:
         raise ValueError("sigma_g must be positive")
+    for name, count in (("n", n), ("T", T)):
+        if not is_integer(count):
+            raise ValueError(f"{name} must be an integer")
     if n < 1 or T < 1:
         raise ValueError("n and T must be >= 1")
     if not epsilon >= 0:

@@ -36,6 +36,17 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _unoverflowed(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """norms, the row norms of x, with the inf norm of each finite row whose
+    squares overflow taken from the row divided by its largest entry: such a
+    row would otherwise scale to zero, in the clip and in its ulp correction."""
+    for row in np.flatnonzero(norms == math.inf):
+        peak = np.maximum.reduce(np.abs(x[row]))
+        if peak < math.inf:
+            norms[row] = peak * _row_norms(x[row:row + 1] / peak)[0]
+    return norms
+
+
 def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     """Scale each row of an (m, d) stack onto the l2 ball of radius c_g, and
     nudge clipped rows by a few ulps until their recomputed norms are <= c_g.
@@ -52,25 +63,20 @@ def clip_rows(grads: np.ndarray, c_g: float) -> np.ndarray:
     # (norms <= c_g).all() makes, at half the dispatch.
     if np.maximum.reduce(norms, initial=0.0) <= c_g:
         return grads
-    # A finite row whose squares overflow would scale to zero by its inf
-    # norm; it takes its norm from the row divided by its largest entry.
-    for row in np.flatnonzero(norms == math.inf):
-        peak = np.maximum.reduce(np.abs(grads[row]))
-        if peak < math.inf:
-            norms[row] = peak * _row_norms(grads[row:row + 1] / peak)[0]
+    norms = _unoverflowed(grads, norms)
     # Rows inside the ball are multiplied by exactly 1.0, a no-op in IEEE
     # arithmetic; rows with a NaN norm fail the test above and become NaN.
     scale = np.minimum(1.0, c_g / np.maximum(norms, np.finfo(np.float64).tiny))
     out = grads * scale[:, None]
     # The ulp correction, restricted to rows that still poke past the radius
     # after rescaling.
-    over = np.flatnonzero(_row_norms(out) > c_g)
+    over = np.flatnonzero(_unoverflowed(out, _row_norms(out)) > c_g)
     passes = 0
     while over.size:
         if passes == MAX_ULP_PASSES:
             raise RuntimeError(f"clipped row norms still exceed c_g after {MAX_ULP_PASSES} rescaling passes")
-        out[over] = out[over] * (c_g / _row_norms(out[over]))[:, None]
-        over = over[_row_norms(out[over]) > c_g]
+        out[over] = out[over] * (c_g / _unoverflowed(out[over], _row_norms(out[over])))[:, None]
+        over = over[_unoverflowed(out[over], _row_norms(out[over])) > c_g]
         passes += 1
     return out
 

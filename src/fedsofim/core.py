@@ -268,6 +268,8 @@ def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
     rounds at a time in numpy; each generator is still built fresh by
     PCG64's own seeding, so each stream serves exactly one client-round.
     """
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
     prefixes = np.array([_client_prefix(master_seed, c) for c in range(n_clients)], dtype=np.uint64)
     block = max(1, _STREAM_BLOCK // n_clients)
     for start in range(0, rounds, block):

@@ -174,8 +174,14 @@ class TaskBundle:
     test: Optional[FeatureStack] = None
 
     def evaluate(self, theta: np.ndarray) -> tuple:
-        """(train_loss, test_accuracy, suboptimality_gap or None) at theta."""
-        return self.task.evaluate(theta, self.train, self.test)
+        """(train_loss, test_accuracy, suboptimality_gap or None) at theta: the
+        task's row, or where theta, the loss or the accuracy is not finite the
+        worst row, (inf, 0.0, inf or None as the task's gap), which a grid ranks last."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, accuracy, gap = row = self.task.evaluate(theta, self.train, self.test)
+        if math.isfinite(loss) and math.isfinite(accuracy) and np.isfinite(theta).all():
+            return row
+        return math.inf, 0.0, None if gap is None else math.inf
 
 
 def build_bundle(binding: TaskBinding, n: int, master_seed: int) -> TaskBundle:
@@ -239,8 +245,11 @@ def resolve_sigma(plan: ExperimentPlan) -> FederatedConfig:
 
 
 def _inside_ball(g: np.ndarray, c_g: float) -> np.ndarray:
-    """A noiseless mean of rows clipped to c_g, scaled to c_g (1 - 4 eps) if rounding put it past c_g."""
+    """A noiseless mean of rows clipped to c_g, scaled to c_g (1 - 4 eps) if rounding put it past c_g.
+    A finite g whose squares overflow takes its norm from g divided by its largest entry, as clip_rows does."""
     norm = np.linalg.norm(g)
+    if norm == math.inf and (peak := np.maximum.reduce(np.abs(g))) < math.inf:
+        norm = peak * np.linalg.norm(g / peak)
     return g * (c_g * (1.0 - 4.0 * np.finfo(np.float64).eps) / norm) if norm > c_g else g
 
 

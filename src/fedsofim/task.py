@@ -269,8 +269,7 @@ class SoftmaxHeadTask:
         labels = stacked.labels
         if labels.size == 0:
             raise ValueError("empty dataset")
-        _, log_probs = self._log_probs(theta, stacked.x_t)
-        nll = -log_probs.take(stacked.label_index)
+        nll, log_probs = self._nll(theta, stacked)
         loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
         # np.argmax resolves ties toward the lowest class index, which is the
         # documented deterministic tie-break.
@@ -278,30 +277,24 @@ class SoftmaxHeadTask:
         accuracy = float(np.mean(predictions == labels))
         return loss, accuracy
 
+    def _nll(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
+        """(each example's negative log-likelihood (M,), the log-softmax (K, M))."""
+        log_probs = self._log_probs(theta, stacked.x_t)[1]
+        return -log_probs.take(stacked.label_index), log_probs
+
     def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
         """Each shard's loss_and_accuracy loss, from one pass over the stack."""
-        _, log_probs = self._log_probs(theta, stacked.x_t)
-        nll = -log_probs.take(stacked.label_index)
+        nll = self._nll(theta, stacked)[0]
         means = np.empty(len(stacked.sizes))
         for first, count, size, col in stacked.runs:
             means[first:first + count] = np.add.reduce(nll[col:col + count * size].reshape(count, size), axis=1) / size
         return means + 0.5 * self.l2_lambda * float(theta @ theta)
 
     def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureStack) -> tuple:
-        """(train_loss, test_accuracy, None) at theta.
-
-        Divergent iterates are reported as (inf, 0.0, None) rather than
-        raising, so grid search can rank them as worst.
-        """
+        """(train_loss, test_accuracy, None) at theta; train_loss, the federated objective, is the mean shard loss."""
         theta = _as_theta(theta, self.dim)
-        if not np.all(np.isfinite(theta)):
-            return math.inf, 0.0, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The federated objective is the unweighted mean of client means.
-            loss = float(np.mean(self._train_losses(theta, train)))
-            _, accuracy = self.loss_and_accuracy(theta, test)
-        if not math.isfinite(loss) or not math.isfinite(accuracy):
-            return math.inf, 0.0, None
+        loss = float(np.mean(self._train_losses(theta, train)))
+        _, accuracy = self.loss_and_accuracy(theta, test)
         return loss, accuracy, None
 
 
@@ -372,18 +365,9 @@ class QuadraticTask:
         return loss, math.exp(-self.gap(theta))
 
     def evaluate(self, theta: np.ndarray, train: QuadraticStack, test: None) -> tuple:
-        """(global_value, exp(-gap), gap) at theta; the shards are not needed.
-
-        Divergent iterates are reported as (inf, 0.0, inf) rather than
-        raising, so grid search can rank them as worst.
-        """
-        if not np.all(np.isfinite(theta)):
-            return math.inf, 0.0, math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss = self.global_value(theta)
-            gap = self.gap(theta)
-        if not math.isfinite(loss):
-            return math.inf, 0.0, math.inf
+        """(F(theta), exp(-gap), gap) at theta, gap = max(0, F(theta) - F*); the shards are not needed."""
+        loss = self.global_value(theta)
+        gap = max(0.0, loss - self.optimum_value)
         return loss, math.exp(-gap), gap
 
 

@@ -189,6 +189,10 @@ class TestComposedDelta:
             composed_delta(1.0, 0.0, 20, 70)
         with pytest.raises(ValueError, match="n and T must be >= 1"):
             composed_delta(1.0, 1.0, 0, 70)
+        # A count is an int and not a bool: 2.5 clients or T=True would compose as a count.
+        for n, T, name in ((2.5, 70, "n"), (True, 70, "n"), (20.0, 70, "n"), (20, 70.0, "T"), (20, False, "T")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                composed_delta(1.0, 1.0, n, T)
 
 
 class TestCalibrateSigma:
@@ -231,6 +235,11 @@ class TestCalibrateSigma:
             calibrate_sigma(1.0, 1.0, 20, 70)
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             calibrate_sigma(math.nan, 1e-5, 20, 70)
+        # Two and a half clients used to calibrate to 23.61.
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            calibrate_sigma(5.0, 1e-5, 2.5, 70)
+        with pytest.raises(ValueError, match="^T must be an integer$"):
+            calibrate_sigma(5.0, 1e-5, 20, True)
 
     def test_a_nan_or_infinite_epsilon_is_refused_before_bisecting(self, monkeypatch):
         # An infinite target used to return the bottom of the bracket.

@@ -208,6 +208,8 @@ class TestGridCommand:
         ])
         assert code == 2
         assert "--etas expects comma-separated numbers" in capsys.readouterr().err
+        assert cli.main(["grid", *QUAD_FLAGS, "--etas", ",", "--clip_cgs", "1"]) == 2
+        assert "--etas expects at least one value" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -233,6 +233,12 @@ class TestClipRowsMatchesReference:
         # the radius, not to zero, and every other row keeps its bits.
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(clip_rows(np.array([[1e200, 0.0]]), 1.0), [[1.0, 0.0]])
+            # At a radius whose square overflows, the ulp correction reads
+            # the same norm: a row inside the ball keeps its bits, and one
+            # past it lands on the radius, not on zero.
+            np.testing.assert_array_equal(clip_rows(np.array([[1e180, 1e180]]), 1e200), [[1e180, 1e180]])
+            clipped = clip_rows(np.array([[1e250, 0.0]]), 1e200)
+            assert 1e200 * (1 - 1e-15) <= clipped[0, 0] <= 1e200 and clipped[0, 1] == 0.0
             rng = np.random.default_rng(127)
             for _ in range(100):
                 grads = random_stack(rng, (0.0, 4.0))
@@ -244,6 +250,19 @@ class TestClipRowsMatchesReference:
                 assert 2.0 * (1 - 1e-15) <= np.linalg.norm(out, axis=1)[wide] <= 2.0
                 np.testing.assert_allclose(out[wide], grads[wide] / np.linalg.norm(grads[wide] / 1e300) / 1e300 * 2.0,
                                            rtol=1e-14)
+                # Radii as large as the row: one from 1e-5 of the row's norm up
+                # to it clips the row onto it, one above it keeps its bits.
+                norm = np.abs(grads[wide]).max() * np.linalg.norm(grads[wide] / np.abs(grads[wide]).max())
+                c_g = norm * 10.0 ** -rng.uniform(0.0, 5.0)
+                out = clip_rows(grads[wide:wide + 1], c_g)
+                # Its norm as clip_rows reads it: from the row over its peak where the squares overflow.
+                peak = np.abs(out).max()
+                read = np.linalg.norm(out, axis=1)[0]
+                read = read if read < math.inf else peak * np.linalg.norm(out / peak, axis=1)[0]
+                assert c_g * (1 - 1e-15) <= read <= c_g
+                np.testing.assert_allclose(out[0], grads[wide] * (c_g / norm), rtol=1e-14)
+                roomy = grads[wide:wide + 1]
+                np.testing.assert_array_equal(clip_rows(roomy, min(norm * 1.5, 1e308)), roomy)
 
     def test_input_is_never_modified(self):
         grads = np.array([[3.0, 4.0], [0.1, 0.2]])

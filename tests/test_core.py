@@ -95,6 +95,11 @@ class TestValidateConfig:
         for field in ("eta", "clip_cg", "sigma_g", "rho"):
             assert f"{field} must be" in message and "finite" in message
 
+    def test_optimizer_must_be_an_optimizer(self):
+        for bad in ("SOFIM", None, 0):
+            with pytest.raises(ValueError, match="^optimizer must be SOFIM or FEDGD$"):
+                validate_config(make_config(optimizer=bad))
+
     def test_sigma_zero_is_valid_non_private_mode(self):
         validate_config(make_config(sigma_g=0.0))
 
@@ -215,6 +220,11 @@ class TestBatchedStreamDerivation:
                 assert stream.bit_generator.state == derive_noise_stream(master_seed, c, r).bit_generator.state, (c, r)
             count += 1
         assert count == rounds
+
+    def test_no_clients_is_refused(self):
+        for n_clients in (0, -1):
+            with pytest.raises(ValueError, match="^n_clients must be >= 1$"):
+                next(derive_noise_streams(0, n_clients, 3))
 
     def test_each_stream_is_a_fresh_generator(self):
         streams = [s for round_streams in derive_noise_streams(5, 4, 3) for s in round_streams]

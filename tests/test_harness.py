@@ -531,6 +531,8 @@ class TestEvaluate:
             theta = np.zeros(bundle.task.dim)
             theta[1] = bad
             assert bundle.evaluate(theta) == (math.inf, 0.0, None)
+        # A finite theta whose loss is not finite reads as the worst row too.
+        assert bundle.evaluate(np.full(bundle.task.dim, 1e300)) == (math.inf, 0.0, None)
 
     def test_non_finite_theta_on_a_quadratic_bundle(self):
         bundle = build_bundle(QuadraticTaskBinding(d=4, mu=0.5, L=2.0), 3, 0)
@@ -538,6 +540,7 @@ class TestEvaluate:
             theta = np.zeros(4)
             theta[2] = bad
             assert bundle.evaluate(theta) == (math.inf, 0.0, math.inf)
+        assert bundle.evaluate(np.full(4, 1e200)) == (math.inf, 0.0, math.inf)
 
 
 class TestRunExperiment:
@@ -720,6 +723,19 @@ class TestMetricsIO:
         with pytest.raises(ValueError, match="not a metrics file"):
             read_metrics(path)
 
+    def test_reader_skips_a_blank_line(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        self.write(path, self.rows())
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n", encoding="utf-8")
+        assert read_metrics(path) == self.rows()
+
+    def test_an_empty_table_has_no_final_row(self):
+        table = MetricsTable(rows=(), header={})
+        for final in (table.final_accuracy, table.final_loss):
+            with pytest.raises(ValueError, match="^empty metrics table$"):
+                final()
+
     def test_reader_rejects_a_short_row(self, tmp_path):
         path = tmp_path / "metrics.csv"
         self.write(path, ())
@@ -730,6 +746,16 @@ class TestMetricsIO:
 
 
 class TestGridSearch:
+    def test_an_empty_axis_is_refused(self):
+        for axes, message in (
+            (dict(etas=(), clip_cgs=(1.0,)), "grid must list at least one eta and one clip_cg"),
+            (dict(etas=(0.1,), clip_cgs=()), "grid must list at least one eta and one clip_cg"),
+            (dict(etas=(0.1,), clip_cgs=(1.0,), rhos=()), "rho grid, when given, must be nonempty"),
+            (dict(etas=(0.1,), clip_cgs=(1.0,), betas=()), "beta grid, when given, must be nonempty"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GridSpec(**axes)
+
     def test_single_cell_grid_returns_that_cell(self):
         plan = quad_plan(config=quad_config(T=5))
         best, sweep = grid_search(plan, GridSpec(etas=(0.3,), clip_cgs=(2.0,)))
@@ -832,6 +858,26 @@ class TestDiagnostics:
         theta = 3.0 * np.random.default_rng(1).normal(size=(5, 6))[4]
         aggregate = clipped_aggregate(TaskBundle(task=task, train=task.stack(shards)), theta, 1.0)
         assert np.linalg.norm(aggregate) <= 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_finite_aggregate_whose_squares_overflow_is_not_zeroed(self):
+        # Its norm, taken from the vector over its largest entry, decides:
+        # inside the ball it is kept, past it scaled onto the radius.
+        inside = np.full(3, 1e180)
+        assert harness_module._inside_ball(inside, 1e200) is inside
+        scaled = harness_module._inside_ball(np.array([1e250, 0.0]), 1e200)
+        assert 1e200 * (1 - 8 * np.finfo(float).eps) <= scaled[0] <= 1e200 and scaled[1] == 0.0
+        # A vector holding inf keeps the plain norm's result.
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(harness_module._inside_ball(np.array([np.inf, 1.0]), 1.0), [np.nan, 0.0])
+        # A noiseless quadratic round at theta = 1e180 * 1 clips nothing, so
+        # it does not freeze: its aggregate is the global gradient.
+        bundle = QuadraticTaskBinding(d=6, mu=0.5, L=2.0).bundle(3, 0)
+        theta = np.full(6, 1e180)
+        g = clipped_aggregate(bundle, theta, 1e200)
+        np.testing.assert_allclose(g, bundle.task.global_gradient(theta), rtol=1e-12)
+        config = quad_config(n=3, T=1, clip_cg=1e200, optimizer=Optimizer.FEDGD)
+        np.testing.assert_array_equal(run_round(bundle, ServerState.initial(theta), config, (None,) * 3)[1], g)
 
     def assert_noiseless_aggregate_stays_inside_the_ball(self, bundle, theta, c_g):
         # run_round's noiseless aggregate has clipped_aggregate's bits, and

@@ -7,6 +7,7 @@ solve for the quadratic minimizer, and full-precision summation for losses.
 
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -618,10 +619,17 @@ class TestFrozenFeatureFiles:
         with pytest.raises(ValueError, match=r"line 3: label 2 out of range \[0, 2\)"):
             load_frozen_features(path)
 
-    def test_malformed_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("dims=4;classes=2\n", "expected 'dim=<int>,classes=<int>', got 'dims=4;classes=2'"),
+        ("", "empty file"),
+        ("dim=x,classes=2\n", "expected 'dim=<int>,classes=<int>', got 'dim=x,classes=2'"),
+        ("dim=0,classes=2\n0\n", "dim must be >= 1 and classes >= 2"),
+        ("dim=3,classes=1\n0,1,2,3\n", "dim must be >= 1 and classes >= 2"),
+    ], ids=["not-a-header", "empty", "non-integer-dim", "zero-dim", "one-class"])
+    def test_malformed_header_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.features"
-        path.write_text("dims=4;classes=2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed header"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape('malformed header: ' + message)}$"):
             load_frozen_features(path)
 
     def test_unparseable_value_names_the_line(self, tmp_path):
