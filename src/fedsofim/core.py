@@ -260,16 +260,20 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
-    """Yield, for each of rounds 0 .. rounds-1, the list of ``n_clients``
-    generators that ``derive_noise_stream(master_seed, client, round)``
-    gives, with the same bits.
+    """An iterator over rounds 0 .. rounds-1 yielding, for each, the list of
+    ``n_clients`` generators that ``derive_noise_stream(master_seed, client,
+    round)`` gives, with the same bits; the count is checked at the call.
 
     Stream seeds and their SeedSequence words are computed for a block of
     rounds at a time in numpy; each generator is still built fresh by
     PCG64's own seeding, so each stream serves exactly one client-round.
     """
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
+    if not is_integer(n_clients) or n_clients < 1:
+        raise ValueError("n_clients must be >= 1" if is_integer(n_clients) else "n_clients must be an integer")
+    return _stream_blocks(master_seed, n_clients, rounds)
+
+
+def _stream_blocks(master_seed: int, n_clients: int, rounds: int):
     prefixes = np.array([_client_prefix(master_seed, c) for c in range(n_clients)], dtype=np.uint64)
     block = max(1, _STREAM_BLOCK // n_clients)
     for start in range(0, rounds, block):

@@ -253,16 +253,20 @@ def _inside_ball(g: np.ndarray, c_g: float) -> np.ndarray:
     return g * (c_g * (1.0 - 4.0 * np.finfo(np.float64).eps) / norm) if norm > c_g else g
 
 
-def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
-    """One round: the clients' releases, their average (kept inside the ball
-    if noiseless, as clipped_aggregate's), and the optimizer step, for the
-    round's entry of round_streams(config).  Returns (new_state, aggregate)."""
+def round_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float, sigma_g: float, n: int, streams,
+                    batch_size: int = 0) -> np.ndarray:
+    """A round's aggregate at theta, for the run, the diagnostics and the suites alike: the n clients'
+    releases averaged by the server, inside the ball of radius c_g if noiseless.  Overflow is silent."""
     with np.errstate(over="ignore", invalid="ignore"):
-        releases = release_round(bundle.train, state.theta, config.clip_cg, config.sigma_g, config.n, streams,
-                                 bundle.task, config.batch_size)
-        g = aggregate(releases, config.n)
-        if config.sigma_g == 0:
-            g = _inside_ball(g, config.clip_cg)
+        g = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, bundle.task, batch_size), n)
+        return _inside_ball(g, c_g) if sigma_g == 0 else g
+
+
+def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
+    """One round: round_aggregate and the optimizer step, for the round's
+    entry of round_streams(config).  Returns (new_state, aggregate)."""
+    g = round_aggregate(bundle, state.theta, config.clip_cg, config.sigma_g, config.n, streams, config.batch_size)
+    with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
             return sofim_step(state, g, config), g
         return fedgd_step(state, g, config.eta), g
@@ -439,10 +443,9 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 
 
 def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.ndarray:
-    """run_round's noiseless aggregate at theta, inside the ball of radius c_g (no streams)."""
+    """round_aggregate's noiseless full-batch aggregate at theta (no streams)."""
     n = len(bundle.train.sizes)
-    releases = release_round(bundle.train, theta, c_g, 0.0, n, (None,) * n, bundle.task)
-    return _inside_ball(aggregate(releases, n), c_g)
+    return round_aggregate(bundle, theta, c_g, 0.0, n, (None,) * n)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

@@ -426,22 +426,22 @@ def load_frozen_features(path) -> tuple:
     read-only dataset, whose features are the ``[:-1].T`` view of one
     C-ordered (dim+1, rows) buffer with a last row of ones.
 
-    The file is read in chunks of ``_CHUNK_BYTES``, never whole: a SHA-256
-    pass looks the content up in the parse cache (and goes with the cache);
-    new content is parsed (_read_rows) after a pass that counts the ``\n``
-    bytes that size the buffer.  A load holds the buffer, the labels and one
-    chunk's text and rows.  A file that changes between the lookup and the
-    parse raises ValueError and is not cached.
+    The file is read in chunks of ``_CHUNK_BYTES``, never whole, in two
+    passes at most: a SHA-256 pass, which also counts the ``\n`` bytes that
+    size the buffer, looks the content up in the parse cache (and goes with
+    the cache); new content is then parsed (_read_rows).  A load holds the
+    buffer, the labels and one chunk's text and rows.  A file that changes
+    between the lookup and the parse raises ValueError and is not cached.
     """
     with open(path, "rb") as fh:
-        lookup, chunk = hashlib.sha256(), b""
+        lookup, chunk, newlines = hashlib.sha256(), b"", 0
         for chunk in _chunks(fh):
             lookup.update(chunk)
+            newlines += chunk.count(b"\n")
         key = lookup.digest()
         if key in _PARSED_FEATURE_FILES:
             _PARSED_FEATURE_FILES.move_to_end(key)
             return _PARSED_FEATURE_FILES[key]
-        newlines = sum(part.count(b"\n") for part in _chunks(fh))
         digest = hashlib.sha256()
         size = os.fstat(fh.fileno()).st_size
         parsed = _parse_frozen_features(_decoded_lines(fh, digest), newlines + (not chunk.endswith(b"\n")), size)

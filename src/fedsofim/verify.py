@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import accountant
-from .client import clip_rows, release_round
+from .client import clip_rows
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_streams
-from .harness import TaskBundle, clipped_aggregate, round_streams, run_round
+from .harness import TaskBundle, clipped_aggregate, round_aggregate, round_streams, run_round
 from .oracles import dense_preconditioner
-from .server import aggregate, precondition_apply, sofim_step
+from .server import precondition_apply, sofim_step
 from .task import QuadraticShard, make_synthetic_quadratic
 
 
@@ -262,7 +262,7 @@ def suite_variance_reduction(seed: int = 0) -> tuple:
 
 def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     """Per-coordinate variance of the aggregate noise, measured through the
-    actual release path (a round's releases minus their noiseless
+    run's own round_aggregate (a round's aggregate minus its noiseless
     counterpart).  Draw r gives client i the stream
     ``derive_noise_stream(seed, i, r)``, seeded in batches by
     ``derive_noise_streams``."""
@@ -276,7 +276,7 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     for streams in derive_noise_streams(seed, n, draws):
-        xi = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, task), n) - noiseless
+        xi = round_aggregate(bundle, theta, c_g, sigma_g, n, streams) - noiseless
         acc += xi
         acc_sq += xi * xi
     var = (acc_sq - acc * acc / draws) / (draws - 1)

@@ -222,9 +222,13 @@ class TestBatchedStreamDerivation:
         assert count == rounds
 
     def test_no_clients_is_refused(self):
+        # At the call, not at the first round.
         for n_clients in (0, -1):
             with pytest.raises(ValueError, match="^n_clients must be >= 1$"):
-                next(derive_noise_streams(0, n_clients, 3))
+                derive_noise_streams(0, n_clients, 3)
+        for n_clients in (True, 2.5):
+            with pytest.raises(ValueError, match="^n_clients must be an integer$"):
+                derive_noise_streams(0, n_clients, 3)
 
     def test_each_stream_is_a_fresh_generator(self):
         streams = [s for round_streams in derive_noise_streams(5, 4, 3) for s in round_streams]

@@ -859,19 +859,21 @@ class TestDiagnostics:
         aggregate = clipped_aggregate(TaskBundle(task=task, train=task.stack(shards)), theta, 1.0)
         assert np.linalg.norm(aggregate) <= 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_a_finite_aggregate_whose_squares_overflow_is_not_zeroed(self):
         # Its norm, taken from the vector over its largest entry, decides:
-        # inside the ball it is kept, past it scaled onto the radius.
-        inside = np.full(3, 1e180)
-        assert harness_module._inside_ball(inside, 1e200) is inside
-        scaled = harness_module._inside_ball(np.array([1e250, 0.0]), 1e200)
-        assert 1e200 * (1 - 8 * np.finfo(float).eps) <= scaled[0] <= 1e200 and scaled[1] == 0.0
+        # inside the ball it is kept, past it scaled onto the radius.  The
+        # guard's own norm overflows; its one caller holds the errstate.
+        with np.errstate(over="ignore"):
+            inside = np.full(3, 1e180)
+            assert harness_module._inside_ball(inside, 1e200) is inside
+            scaled = harness_module._inside_ball(np.array([1e250, 0.0]), 1e200)
+            assert 1e200 * (1 - 8 * np.finfo(float).eps) <= scaled[0] <= 1e200 and scaled[1] == 0.0
         # A vector holding inf keeps the plain norm's result.
         with np.errstate(invalid="ignore"):
             np.testing.assert_array_equal(harness_module._inside_ball(np.array([np.inf, 1.0]), 1.0), [np.nan, 0.0])
         # A noiseless quadratic round at theta = 1e180 * 1 clips nothing, so
-        # it does not freeze: its aggregate is the global gradient.
+        # it does not freeze: its aggregate is the global gradient, reached
+        # without a numpy warning.
         bundle = QuadraticTaskBinding(d=6, mu=0.5, L=2.0).bundle(3, 0)
         theta = np.full(6, 1e180)
         g = clipped_aggregate(bundle, theta, 1e200)
@@ -879,9 +881,23 @@ class TestDiagnostics:
         config = quad_config(n=3, T=1, clip_cg=1e200, optimizer=Optimizer.FEDGD)
         np.testing.assert_array_equal(run_round(bundle, ServerState.initial(theta), config, (None,) * 3)[1], g)
 
+    def test_a_noisy_round_aggregate_is_the_servers_mean_of_the_releases(self):
+        # The guard runs only without noise: a noisy aggregate past c_g is kept.
+        bundle = QuadraticTaskBinding(d=4, mu=0.5, L=2.0).bundle(3, 0)
+        theta = np.full(4, 0.3)
+
+        def streams():
+            return [derive_noise_stream(7, i, 0) for i in range(3)]
+
+        g = harness_module.round_aggregate(bundle, theta, 0.1, 100.0, 3, streams())
+        releases = client_module.release_round(bundle.train, theta, 0.1, 100.0, 3, streams(), bundle.task)
+        np.testing.assert_array_equal(g, harness_module.aggregate(releases, 3))
+        assert np.linalg.norm(g) > 0.1
+
     def assert_noiseless_aggregate_stays_inside_the_ball(self, bundle, theta, c_g):
-        # run_round's noiseless aggregate has clipped_aggregate's bits, and
-        # its norm, as np.linalg.norm computes it, is at most c_g exactly.
+        # run_round's noiseless aggregate has clipped_aggregate's bits (both
+        # are round_aggregate's), and its norm, as np.linalg.norm computes
+        # it, is at most c_g exactly.
         n = len(bundle.train.sizes)
         config = quad_config(n=n, T=1, clip_cg=c_g, optimizer=Optimizer.FEDGD)
         _, g = run_round(bundle, ServerState.initial(theta), config, (None,) * n)

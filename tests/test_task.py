@@ -964,6 +964,26 @@ class TestFrozenFeatureFiles:
         dataset, _ = load_frozen_features(path)
         np.testing.assert_array_equal(dataset.features, [[5.0, 2.0]])
 
+    def test_a_cold_load_reads_the_file_twice_and_a_cached_one_once(self, tmp_path, monkeypatch):
+        # The lookup pass also counts the lines that size the buffer.
+        path = tmp_path / "passes.features"
+        path.write_text("dim=2,classes=2\n0,1.0,2.0\n1,3.0,4.0\n", encoding="utf-8")
+        passes = []
+        read = task_module._chunks
+
+        def counted(fh):
+            passes.append(fh)
+            return read(fh)
+
+        monkeypatch.setattr(task_module, "_chunks", counted)
+        monkeypatch.setattr(task_module, "_CHUNK_BYTES", 5)
+        cold, _ = load_fresh(path)
+        assert len(passes) == 2
+        passes.clear()
+        cached, _ = load_frozen_features(path)
+        assert len(passes) == 1 and cached is cold
+        np.testing.assert_array_equal(cold.features, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_a_write_that_stops_part_way_leaves_the_old_file_or_none(self, tmp_path, monkeypatch):
         class FailsAtRow2(np.ndarray):
             def __getitem__(self, index):
