@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from .core import is_integer
+from .core import count_problem
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -69,8 +69,8 @@ def sensitivity(c_g: float, d_min: int) -> float:
     adjacency: the swapped record moves the clipped sum by at most 2 c_g."""
     if not c_g > 0:
         raise ValueError("c_g must be positive")
-    if d_min < 1:
-        raise ValueError("d_min must be >= 1")
+    if problem := count_problem("d_min", d_min):
+        raise ValueError(problem)
     return 2.0 * c_g / d_min
 
 
@@ -104,11 +104,8 @@ def composed_delta(epsilon: float, sigma_g: float, n: int, T: int) -> float:
     """
     if not sigma_g > 0:
         raise ValueError("sigma_g must be positive")
-    for name, count in (("n", n), ("T", T)):
-        if not is_integer(count):
-            raise ValueError(f"{name} must be an integer")
-    if n < 1 or T < 1:
-        raise ValueError("n and T must be >= 1")
+    if problem := count_problem("n", n) or count_problem("T", T):
+        raise ValueError(problem)
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     # q = 1/(2*ratio): reuse the single-round kernel with ratio = sigma_g/(2 sqrt(nT)).
@@ -163,13 +160,14 @@ def noise_floor(c_g: float, sigma_g: float, n: int, sizes: Sequence[int]) -> Tup
         raise ValueError("c_g must be positive")
     if not sigma_g >= 0:
         raise ValueError("sigma_g must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if problem := count_problem("n", n):
+        raise ValueError(problem)
     sizes = list(sizes)
     if len(sizes) != n:
         raise ValueError(f"expected {n} dataset sizes, got {len(sizes)}")
-    if not all(s >= 1 for s in sizes):
-        raise ValueError("every dataset size must be >= 1")
+    for i, size in enumerate(sizes):
+        if problem := count_problem(f"sizes[{i}]", size):
+            raise ValueError(problem)
     if sigma_g == 0:
         return 0.0, 0.0
     scale = (c_g * sigma_g) ** 2

@@ -55,9 +55,14 @@ class FederatedConfig:
     batch_size: int = 0
 
 
-def is_integer(value) -> bool:
-    """The rule for every count and seed: an int, and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def count_problem(name: str, value, low: int = 1, high: Optional[int] = None) -> Optional[str]:
+    """The rule for every count, size and seed: an int, not a bool, in [low, high]
+    (no upper bound when high is None).  Returns what is wrong, naming it, or None."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        return f"{name} must be an integer"
+    if value < low or (high is not None and value > high):
+        return f"{name} must be >= {low}" + ("" if high is None else f" and <= {high}")
+    return None
 
 
 def validate_config(raw: FederatedConfig) -> FederatedConfig:
@@ -65,12 +70,7 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
 
     All violations are reported in one message, each naming its field.
     """
-    problems = []
-    for name, count in (("n", raw.n), ("T", raw.T)):
-        if not is_integer(count):
-            problems.append(f"{name} must be an integer")
-        elif count < 1:
-            problems.append(f"{name} must be a positive integer")
+    problems = [count_problem("n", raw.n), count_problem("T", raw.T)]
     if not 0 < raw.eta < math.inf:
         problems.append("eta must be positive and finite")
     if not 0 < raw.clip_cg < math.inf:
@@ -81,19 +81,12 @@ def validate_config(raw: FederatedConfig) -> FederatedConfig:
         problems.append("beta must lie in [0,1)")
     if not 0 < raw.rho < math.inf:
         problems.append("rho must be positive and finite")
-    if not is_integer(raw.master_seed):
-        problems.append("master_seed must be an integer")
-    elif not 0 <= raw.master_seed <= _MASK64:
-        # Stream derivation reduces the seed mod 2**64, so a seed outside
-        # this range would silently repeat another seed's run.
-        problems.append("master_seed must lie in [0, 2**64)")
+    # Streams reduce the seed mod 2**64: one outside [0, 2**64) would repeat another seed's run.
+    problems.append(count_problem("master_seed", raw.master_seed, 0, _MASK64))
     if not isinstance(raw.optimizer, Optimizer):
         problems.append("optimizer must be SOFIM or FEDGD")
-    if not is_integer(raw.batch_size):
-        problems.append("batch_size must be an integer")
-    elif raw.batch_size < 0:
-        problems.append("batch_size must be a nonnegative integer")
-    if problems:
+    problems.append(count_problem("batch_size", raw.batch_size, 0))
+    if problems := [problem for problem in problems if problem]:
         raise ValueError("; ".join(problems))
     return raw
 
@@ -262,14 +255,14 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
     """An iterator over rounds 0 .. rounds-1 yielding, for each, the list of
     ``n_clients`` generators that ``derive_noise_stream(master_seed, client,
-    round)`` gives, with the same bits; the count is checked at the call.
+    round)`` gives, with the same bits; the counts are checked at the call.
 
     Stream seeds and their SeedSequence words are computed for a block of
     rounds at a time in numpy; each generator is still built fresh by
     PCG64's own seeding, so each stream serves exactly one client-round.
     """
-    if not is_integer(n_clients) or n_clients < 1:
-        raise ValueError("n_clients must be >= 1" if is_integer(n_clients) else "n_clients must be an integer")
+    if problem := count_problem("n_clients", n_clients) or count_problem("rounds", rounds, 0):
+        raise ValueError(problem)
     return _stream_blocks(master_seed, n_clients, rounds)
 
 

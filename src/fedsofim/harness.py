@@ -27,9 +27,9 @@ from .core import (
     Optimizer,
     RoundMetrics,
     ServerState,
+    count_problem,
     derive_noise_streams,
     derive_stream_seed,
-    is_integer,
     validate_config,
     with_updates,
     HOLDOUT_STREAM_TAG,
@@ -224,10 +224,8 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
             raise ValueError("privacy target requires both epsilon and delta")
         if plan.config.sigma_g != 0:
             raise ValueError("set either a privacy target or an explicit sigma_g, not both")
-    if not is_integer(plan.eval_every):
-        raise ValueError("eval_every must be an integer")
-    if plan.eval_every < 1:
-        raise ValueError("eval_every must be >= 1")
+    if problem := count_problem("eval_every", plan.eval_every):
+        raise ValueError(problem)
     return plan
 
 
@@ -420,10 +418,8 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     and its mean final accuracy/loss over its seeds, in seed order.
     """
     validate_plan(base_plan)
-    if not is_integer(seeds):
-        raise ValueError("seeds must be an integer")
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
+    if problem := count_problem("seeds", seeds):
+        raise ValueError(problem)
     candidates = [getattr(grid, axis + "s") or (getattr(base_plan.config, axis),) for axis in GRID_AXES]
     cells = [dict(zip(GRID_AXES, values)) for values in itertools.product(*candidates)]
     tables = [[] for _ in cells]

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .client import clip_rows
-from .core import is_integer
+from .core import count_problem
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
@@ -64,8 +64,8 @@ class QuadraticShard:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("shard size must be >= 1")
+        if problem := count_problem("size", self.size):
+            raise ValueError(problem)
         if self.a_matrix.shape != (self.center.shape[0], self.center.shape[0]):
             raise ValueError("a_matrix must be square and match the center dimension")
 
@@ -98,24 +98,33 @@ class FeatureStack:
     """Examples of a softmax task in shards, class-major: the augmented
     features [x, 1] transposed, x_t (p+1, M), the labels (M,) in shard order,
     and the shard sizes, with their ``_layout``.  It also holds what the
-    releases read of each example: ||x_i||^2 (M,), the one-hot labels (K, M)
-    and each label's flat index in a (K, M) array, labels*M + arange(M).
-    Every array is read-only."""
+    releases read of each example: ||x_i||^2 (M,), the class count K, and,
+    built on first read, each label's flat index in a (K, M) array,
+    labels*M + arange(M), and the one-hot labels (K, M).  Every array is
+    read-only."""
 
     def __init__(self, x_t: np.ndarray, labels: np.ndarray, sizes: tuple, sq_norms: np.ndarray, classes: int):
-        count = labels.shape[0]
-        self.label_index = labels * count + np.arange(count)
-        self.onehot = np.zeros((classes, count))
-        np.put(self.onehot, self.label_index, 1.0)
-        for array in (x_t, labels, sq_norms, self.onehot, self.label_index):
+        for array in (x_t, labels, sq_norms):
             array.flags.writeable = False
-        self.x_t, self.labels, self.sizes, self.sq_norms = x_t, labels, sizes, sq_norms
+        self.x_t, self.labels, self.sizes, self.sq_norms, self.classes = x_t, labels, sizes, sq_norms, classes
         self.starts, self.runs, self.counts = _layout(sizes)
+
+    @functools.cached_property
+    def label_index(self) -> np.ndarray:
+        index = self.labels * self.labels.shape[0] + np.arange(self.labels.shape[0])
+        index.flags.writeable = False
+        return index
+
+    @functools.cached_property
+    def onehot(self) -> np.ndarray:
+        onehot = np.zeros((self.classes, self.labels.shape[0]))
+        np.put(onehot, self.label_index, 1.0)
+        onehot.flags.writeable = False
+        return onehot
 
     def take(self, cols: np.ndarray, sizes: tuple) -> "FeatureStack":
         """The examples at cols, in that order, as shards of these sizes."""
-        return FeatureStack(self.x_t.take(cols, axis=1), self.labels[cols], sizes, self.sq_norms[cols],
-                            self.onehot.shape[0])
+        return FeatureStack(self.x_t.take(cols, axis=1), self.labels[cols], sizes, self.sq_norms[cols], self.classes)
 
     def subset(self, picks: list) -> "FeatureStack":
         """The stack with shard i cut to its examples picks[i] (all of them
@@ -377,10 +386,10 @@ Task = Union[SoftmaxHeadTask, QuadraticTask]
 def partition_iid(count: int, n: int, seed: int) -> list:
     """Seeded uniform shuffle of range(count), split into n index arrays
     whose sizes differ by <= 1, the earlier arrays taking the extra indices."""
+    if problem := count_problem("n", n) or count_problem("count", count, 0):
+        raise ValueError(problem)
     if count < n:
         raise ValueError(f"cannot partition {count} examples across {n} clients")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return np.array_split(np.random.default_rng(seed).permutation(count), n)
 
 
@@ -574,9 +583,7 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
 
 def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_size: int) -> list:
     """What is wrong with these synthetic quadratic settings, one message each."""
-    problems = []
-    if not (is_integer(d) and 1 <= d <= 64):
-        problems.append("d must lie in [1, 64]" if is_integer(d) else "d must be an integer")
+    problems = [count_problem("d", d, 1, 64)]
     if not 0 < mu < math.inf:
         problems.append("mu must be positive and finite")
     if not abs(L) < math.inf:
@@ -585,9 +592,8 @@ def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_
         problems.append("mu must not exceed L")
     if not 0 <= heterogeneity < math.inf:
         problems.append("heterogeneity must be nonnegative and finite")
-    if not (is_integer(shard_size) and shard_size >= 1):
-        problems.append("shard_size must be >= 1" if is_integer(shard_size) else "shard_size must be an integer")
-    return problems
+    problems.append(count_problem("shard_size", shard_size))
+    return [problem for problem in problems if problem]
 
 
 def make_synthetic_quadratic(
@@ -607,8 +613,8 @@ def make_synthetic_quadratic(
     (QuadraticTask, list of QuadraticShard).
     """
     problems = quadratic_problems(d, mu, L, heterogeneity, shard_size)
-    if not (is_integer(n) and n >= 1):
-        problems.append("n must be >= 1" if is_integer(n) else "n must be an integer")
+    if problem := count_problem("n", n):
+        problems.append(problem)
     if problems:
         raise ValueError("; ".join(problems))
     rng = np.random.default_rng(seed)

@@ -86,7 +86,7 @@ class TestSensitivity:
     def test_validation(self):
         with pytest.raises(ValueError, match="c_g must be positive"):
             sensitivity(0.0, 1)
-        with pytest.raises(ValueError, match="d_min must be >= 1"):
+        with pytest.raises(ValueError, match="^d_min must be >= 1$"):
             sensitivity(1.0, 0)
 
 
@@ -187,8 +187,10 @@ class TestComposedDelta:
     def test_validation(self):
         with pytest.raises(ValueError, match="sigma_g must be positive"):
             composed_delta(1.0, 0.0, 20, 70)
-        with pytest.raises(ValueError, match="n and T must be >= 1"):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             composed_delta(1.0, 1.0, 0, 70)
+        with pytest.raises(ValueError, match="^T must be >= 1$"):
+            composed_delta(1.0, 1.0, 20, 0)
         # A count is an int and not a bool: 2.5 clients or T=True would compose as a count.
         for n, T, name in ((2.5, 70, "n"), (True, 70, "n"), (20.0, 70, "n"), (20, 70.0, "T"), (20, False, "T")):
             with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
@@ -313,9 +315,11 @@ class TestNoiseFloor:
     def test_validation(self):
         with pytest.raises(ValueError, match="expected 3 dataset sizes, got 2"):
             noise_floor(1.0, 1.0, 3, [5, 5])
-        for sizes in ([5, 0], [-5, 10], [5, math.nan]):
-            with pytest.raises(ValueError, match="every dataset size must be >= 1"):
+        for sizes, message in (([5, 0], "sizes[1] must be >= 1"), ([-5, 10], "sizes[0] must be >= 1"),
+                               ([5, math.nan], "sizes[1] must be an integer")):
+            with pytest.raises(ValueError) as info:
                 noise_floor(1.0, 1.0, 2, sizes)
+            assert str(info.value) == message
         with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
             noise_floor(1.0, math.nan, 2, [5, 5])
 

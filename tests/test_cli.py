@@ -93,7 +93,7 @@ class TestRunCommand:
 
     def test_a_seed_outside_the_stream_range_fails_cleanly(self, capsys):
         assert cli.main(["run", *QUAD_FLAGS, "--master_seed", "-1"]) == 2
-        assert capsys.readouterr().err.strip() == "error: master_seed must lie in [0, 2**64)"
+        assert capsys.readouterr().err.strip() == "error: master_seed must be >= 0 and <= 18446744073709551615"
 
     def test_missing_config_keys_fail_cleanly(self, capsys):
         code = cli.main(["run", "--quadratic", "--n", "4", "--T", "8"])

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fedsofim.accountant import composed_delta, noise_floor, sensitivity
 from fedsofim.core import (
     FederatedConfig,
     Optimizer,
@@ -20,6 +21,8 @@ from fedsofim.core import (
     validate_config,
     with_updates,
 )
+from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, validate_plan
+from fedsofim.task import QuadraticShard, make_synthetic_quadratic, partition_iid
 
 
 def make_config(**overrides):
@@ -46,9 +49,9 @@ class TestValidateConfig:
             validate_config(make_config(sigma_g=-0.1))
 
     def test_nonpositive_counts_rejected(self):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             validate_config(make_config(n=0))
-        with pytest.raises(ValueError, match="T must be a positive integer"):
+        with pytest.raises(ValueError, match="^T must be >= 1$"):
             validate_config(make_config(T=0))
 
     def test_counts_must_be_integers(self):
@@ -57,7 +60,7 @@ class TestValidateConfig:
             for bad in (True, False, 2.5, 3.0, "3", None):
                 with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
                     validate_config(make_config(**{field: bad}))
-        with pytest.raises(ValueError, match="batch_size must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^batch_size must be >= 0$"):
             validate_config(make_config(batch_size=-1))
         assert validate_config(make_config(n=1, T=1, batch_size=0)).batch_size == 0
 
@@ -80,7 +83,7 @@ class TestValidateConfig:
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError) as err:
                 validate_config(make_config(rho=-2.0, master_seed=seed))
-            assert str(err.value) == "rho must be positive and finite; master_seed must lie in [0, 2**64)"
+            assert str(err.value) == "rho must be positive and finite; master_seed must be >= 0 and <= 18446744073709551615"
         for seed in (True, False):
             with pytest.raises(ValueError, match="^master_seed must be an integer$"):
                 validate_config(make_config(master_seed=seed))
@@ -248,6 +251,57 @@ master_seed = 7
 optimizer = FEDGD
 batch_size = 0
 """
+
+
+def _quadratic_plan(**plan):
+    config = make_config(n=2, T=1, sigma_g=0.0)
+    return ExperimentPlan(config=config, binding=QuadraticTaskBinding(d=2, mu=0.5, L=2.0), **plan)
+
+
+# Every entry point that takes a count, size or seed, as (name in messages,
+# lowest value, highest value or None, a valid value, the call with that one
+# argument set to the value).
+COUNT_ENTRY_POINTS = {
+    "validate_config.n": ("n", 1, None, 2, lambda v: validate_config(make_config(n=v))),
+    "validate_config.T": ("T", 1, None, 2, lambda v: validate_config(make_config(T=v))),
+    "validate_config.batch_size": ("batch_size", 0, None, 2, lambda v: validate_config(make_config(batch_size=v))),
+    "validate_config.master_seed": ("master_seed", 0, 2**64 - 1, 2**64 - 1,
+                                    lambda v: validate_config(make_config(master_seed=v))),
+    "derive_noise_streams.n_clients": ("n_clients", 1, None, 2, lambda v: derive_noise_streams(0, v, 3)),
+    "derive_noise_streams.rounds": ("rounds", 0, None, 2, lambda v: derive_noise_streams(0, 3, v)),
+    "composed_delta.n": ("n", 1, None, 2, lambda v: composed_delta(1.0, 1.0, v, 70)),
+    "composed_delta.T": ("T", 1, None, 2, lambda v: composed_delta(1.0, 1.0, 20, v)),
+    "validate_plan.eval_every": ("eval_every", 1, None, 2, lambda v: validate_plan(_quadratic_plan(eval_every=v))),
+    "grid_search.seeds": ("seeds", 1, None, 2,
+                          lambda v: grid_search(_quadratic_plan(), GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=v)),
+    "make_synthetic_quadratic.d": ("d", 1, 64, 2, lambda v: make_synthetic_quadratic(v, 2, 0.5, 2.0, 1.0, seed=0)),
+    "make_synthetic_quadratic.shard_size": (
+        "shard_size", 1, None, 2, lambda v: make_synthetic_quadratic(2, 2, 0.5, 2.0, 1.0, seed=0, shard_size=v)),
+    "make_synthetic_quadratic.n": ("n", 1, None, 2, lambda v: make_synthetic_quadratic(2, v, 0.5, 2.0, 1.0, seed=0)),
+    "QuadraticShard.size": ("size", 1, None, 2, lambda v: QuadraticShard(np.eye(2), np.zeros(2), v)),
+    "noise_floor.n": ("n", 1, None, 2, lambda v: noise_floor(10.0, 2.0, v, [5, 5])),
+    "noise_floor.sizes": ("sizes[1]", 1, None, 2, lambda v: noise_floor(10.0, 2.0, 2, [5, v])),
+    "sensitivity.d_min": ("d_min", 1, None, 2, lambda v: sensitivity(1.0, v)),
+    "partition_iid.n": ("n", 1, None, 2, lambda v: partition_iid(10, v, 0)),
+    "partition_iid.count": ("count", 0, None, 10, lambda v: partition_iid(v, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_every_count_follows_one_integer_rule(entry):
+    # A bool is an int to Python but no count, and 2.0 is a float however
+    # whole; each is refused at the call with one message naming the field.
+    name, low, high, valid, call = COUNT_ENTRY_POINTS[entry]
+    bound = f"{name} must be >= {low}" + ("" if high is None else f" and <= {high}")
+    cases = [(True, f"{name} must be an integer"), (2.5, f"{name} must be an integer"),
+             (2.0, f"{name} must be an integer"), (low - 1, bound)]
+    if high is not None:
+        cases.append((high + 1, bound))
+    for value, message in cases:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == message, value
+    call(valid)
 
 
 class TestConfigParsing:

@@ -322,7 +322,7 @@ class TestBuildBundle:
             (dict(mu=math.nan), "mu must be positive and finite"),
             (dict(L=math.nan), "L must be finite"),
             (dict(d=0, mu=3.0, heterogeneity=math.inf, shard_size=0),
-             "d must lie in [1, 64]; mu must not exceed L; heterogeneity must be nonnegative and finite; "
+             "d must be >= 1 and <= 64; mu must not exceed L; heterogeneity must be nonnegative and finite; "
              "shard_size must be >= 1"),
         ):
             with pytest.raises(ValueError) as info:
@@ -684,6 +684,30 @@ class TestSoftmaxRunPath:
             assert first == second and len(first.rows) == 6
             assert calls == stacks
 
+    def test_only_training_stacks_build_a_one_hot(self, tmp_path):
+        # A stack builds its one-hot labels and flat label index on first
+        # read.  Nothing reads a file's whole stack but its gathers, the test
+        # stack reads only its label index, and with mini-batches only the
+        # batches' stacks are released; a training stack's one-hot has the
+        # bits of the eager construction.
+        path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
+        test = write_feature_file(tmp_path, count=12, dim=3, classes=3, seed=1, name="test.features")
+        for test_path, batch_size in ((None, 0), (test, 0), (None, 5)):
+            binding = FeatureTaskBinding(train_path=path, test_path=test_path)
+            config = quad_config(T=4, n=4, sigma_g=1.0, batch_size=batch_size)
+            run_experiment(ExperimentPlan(config=config, binding=binding, eval_every=2))
+            bundle, whole = binding.bundle(config.n, config.master_seed), binding._files[1]
+            assert "onehot" not in whole.__dict__ and "label_index" not in whole.__dict__
+            assert "onehot" not in bundle.test.__dict__ and "label_index" in bundle.test.__dict__
+            train = bundle.train
+            assert ("onehot" in train.__dict__) == (batch_size == 0)
+            count = train.labels.shape[0]
+            eager = np.zeros((bundle.task.num_classes, count))
+            np.put(eager, train.labels * count + np.arange(count), 1.0)
+            assert (train.onehot.dtype, train.onehot.shape, train.onehot.tobytes()) == \
+                (eager.dtype, eager.shape, eager.tobytes())
+            assert not train.onehot.flags.writeable and not train.label_index.flags.writeable
+
 
 class TestMetricsIO:
     def rows(self):
@@ -833,7 +857,7 @@ class TestGridSearch:
 
     def test_a_seed_shifted_past_the_range_is_refused(self):
         plan = quad_plan(config=quad_config(T=2, master_seed=2**64 - 1))
-        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match="master_seed must be >= 0 and <= 18446744073709551615"):
             grid_search(plan, GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=2)
 
     def test_seed_count_validated(self):

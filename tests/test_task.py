@@ -465,7 +465,7 @@ class TestQuadraticTask:
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="mu must not exceed L"):
             make_synthetic_quadratic(4, 2, mu=2.0, L=1.0, heterogeneity=0.0, seed=0)
-        with pytest.raises(ValueError, match=r"d must lie in \[1, 64\]"):
+        with pytest.raises(ValueError, match="^d must be >= 1 and <= 64$"):
             make_synthetic_quadratic(65, 2, mu=0.5, L=1.0, heterogeneity=0.0, seed=0)
         with pytest.raises(ValueError, match="heterogeneity must be nonnegative"):
             make_synthetic_quadratic(4, 2, mu=0.5, L=1.0, heterogeneity=-1.0, seed=0)
