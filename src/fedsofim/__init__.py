@@ -30,7 +30,6 @@ from .core import (
     load_config,
     parse_config_text,
     validate_config,
-    with_updates,
 )
 from .harness import (
     ExperimentPlan,

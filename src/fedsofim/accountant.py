@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from .core import count_problem
+from .core import count_problem, raise_problems, real_problem
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -112,19 +112,23 @@ def composed_delta(epsilon: float, sigma_g: float, n: int, T: int) -> float:
     return _hockey_stick(epsilon, sigma_g / (2.0 * math.sqrt(n * T)))
 
 
+def target_problems(epsilon: float, delta: float) -> tuple:
+    """What is wrong with a privacy target (epsilon, delta), or None, for each.
+    epsilon must be finite: delta(inf) = 0 would calibrate to the bracket's bottom."""
+    return real_problem("epsilon", epsilon, 0, math.inf, "[)"), real_problem("delta", delta, 0, 1, "()")
+
+
 def calibrate_sigma(epsilon: float, delta: float, n: int, T: int) -> float:
     """Smallest noise multiplier meeting (epsilon, delta) after T rounds.
 
     Bisects composed_delta (strictly decreasing in sigma_g) over the fixed
     bracket until the endpoints are within 0.1% of each other, returning the
-    feasible upper endpoint.  Raises for a non-finite epsilon or if the top
-    of the bracket cannot reach the target; if the bottom already meets it,
-    the bottom is returned (the true optimum is below anything usable here).
+    feasible upper endpoint.  Raises for a target that target_problems
+    refuses or if the top of the bracket cannot reach the target; if the
+    bottom already meets it, the bottom is returned (the true optimum is
+    below anything usable here).
     """
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be nonnegative and finite")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
+    raise_problems(*target_problems(epsilon, delta))
     lo, hi = CALIBRATION_BRACKET
     if composed_delta(epsilon, hi, n, T) > delta:
         raise ValueError(f"target (eps={epsilon}, delta={delta}) unreachable within sigma_g <= {hi}")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -40,7 +41,7 @@ class FederatedConfig:
     deterministic gradient descent.  batch_size = 0 sums clipped gradients
     over the whole local dataset (the normative behavior); a positive value
     sub-samples that many examples per round, with no amplification credit
-    taken by the accountant.
+    taken by the accountant.  Each build, replace included, runs validate_config.
     """
 
     n: int
@@ -54,6 +55,9 @@ class FederatedConfig:
     optimizer: Optimizer = Optimizer.SOFIM
     batch_size: int = 0
 
+    def __post_init__(self):
+        validate_config(self)
+
 
 def count_problem(name: str, value, low: int = 1, high: Optional[int] = None) -> Optional[str]:
     """The rule for every count, size and seed: an int, not a bool, in [low, high]
@@ -65,29 +69,42 @@ def count_problem(name: str, value, low: int = 1, high: Optional[int] = None) ->
     return None
 
 
+def raise_problems(*problems: Optional[str]) -> None:
+    """Raise one ValueError naming, in order, every problem given that is not
+    None: the one form a refused setting takes."""
+    if problems := [problem for problem in problems if problem]:
+        raise ValueError("; ".join(problems))
+
+
+def real_problem(name: str, value, low: float, high: float, closed: str) -> Optional[str]:
+    """The rule for every real-valued setting: a real number, not a bool, in the interval
+    from low to high, each end closed where ``closed`` has a square bracket ("[)" is
+    [low, high)), so nan lies in none.  Returns what is wrong, naming it, or None."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return f"{name} must be a real number"
+    above = value >= low if closed[0] == "[" else value > low
+    below = value <= high if closed[1] == "]" else value < high
+    return None if above and below else f"{name} must lie in {closed[0]}{low:g}, {high:g}{closed[1]}"
+
+
 def validate_config(raw: FederatedConfig) -> FederatedConfig:
     """Return the config unchanged if every bound holds, else raise ValueError.
 
     All violations are reported in one message, each naming its field.
     """
-    problems = [count_problem("n", raw.n), count_problem("T", raw.T)]
-    if not 0 < raw.eta < math.inf:
-        problems.append("eta must be positive and finite")
-    if not 0 < raw.clip_cg < math.inf:
-        problems.append("clip_cg must be positive and finite")
-    if not 0 <= raw.sigma_g < math.inf:
-        problems.append("sigma_g must be nonnegative and finite")
-    if not 0 <= raw.beta < 1:
-        problems.append("beta must lie in [0,1)")
-    if not 0 < raw.rho < math.inf:
-        problems.append("rho must be positive and finite")
-    # Streams reduce the seed mod 2**64: one outside [0, 2**64) would repeat another seed's run.
-    problems.append(count_problem("master_seed", raw.master_seed, 0, _MASK64))
-    if not isinstance(raw.optimizer, Optimizer):
-        problems.append("optimizer must be SOFIM or FEDGD")
-    problems.append(count_problem("batch_size", raw.batch_size, 0))
-    if problems := [problem for problem in problems if problem]:
-        raise ValueError("; ".join(problems))
+    raise_problems(
+        count_problem("n", raw.n),
+        count_problem("T", raw.T),
+        real_problem("eta", raw.eta, 0, math.inf, "()"),
+        real_problem("clip_cg", raw.clip_cg, 0, math.inf, "()"),
+        real_problem("sigma_g", raw.sigma_g, 0, math.inf, "[)"),
+        real_problem("beta", raw.beta, 0, 1, "[)"),
+        real_problem("rho", raw.rho, 0, math.inf, "()"),
+        # Streams reduce the seed mod 2**64: one outside [0, 2**64) would repeat another seed's run.
+        count_problem("master_seed", raw.master_seed, 0, _MASK64),
+        None if isinstance(raw.optimizer, Optimizer) else "optimizer must be SOFIM or FEDGD",
+        count_problem("batch_size", raw.batch_size, 0),
+    )
     return raw
 
 
@@ -261,8 +278,7 @@ def derive_noise_streams(master_seed: int, n_clients: int, rounds: int):
     rounds at a time in numpy; each generator is still built fresh by
     PCG64's own seeding, so each stream serves exactly one client-round.
     """
-    if problem := count_problem("n_clients", n_clients) or count_problem("rounds", rounds, 0):
-        raise ValueError(problem)
+    raise_problems(count_problem("n_clients", n_clients) or count_problem("rounds", rounds, 0))
     return _stream_blocks(master_seed, n_clients, rounds)
 
 
@@ -290,7 +306,7 @@ _REQUIRED_KEYS = tuple(f.name for f in fields(FederatedConfig) if f.default is M
 
 
 def parse_config_text(text: str, overrides: Optional[dict] = None) -> FederatedConfig:
-    """Parse flat ``key = value`` lines into a validated FederatedConfig.
+    """Parse flat ``key = value`` lines into a FederatedConfig, which checks itself.
 
     Blank lines and ``#`` comments are ignored.  ``overrides`` (e.g. parsed
     CLI flags) replace file values key-by-key before validation.
@@ -332,14 +348,10 @@ def parse_config_text(text: str, overrides: Optional[dict] = None) -> FederatedC
                 kwargs[key] = caster(val)
             except (TypeError, ValueError):
                 raise ValueError(f"config key {key!r}: cannot parse {val!r} as {caster.__name__}") from None
-    return validate_config(FederatedConfig(**kwargs))
+    return FederatedConfig(**kwargs)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> FederatedConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), overrides)
 
-
-def with_updates(config: FederatedConfig, **changes) -> FederatedConfig:
-    """Functional update helper that re-validates the result."""
-    return validate_config(replace(config, **changes))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .accountant import calibrate_sigma
+from .accountant import calibrate_sigma, target_problems
 from .client import release_round
 from .core import (
     CONFIG_TYPES,
@@ -30,8 +30,8 @@ from .core import (
     count_problem,
     derive_noise_streams,
     derive_stream_seed,
-    validate_config,
-    with_updates,
+    raise_problems,
+    real_problem,
     HOLDOUT_STREAM_TAG,
     PARTITION_STREAM_TAG,
     TASK_STREAM_TAG,
@@ -91,15 +91,11 @@ class FeatureTaskBinding:
     holdout_fraction: float = 0.2
 
     def __post_init__(self):
-        problems = []
-        if not 0 <= self.l2_lambda < math.inf:
-            problems.append("l2_lambda must be nonnegative and finite")
-        if not 0 <= self.holdout_fraction < 1:
-            problems.append("holdout_fraction must lie in [0, 1)")
-        elif self.holdout_fraction == 0 and self.test_path is None:
+        problems = [real_problem("l2_lambda", self.l2_lambda, 0, math.inf, "[)"),
+                    real_problem("holdout_fraction", self.holdout_fraction, 0, 1, "[)")]
+        if not problems[1] and self.holdout_fraction == 0 and self.test_path is None:
             problems.append("holdout_fraction must be positive when no test file is given")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(*problems)
 
     @functools.cached_property
     def _files(self) -> tuple:
@@ -147,9 +143,7 @@ class QuadraticTaskBinding:
     shard_size: int = 10
 
     def __post_init__(self):
-        problems = quadratic_problems(self.d, self.mu, self.L, self.heterogeneity, self.shard_size)
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(*quadratic_problems(self.d, self.mu, self.L, self.heterogeneity, self.shard_size))
 
     @_keeps_its_last_bundle
     def bundle(self, n: int, master_seed: int) -> "TaskBundle":
@@ -204,7 +198,7 @@ class ExperimentPlan:
 
     elapsed seconds are recorded only when record_timing is set; by default
     the column is written as 0.0 so two runs of one plan emit byte-identical
-    files.
+    files.  Like its config, a plan checks itself whenever it is built.
     """
 
     config: FederatedConfig
@@ -215,27 +209,23 @@ class ExperimentPlan:
     output_path: Optional[str] = None
     record_timing: bool = False
 
-
-def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
-    validate_config(plan.config)
-    has_target = plan.epsilon is not None or plan.delta is not None
-    if has_target:
-        if plan.epsilon is None or plan.delta is None:
-            raise ValueError("privacy target requires both epsilon and delta")
-        if plan.config.sigma_g != 0:
-            raise ValueError("set either a privacy target or an explicit sigma_g, not both")
-    if problem := count_problem("eval_every", plan.eval_every):
-        raise ValueError(problem)
-    return plan
+    def __post_init__(self):
+        problems = []
+        if self.epsilon is not None or self.delta is not None:
+            if self.epsilon is None or self.delta is None:
+                problems.append("privacy target requires both epsilon and delta")
+            else:
+                problems += target_problems(self.epsilon, self.delta)
+            if self.config.sigma_g != 0:
+                problems.append("set either a privacy target or an explicit sigma_g, not both")
+        raise_problems(*problems, count_problem("eval_every", self.eval_every))
 
 
 def resolve_sigma(plan: ExperimentPlan) -> FederatedConfig:
     """Return the plan's config with sigma_g made concrete."""
-    validate_plan(plan)
-    if plan.epsilon is not None:
-        sigma = calibrate_sigma(plan.epsilon, plan.delta, plan.config.n, plan.config.T)
-        return with_updates(plan.config, sigma_g=sigma)
-    return plan.config
+    if plan.epsilon is None:
+        return plan.config
+    return replace(plan.config, sigma_g=calibrate_sigma(plan.epsilon, plan.delta, plan.config.n, plan.config.T))
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +407,22 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
     Returns (best_config, sweep_rows) where each sweep row records the cell
     and its mean final accuracy/loss over its seeds, in seed order.
     """
-    validate_plan(base_plan)
-    if problem := count_problem("seeds", seeds):
-        raise ValueError(problem)
+    raise_problems(count_problem("seeds", seeds))
     candidates = [getattr(grid, axis + "s") or (getattr(base_plan.config, axis),) for axis in GRID_AXES]
     cells = [dict(zip(GRID_AXES, values)) for values in itertools.product(*candidates)]
+    # Building every cell's config and the last shifted seed checks them all before the first run.
+    configs = [replace(base_plan.config, **cell) for cell in cells]
+    replace(base_plan.config, master_seed=base_plan.config.master_seed + seeds - 1)
     tables = [[] for _ in cells]
     for k in range(seeds):
-        for cell, runs in zip(cells, tables):
-            config = with_updates(base_plan.config, **cell, master_seed=base_plan.config.master_seed + k)
-            runs.append(run_experiment(replace(base_plan, config=config, eval_every=config.T, output_path=None)))
+        for config, runs in zip(configs, tables):
+            seeded = replace(config, master_seed=config.master_seed + k)
+            runs.append(run_experiment(replace(base_plan, config=seeded, eval_every=config.T, output_path=None)))
     sweep = [{**cell, "mean_final_accuracy": float(np.mean([run.final_accuracy() for run in runs])),
               "mean_final_loss": float(np.mean([run.final_loss() for run in runs]))}
              for cell, runs in zip(cells, tables)]
-    best = min(sweep, key=lambda r: (-r["mean_final_accuracy"], *(r[axis] for axis in GRID_AXES)))
-    return with_updates(base_plan.config, **{axis: best[axis] for axis in GRID_AXES}), sweep
+    best = min(range(len(cells)), key=lambda i: (-sweep[i]["mean_final_accuracy"], *cells[i].values()))
+    return configs[best], sweep
 
 
 # ---------------------------------------------------------------------------

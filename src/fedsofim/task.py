@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .client import clip_rows
-from .core import count_problem
+from .core import count_problem, raise_problems, real_problem
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
@@ -64,8 +65,7 @@ class QuadraticShard:
     size: int
 
     def __post_init__(self):
-        if problem := count_problem("size", self.size):
-            raise ValueError(problem)
+        raise_problems(count_problem("size", self.size))
         if self.a_matrix.shape != (self.center.shape[0], self.center.shape[0]):
             raise ValueError("a_matrix must be square and match the center dimension")
 
@@ -167,15 +167,8 @@ class SoftmaxHeadTask:
     """
 
     def __init__(self, num_classes: int, feature_dim: int, l2_lambda: float = 1e-4):
-        problems = []
-        if not num_classes >= 2:
-            problems.append("num_classes must be >= 2")
-        if not feature_dim >= 1:
-            problems.append("feature_dim must be >= 1")
-        if not 0 <= l2_lambda < math.inf:
-            problems.append("l2_lambda must be nonnegative and finite")
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(count_problem("num_classes", num_classes, 2), count_problem("feature_dim", feature_dim),
+                       real_problem("l2_lambda", l2_lambda, 0, math.inf, "[)"))
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.l2_lambda = l2_lambda
@@ -386,8 +379,7 @@ Task = Union[SoftmaxHeadTask, QuadraticTask]
 def partition_iid(count: int, n: int, seed: int) -> list:
     """Seeded uniform shuffle of range(count), split into n index arrays
     whose sizes differ by <= 1, the earlier arrays taking the extra indices."""
-    if problem := count_problem("n", n) or count_problem("count", count, 0):
-        raise ValueError(problem)
+    raise_problems(count_problem("n", n) or count_problem("count", count, 0))
     if count < n:
         raise ValueError(f"cannot partition {count} examples across {n} clients")
     return np.array_split(np.random.default_rng(seed).permutation(count), n)
@@ -563,8 +555,7 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append(f"labels must lie in [0, {num_classes})")
     if not np.isfinite(dataset.features).all():
         problems.append("feature values must be finite")
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(*problems)
     # Written beside the target and renamed over it, so a write that stops
     # part-way leaves the old file or none, never one cut at a row boundary
     # (which would load cleanly with fewer rows).
@@ -583,16 +574,12 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
 
 def quadratic_problems(d: int, mu: float, L: float, heterogeneity: float, shard_size: int) -> list:
     """What is wrong with these synthetic quadratic settings, one message each."""
-    problems = [count_problem("d", d, 1, 64)]
-    if not 0 < mu < math.inf:
-        problems.append("mu must be positive and finite")
-    if not abs(L) < math.inf:
-        problems.append("L must be finite")
-    elif mu > L:
+    problems = [count_problem("d", d, 1, 64), real_problem("mu", mu, 0, math.inf, "()"),
+                real_problem("L", L, -math.inf, math.inf, "()")]
+    if not problems[2] and isinstance(mu, numbers.Real) and mu > L:  # also where mu is out of its own range
         problems.append("mu must not exceed L")
-    if not 0 <= heterogeneity < math.inf:
-        problems.append("heterogeneity must be nonnegative and finite")
-    problems.append(count_problem("shard_size", shard_size))
+    problems += [real_problem("heterogeneity", heterogeneity, 0, math.inf, "[)"),
+                 count_problem("shard_size", shard_size)]
     return [problem for problem in problems if problem]
 
 
@@ -612,11 +599,7 @@ def make_synthetic_quadratic(
     client centers around a common draw (0 makes all centers equal).  Returns
     (QuadraticTask, list of QuadraticShard).
     """
-    problems = quadratic_problems(d, mu, L, heterogeneity, shard_size)
-    if problem := count_problem("n", n):
-        problems.append(problem)
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(*quadratic_problems(d, mu, L, heterogeneity, shard_size), count_problem("n", n))
     rng = np.random.default_rng(seed)
     eigvals = np.geomspace(mu, L, d)
     basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -645,19 +628,12 @@ def make_anisotropic_features(
     scale ``separation``, so the high-variance axes carry mostly noise while
     the classification signal is spread over every axis.
     """
-    problems = []
-    if not feature_dim >= 1:
-        problems.append("feature_dim must be >= 1")
-    if not num_classes >= 2:
-        problems.append("num_classes must be >= 2")
-    elif num_examples < num_classes:
+    problems = [count_problem("num_examples", num_examples), count_problem("feature_dim", feature_dim),
+                count_problem("num_classes", num_classes, 2)]
+    if not (problems[0] or problems[2]) and num_examples < num_classes:
         problems.append("need at least one example per class")
-    if not 1 <= condition < math.inf:
-        problems.append("condition must be >= 1 and finite")
-    if not abs(separation) < math.inf:
-        problems.append("separation must be finite")
-    if problems:
-        raise ValueError("; ".join(problems))
+    raise_problems(*problems, real_problem("condition", condition, 1, math.inf, "[)"),
+                   real_problem("separation", separation, -math.inf, math.inf, "()"))
     rng = np.random.default_rng(seed)
     stds = np.geomspace(math.sqrt(condition), 1.0, feature_dim)
     means = rng.normal(size=(num_classes, feature_dim)) * separation

@@ -231,11 +231,11 @@ class TestCalibrateSigma:
             calibrate_sigma(1e-9, 1e-12, 1, 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             calibrate_sigma(1.0, 0.0, 20, 70)
-        with pytest.raises(ValueError, match=r"delta must lie in \(0,1\)"):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             calibrate_sigma(1.0, 1.0, 20, 70)
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, inf\)"):
             calibrate_sigma(math.nan, 1e-5, 20, 70)
         # Two and a half clients used to calibrate to 23.61.
         with pytest.raises(ValueError, match="^n must be an integer$"):
@@ -250,7 +250,7 @@ class TestCalibrateSigma:
 
         monkeypatch.setattr(accountant_module, "composed_delta", refuse)
         for epsilon in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match=r"^epsilon must be nonnegative and finite$"):
+            with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, inf\)$"):
                 calibrate_sigma(epsilon, 1e-5, 20, 70)
 
     def test_composed_delta_keeps_delta_zero_at_infinite_epsilon(self):

@@ -113,9 +113,9 @@ class TestRunCommand:
         capsys.readouterr()
         feature_flags = ["--features", str(features), *QUAD_FLAGS[7:]]
         for flags, message in (
-            ([*feature_flags, "--l2-lambda", "nan"], "error: l2_lambda must be nonnegative and finite"),
+            ([*feature_flags, "--l2-lambda", "nan"], "error: l2_lambda must lie in [0, inf)"),
             ([*feature_flags, "--holdout-fraction", "nan"], "error: holdout_fraction must lie in [0, 1)"),
-            ([*QUAD_FLAGS, "--mu", "nan"], "error: mu must be positive and finite"),
+            ([*QUAD_FLAGS, "--mu", "nan"], "error: mu must lie in (0, inf)"),
         ):
             assert cli.main(["run", *flags]) == 2
             assert capsys.readouterr().err.strip() == message
@@ -149,7 +149,7 @@ class TestRunCommand:
                 "calibrate": ["calibrate", *target, "--n", "4", "--T", "8"]}[command]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.strip() == "error: epsilon must be nonnegative and finite"
+        assert captured.err.strip() == "error: epsilon must lie in [0, inf)"
         assert captured.out == ""
 
 
@@ -260,8 +260,8 @@ class TestGenTaskCommand:
         base = ["gen-task", "--examples", "20", "--dim", "3", "--seed", "4", "--output", str(out)]
         for flags, message in (
             (["--classes", "1"], "error: num_classes must be >= 2"),
-            (["--classes", "2", "--condition", "nan"], "error: condition must be >= 1 and finite"),
-            (["--classes", "2", "--separation", "inf"], "error: separation must be finite"),
+            (["--classes", "2", "--condition", "nan"], "error: condition must lie in [1, inf)"),
+            (["--classes", "2", "--separation", "inf"], "error: separation must lie in (-inf, inf)"),
         ):
             assert cli.main([*base, *flags]) == 2
             assert capsys.readouterr().err.strip() == message
@@ -272,8 +272,8 @@ class TestGenTaskCommand:
         assert cli.main(["gen-task", "--examples", "20", "--dim", "0", "--classes", "1", "--condition", "inf",
                          "--separation", "nan", "--output", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
-            "error: feature_dim must be >= 1; num_classes must be >= 2; condition must be >= 1 and finite; "
-            "separation must be finite")
+            "error: feature_dim must be >= 1; num_classes must be >= 2; condition must lie in [1, inf); "
+            "separation must lie in (-inf, inf)")
         assert not out.exists()
 
     def test_generation_is_deterministic(self, tmp_path):

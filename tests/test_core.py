@@ -1,12 +1,17 @@
 """Config validation, deterministic stream derivation, and config-file parsing."""
 
-from dataclasses import fields
+import math
+import typing
+from dataclasses import fields, replace
+from decimal import Decimal
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from fedsofim.accountant import composed_delta, noise_floor, sensitivity
+from fedsofim.accountant import calibrate_sigma, composed_delta, noise_floor, sensitivity
 from fedsofim.core import (
+    CONFIG_TYPES,
     FederatedConfig,
     Optimizer,
     RoundMetrics,
@@ -19,10 +24,15 @@ from fedsofim.core import (
     load_config,
     parse_config_text,
     validate_config,
-    with_updates,
 )
-from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, validate_plan
-from fedsofim.task import QuadraticShard, make_synthetic_quadratic, partition_iid
+from fedsofim.harness import ExperimentPlan, FeatureTaskBinding, GridSpec, QuadraticTaskBinding, grid_search
+from fedsofim.task import (
+    QuadraticShard,
+    SoftmaxHeadTask,
+    make_anisotropic_features,
+    make_synthetic_quadratic,
+    partition_iid,
+)
 
 
 def make_config(**overrides):
@@ -37,15 +47,15 @@ class TestValidateConfig:
         assert validate_config(config) is config
 
     def test_beta_one_rejected(self):
-        with pytest.raises(ValueError, match=r"beta must lie in \[0,1\)"):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
             validate_config(make_config(beta=1.0))
 
     def test_rho_zero_rejected(self):
-        with pytest.raises(ValueError, match="rho must be positive"):
+        with pytest.raises(ValueError, match=r"rho must lie in \(0, inf\)"):
             validate_config(make_config(rho=0.0))
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
+        with pytest.raises(ValueError, match=r"sigma_g must lie in \[0, inf\)"):
             validate_config(make_config(sigma_g=-0.1))
 
     def test_nonpositive_counts_rejected(self):
@@ -68,22 +78,22 @@ class TestValidateConfig:
         with pytest.raises(ValueError) as err:
             validate_config(make_config(eta=0.0, clip_cg=-1.0, rho=-2.0))
         message = str(err.value)
-        assert "eta must be positive" in message
-        assert "clip_cg must be positive" in message
-        assert "rho must be positive" in message
+        assert "eta must lie in (0, inf)" in message
+        assert "clip_cg must lie in (0, inf)" in message
+        assert "rho must lie in (0, inf)" in message
         # A non-integer seed must be named here, not fail later as a
         # TypeError in stream derivation.
         for seed in (1.5, "3", None):
             with pytest.raises(ValueError) as err:
                 validate_config(make_config(rho=-2.0, master_seed=seed))
-            assert str(err.value) == "rho must be positive and finite; master_seed must be an integer"
+            assert str(err.value) == "rho must lie in (0, inf); master_seed must be an integer"
 
     def test_master_seed_must_lie_in_the_stream_range(self):
         # Streams reduce the seed mod 2**64, so -1 would repeat 2**64 - 1.
         for seed in (-1, 2**64, 2**64 + 5):
             with pytest.raises(ValueError) as err:
                 validate_config(make_config(rho=-2.0, master_seed=seed))
-            assert str(err.value) == "rho must be positive and finite; master_seed must be >= 0 and <= 18446744073709551615"
+            assert str(err.value) == "rho must lie in (0, inf); master_seed must be >= 0 and <= 18446744073709551615"
         for seed in (True, False):
             with pytest.raises(ValueError, match="^master_seed must be an integer$"):
                 validate_config(make_config(master_seed=seed))
@@ -96,7 +106,7 @@ class TestValidateConfig:
             validate_config(make_config(eta=bad, clip_cg=bad, sigma_g=bad, rho=bad))
         message = str(err.value)
         for field in ("eta", "clip_cg", "sigma_g", "rho"):
-            assert f"{field} must be" in message and "finite" in message
+            assert f"{field} must lie in " in message
 
     def test_optimizer_must_be_an_optimizer(self):
         for bad in ("SOFIM", None, 0):
@@ -109,11 +119,11 @@ class TestValidateConfig:
     def test_beta_zero_boundary_is_valid(self):
         validate_config(make_config(beta=0.0))
 
-    def test_with_updates_revalidates(self):
+    def test_replace_rechecks(self):
         config = make_config()
-        with pytest.raises(ValueError, match="rho must be positive"):
-            with_updates(config, rho=0.0)
-        bumped = with_updates(config, eta=0.25)
+        with pytest.raises(ValueError, match=r"^rho must lie in \(0, inf\)$"):
+            replace(config, rho=0.0)
+        bumped = replace(config, eta=0.25)
         assert bumped.eta == 0.25
         assert bumped.n == config.n
 
@@ -271,7 +281,7 @@ COUNT_ENTRY_POINTS = {
     "derive_noise_streams.rounds": ("rounds", 0, None, 2, lambda v: derive_noise_streams(0, 3, v)),
     "composed_delta.n": ("n", 1, None, 2, lambda v: composed_delta(1.0, 1.0, v, 70)),
     "composed_delta.T": ("T", 1, None, 2, lambda v: composed_delta(1.0, 1.0, 20, v)),
-    "validate_plan.eval_every": ("eval_every", 1, None, 2, lambda v: validate_plan(_quadratic_plan(eval_every=v))),
+    "ExperimentPlan.eval_every": ("eval_every", 1, None, 2, lambda v: _quadratic_plan(eval_every=v)),
     "grid_search.seeds": ("seeds", 1, None, 2,
                           lambda v: grid_search(_quadratic_plan(), GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=v)),
     "make_synthetic_quadratic.d": ("d", 1, 64, 2, lambda v: make_synthetic_quadratic(v, 2, 0.5, 2.0, 1.0, seed=0)),
@@ -284,6 +294,14 @@ COUNT_ENTRY_POINTS = {
     "sensitivity.d_min": ("d_min", 1, None, 2, lambda v: sensitivity(1.0, v)),
     "partition_iid.n": ("n", 1, None, 2, lambda v: partition_iid(10, v, 0)),
     "partition_iid.count": ("count", 0, None, 10, lambda v: partition_iid(v, 2, 0)),
+    "SoftmaxHeadTask.num_classes": ("num_classes", 2, None, 3, lambda v: SoftmaxHeadTask(v, 2)),
+    "SoftmaxHeadTask.feature_dim": ("feature_dim", 1, None, 2, lambda v: SoftmaxHeadTask(3, v)),
+    "make_anisotropic_features.num_examples": (
+        "num_examples", 1, None, 10, lambda v: make_anisotropic_features(v, 2, 2, 10.0, 1.0, 0)),
+    "make_anisotropic_features.feature_dim": (
+        "feature_dim", 1, None, 2, lambda v: make_anisotropic_features(10, v, 2, 10.0, 1.0, 0)),
+    "make_anisotropic_features.num_classes": (
+        "num_classes", 2, None, 3, lambda v: make_anisotropic_features(10, 2, v, 10.0, 1.0, 0)),
 }
 
 
@@ -302,6 +320,84 @@ def test_every_count_follows_one_integer_rule(entry):
             call(value)
         assert str(info.value) == message, value
     call(valid)
+
+
+# Every real-valued setting, as (name in messages, its interval as the
+# message states it, a valid value, the call with that one argument set).
+REAL_ENTRY_POINTS = {
+    "FederatedConfig.eta": ("eta", "(0, inf)", 0.5, lambda v: make_config(eta=v)),
+    "FederatedConfig.clip_cg": ("clip_cg", "(0, inf)", 10.0, lambda v: make_config(clip_cg=v)),
+    "FederatedConfig.sigma_g": ("sigma_g", "[0, inf)", 1.0, lambda v: make_config(sigma_g=v)),
+    "FederatedConfig.beta": ("beta", "[0, 1)", 0.9, lambda v: make_config(beta=v)),
+    "FederatedConfig.rho": ("rho", "(0, inf)", 0.5, lambda v: make_config(rho=v)),
+    "FeatureTaskBinding.l2_lambda": ("l2_lambda", "[0, inf)", 1e-4,
+                                     lambda v: FeatureTaskBinding(train_path="unused", l2_lambda=v)),
+    "FeatureTaskBinding.holdout_fraction": (
+        "holdout_fraction", "[0, 1)", 0.2,
+        lambda v: FeatureTaskBinding(train_path="unused", test_path="unused", holdout_fraction=v)),
+    "SoftmaxHeadTask.l2_lambda": ("l2_lambda", "[0, inf)", 1e-4, lambda v: SoftmaxHeadTask(3, 2, v)),
+    "quadratic_problems.mu": ("mu", "(0, inf)", 0.5, lambda v: make_synthetic_quadratic(2, 2, v, 2.0, 1.0, seed=0)),
+    "quadratic_problems.L": ("L", "(-inf, inf)", 2.0, lambda v: make_synthetic_quadratic(2, 2, 0.5, v, 1.0, seed=0)),
+    "quadratic_problems.heterogeneity": ("heterogeneity", "[0, inf)", 1.0,
+                                         lambda v: make_synthetic_quadratic(2, 2, 0.5, 2.0, v, seed=0)),
+    "make_anisotropic_features.condition": ("condition", "[1, inf)", 10.0,
+                                            lambda v: make_anisotropic_features(10, 2, 2, v, 1.0, 0)),
+    "make_anisotropic_features.separation": ("separation", "(-inf, inf)", 1.0,
+                                             lambda v: make_anisotropic_features(10, 2, 2, 10.0, v, 0)),
+    "calibrate_sigma.epsilon": ("epsilon", "[0, inf)", 2.0, lambda v: calibrate_sigma(v, 0.5, 20, 70)),
+    "calibrate_sigma.delta": ("delta", "(0, 1)", 1e-5, lambda v: calibrate_sigma(2.0, v, 20, 70)),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+def test_every_real_setting_follows_one_rule(entry):
+    # True would run as 1.0 and "0.5" fail as a TypeError; nan lies in no
+    # interval.  A closed end is a valid value and an open one is refused.
+    # The rule's message may come with a related one (mu = inf exceeds L).
+    name, interval, valid, call = REAL_ENTRY_POINTS[entry]
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    outside = f"{name} must lie in {interval}"
+    cases = [(bad, f"{name} must be a real number") for bad in (True, "0.5", None, Decimal("0.5"))]
+    cases.append((math.nan, outside))
+    cases += [(end, outside) for end, bracket in ((low, interval[0]), (high, interval[-1])) if bracket in "()"]
+    for value, message in cases:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert message in str(info.value).split("; "), value
+    for end, bracket in ((low, interval[0]), (high, interval[-1])):
+        if bracket in "[]":
+            call(end)
+    call(valid)
+
+
+def test_invalid_settings_cannot_be_built():
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, inf\)$"):
+        FederatedConfig(n=2, T=3, eta=-1.0, clip_cg=1.0, sigma_g=0.0, beta=0.9, rho=0.5)
+    with pytest.raises(ValueError, match=r"^rho must lie in \(0, inf\)$"):
+        replace(make_config(), rho=0.0)
+    with pytest.raises(ValueError, match="^eval_every must be >= 1$"):
+        ExperimentPlan(config=make_config(), binding=QuadraticTaskBinding(d=2, mu=0.5, L=2.0), eval_every=0)
+
+
+def _typed_fields():
+    """(a valid settings object, one of its float or int fields, that kind)
+    for the config, both bindings and a plan with a privacy target."""
+    kinds = {float: float, Optional[float]: float, int: int, Optional[int]: int}
+    for settings in (make_config(), FeatureTaskBinding(train_path="unused"), QuadraticTaskBinding(d=2, mu=0.5, L=2.0),
+                     _quadratic_plan(epsilon=1.0, delta=1e-5)):
+        hints = CONFIG_TYPES if isinstance(settings, FederatedConfig) else typing.get_type_hints(type(settings))
+        for field in fields(settings):
+            if hints[field.name] in kinds:
+                yield pytest.param(settings, field.name, kinds[hints[field.name]],
+                                   id=f"{type(settings).__name__}.{field.name}")
+
+
+@pytest.mark.parametrize("settings, field, kind", _typed_fields())
+def test_no_setting_skips_its_rule(settings, field, kind):
+    # A new float or int field must be checked when its object is built.
+    for bad in (True, "1") if kind is float else (True, 2.5):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            replace(settings, **{field: bad})
 
 
 class TestConfigParsing:
@@ -354,7 +450,7 @@ class TestConfigParsing:
             parse_config_text(CONFIG_TEXT, overrides={"momentum": "0.9"})
 
     def test_parsed_config_is_validated(self):
-        with pytest.raises(ValueError, match="rho must be positive"):
+        with pytest.raises(ValueError, match=r"^rho must lie in \(0, inf\)$"):
             parse_config_text(CONFIG_TEXT, overrides={"rho": "0"})
 
     def test_load_config_reads_a_file(self, tmp_path):

@@ -43,7 +43,6 @@ from fedsofim.harness import (
     round_streams,
     run_experiment,
     run_round,
-    validate_plan,
 )
 from fedsofim.task import (
     FeatureDataset,
@@ -306,23 +305,23 @@ class TestBuildBundle:
 
     def test_bindings_reject_non_finite_and_out_of_range_settings(self):
         for settings, message in (
-            (dict(l2_lambda=math.nan), "l2_lambda must be nonnegative and finite"),
+            (dict(l2_lambda=math.nan), "l2_lambda must lie in [0, inf)"),
             (dict(holdout_fraction=math.nan), "holdout_fraction must lie in [0, 1)"),
             # Without a test file a zero fraction would still hold out one
             # row, and the accuracy could only read 0 or 1.
             (dict(holdout_fraction=0.0), "holdout_fraction must be positive when no test file is given"),
             (dict(l2_lambda=-1.0, holdout_fraction=1.0),
-             "l2_lambda must be nonnegative and finite; holdout_fraction must lie in [0, 1)"),
+             "l2_lambda must lie in [0, inf); holdout_fraction must lie in [0, 1)"),
         ):
             with pytest.raises(ValueError) as info:
                 FeatureTaskBinding(train_path="unused", **settings)
             assert str(info.value) == message
         FeatureTaskBinding(train_path="unused", test_path="unused", holdout_fraction=0.0)
         for settings, message in (
-            (dict(mu=math.nan), "mu must be positive and finite"),
-            (dict(L=math.nan), "L must be finite"),
+            (dict(mu=math.nan), "mu must lie in (0, inf)"),
+            (dict(L=math.nan), "L must lie in (-inf, inf)"),
             (dict(d=0, mu=3.0, heterogeneity=math.inf, shard_size=0),
-             "d must be >= 1 and <= 64; mu must not exceed L; heterogeneity must be nonnegative and finite; "
+             "d must be >= 1 and <= 64; mu must not exceed L; heterogeneity must lie in [0, inf); "
              "shard_size must be >= 1"),
         ):
             with pytest.raises(ValueError) as info:
@@ -436,21 +435,20 @@ class TestKeptBundle:
 class TestPlanValidation:
     def test_privacy_target_requires_both_epsilon_and_delta(self):
         with pytest.raises(ValueError, match="privacy target requires both epsilon and delta"):
-            validate_plan(quad_plan(epsilon=1.0))
+            quad_plan(epsilon=1.0)
 
     def test_target_and_explicit_sigma_are_mutually_exclusive(self):
-        plan = quad_plan(config=quad_config(sigma_g=1.0), epsilon=1.0, delta=1e-5)
         with pytest.raises(ValueError, match="not both"):
-            validate_plan(plan)
+            quad_plan(config=quad_config(sigma_g=1.0), epsilon=1.0, delta=1e-5)
 
     def test_eval_cadence_must_be_positive(self):
         with pytest.raises(ValueError, match="eval_every must be >= 1"):
-            validate_plan(quad_plan(eval_every=0))
+            quad_plan(eval_every=0)
 
     def test_eval_cadence_must_be_an_integer(self):
         for bad in (2.5, 2.0, True, "2"):
             with pytest.raises(ValueError, match="^eval_every must be an integer$"):
-                validate_plan(quad_plan(eval_every=bad))
+                quad_plan(eval_every=bad)
 
     def test_resolve_sigma_calibrates_the_target(self):
         plan = quad_plan(epsilon=2.0, delta=1e-5)
@@ -855,10 +853,21 @@ class TestGridSearch:
         assert json.dumps(sweep).encode() == json.dumps(expected).encode()
         assert len(builds) == seeds
 
-    def test_a_seed_shifted_past_the_range_is_refused(self):
+    def test_a_seed_shifted_past_the_range_is_refused(self, monkeypatch):
+        # Both are refused before the first run, not after the runs before them.
+        runs, run = [], harness_module.run_experiment
+        monkeypatch.setattr(harness_module, "run_experiment", lambda plan: runs.append(plan) or run(plan))
         plan = quad_plan(config=quad_config(T=2, master_seed=2**64 - 1))
         with pytest.raises(ValueError, match="master_seed must be >= 0 and <= 18446744073709551615"):
             grid_search(plan, GridSpec(etas=(0.1,), clip_cgs=(1.0,)), seeds=2)
+        plan = quad_plan(config=quad_config(T=2, master_seed=2**64 - 2))
+        with pytest.raises(ValueError, match="master_seed must be >= 0 and <= 18446744073709551615"):
+            grid_search(plan, GridSpec(etas=(0.1, 0.2), clip_cgs=(1.0,)), seeds=3)
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, inf\)$"):
+            grid_search(quad_plan(config=quad_config(T=2)), GridSpec(etas=(0.1, 0.2, -1.0), clip_cgs=(1.0,)))
+        assert runs == []
+        grid_search(plan, GridSpec(etas=(0.1, 0.2), clip_cgs=(1.0,)), seeds=2)
+        assert len(runs) == 4
 
     def test_seed_count_validated(self):
         with pytest.raises(ValueError, match="seeds must be >= 1"):

@@ -218,17 +218,17 @@ class TestSoftmaxLossAndAccuracy:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="num_classes must be >= 2"):
             SoftmaxHeadTask(num_classes=1, feature_dim=2)
-        with pytest.raises(ValueError, match="l2_lambda must be nonnegative"):
+        with pytest.raises(ValueError, match=r"l2_lambda must lie in \[0, inf\)"):
             SoftmaxHeadTask(num_classes=2, feature_dim=2, l2_lambda=-1.0)
 
     def test_non_finite_regularizer_rejected_with_every_other_problem(self):
         for l2_lambda in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="l2_lambda must be nonnegative and finite"):
+            with pytest.raises(ValueError, match=r"^l2_lambda must lie in \[0, inf\)$"):
                 SoftmaxHeadTask(num_classes=2, feature_dim=2, l2_lambda=l2_lambda)
         with pytest.raises(ValueError) as info:
             SoftmaxHeadTask(num_classes=1, feature_dim=0, l2_lambda=math.nan)
         assert str(info.value) == (
-            "num_classes must be >= 2; feature_dim must be >= 1; l2_lambda must be nonnegative and finite"
+            "num_classes must be >= 2; feature_dim must be >= 1; l2_lambda must lie in [0, inf)"
         )
 
 
@@ -467,15 +467,18 @@ class TestQuadraticTask:
             make_synthetic_quadratic(4, 2, mu=2.0, L=1.0, heterogeneity=0.0, seed=0)
         with pytest.raises(ValueError, match="^d must be >= 1 and <= 64$"):
             make_synthetic_quadratic(65, 2, mu=0.5, L=1.0, heterogeneity=0.0, seed=0)
-        with pytest.raises(ValueError, match="heterogeneity must be nonnegative"):
+        with pytest.raises(ValueError, match=r"heterogeneity must lie in \[0, inf\)"):
             make_synthetic_quadratic(4, 2, mu=0.5, L=1.0, heterogeneity=-1.0, seed=0)
 
     def test_non_finite_settings_are_named_together(self):
-        assert quadratic_problems(4, math.nan, 1.0, 0.0, 10) == ["mu must be positive and finite"]
+        assert quadratic_problems(4, math.nan, 1.0, 0.0, 10) == ["mu must lie in (0, inf)"]
+        # A real mu out of its own range is still compared with L.
+        assert quadratic_problems(4, math.inf, 1.0, 0.0, 10) == ["mu must lie in (0, inf)", "mu must not exceed L"]
+        assert quadratic_problems(4, -1.0, -2.0, 0.0, 10) == ["mu must lie in (0, inf)", "mu must not exceed L"]
         assert quadratic_problems(4, 0.5, math.inf, math.nan, 0) == [
-            "L must be finite", "heterogeneity must be nonnegative and finite", "shard_size must be >= 1",
+            "L must lie in (-inf, inf)", "heterogeneity must lie in [0, inf)", "shard_size must be >= 1",
         ]
-        with pytest.raises(ValueError, match="^mu must be positive and finite; n must be >= 1$"):
+        with pytest.raises(ValueError, match=r"^mu must lie in \(0, inf\); n must be >= 1$"):
             make_synthetic_quadratic(4, 0, mu=math.nan, L=1.0, heterogeneity=0.0, seed=0)
 
     def test_counts_refuse_a_bool_or_a_float(self):
@@ -1033,21 +1036,21 @@ class TestAnisotropicFeatures:
         assert 250.0 <= ratio <= 640.0, f"sample variance ratio {ratio:.1f}"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="condition must be >= 1"):
+        with pytest.raises(ValueError, match=r"condition must lie in \[1, inf\)"):
             make_anisotropic_features(10, 2, 2, condition=0.5, separation=1.0, seed=0)
         with pytest.raises(ValueError, match="at least one example per class"):
             make_anisotropic_features(1, 2, 2, condition=10.0, separation=1.0, seed=0)
 
     def test_bad_settings_are_named_together(self):
         for settings, message in (
-            (dict(condition=math.nan), "condition must be >= 1 and finite"),
-            (dict(condition=math.inf), "condition must be >= 1 and finite"),
-            (dict(separation=math.inf), "separation must be finite"),
+            (dict(condition=math.nan), "condition must lie in [1, inf)"),
+            (dict(condition=math.inf), "condition must lie in [1, inf)"),
+            (dict(separation=math.inf), "separation must lie in (-inf, inf)"),
             (dict(num_classes=1), "num_classes must be >= 2"),
             (dict(feature_dim=0), "feature_dim must be >= 1"),
             (dict(feature_dim=0, num_classes=1, condition=math.nan, separation=-math.inf),
-             "feature_dim must be >= 1; num_classes must be >= 2; condition must be >= 1 and finite; "
-             "separation must be finite"),
+             "feature_dim must be >= 1; num_classes must be >= 2; condition must lie in [1, inf); "
+             "separation must lie in (-inf, inf)"),
         ):
             with pytest.raises(ValueError) as info:
                 make_anisotropic_features(**{**dict(num_examples=50, feature_dim=3, num_classes=2,
