@@ -67,10 +67,7 @@ def log_normal_cdf(x: float) -> float:
 def sensitivity(c_g: float, d_min: int) -> float:
     """l2 sensitivity of one client's noiseless release under replace-one
     adjacency: the swapped record moves the clipped sum by at most 2 c_g."""
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    if problem := count_problem("d_min", d_min):
-        raise ValueError(problem)
+    raise_problems(real_problem("c_g", c_g, 0, math.inf, "(]"), count_problem("d_min", d_min))
     return 2.0 * c_g / d_min
 
 
@@ -85,13 +82,11 @@ def _hockey_stick(epsilon: float, ratio: float) -> float:
 
 def single_round_delta(epsilon: float, delta_sens: float, sigma_release: float) -> float:
     """Exact delta(eps) of one Gaussian release with sensitivity delta_sens
-    and noise scale sigma_release."""
-    if not sigma_release > 0:
-        raise ValueError("sigma_release must be positive")
-    if not delta_sens > 0:
-        raise ValueError("delta_sens must be positive")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    and noise scale sigma_release.  delta_sens must be finite: an infinite
+    one would leave the noise-to-sensitivity ratio at zero."""
+    raise_problems(real_problem("epsilon", epsilon, 0, math.inf, "[]"),
+                   real_problem("delta_sens", delta_sens, 0, math.inf, "()"),
+                   real_problem("sigma_release", sigma_release, 0, math.inf, "(]"))
     return _hockey_stick(epsilon, sigma_release / delta_sens)
 
 
@@ -102,12 +97,8 @@ def composed_delta(epsilon: float, sigma_g: float, n: int, T: int) -> float:
     coincides with single_round_delta for any clipping radius and minimum
     dataset size, which cancel out of the ratio.
     """
-    if not sigma_g > 0:
-        raise ValueError("sigma_g must be positive")
-    if problem := count_problem("n", n) or count_problem("T", T):
-        raise ValueError(problem)
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    raise_problems(real_problem("epsilon", epsilon, 0, math.inf, "[]"),
+                   real_problem("sigma_g", sigma_g, 0, math.inf, "(]"), count_problem("n", n), count_problem("T", T))
     # q = 1/(2*ratio): reuse the single-round kernel with ratio = sigma_g/(2 sqrt(nT)).
     return _hockey_stick(epsilon, sigma_g / (2.0 * math.sqrt(n * T)))
 
@@ -160,18 +151,13 @@ def noise_floor(c_g: float, sigma_g: float, n: int, sizes: Sequence[int]) -> Tup
     every size by the smallest one, giving (c_g sigma_g)^2 / (n m_min)^2.
     With equal sizes the two coincide.
     """
-    if not c_g > 0:
-        raise ValueError("c_g must be positive")
-    if not sigma_g >= 0:
-        raise ValueError("sigma_g must be nonnegative")
-    if problem := count_problem("n", n):
-        raise ValueError(problem)
     sizes = list(sizes)
-    if len(sizes) != n:
-        raise ValueError(f"expected {n} dataset sizes, got {len(sizes)}")
-    for i, size in enumerate(sizes):
-        if problem := count_problem(f"sizes[{i}]", size):
-            raise ValueError(problem)
+    raise_problems(
+        real_problem("c_g", c_g, 0, math.inf, "(]"),
+        real_problem("sigma_g", sigma_g, 0, math.inf, "[]"),
+        count_problem("n", n) or (None if len(sizes) == n else f"expected {n} dataset sizes, got {len(sizes)}"),
+        *(count_problem(f"sizes[{i}]", size) for i, size in enumerate(sizes)),
+    )
     if sigma_g == 0:
         return 0.0, 0.0
     scale = (c_g * sigma_g) ** 2

@@ -39,17 +39,20 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, metavar="PATH", help="key = value settings file")
     for key in CONFIG_TYPES:
         p.add_argument(f"--{key}", default=None)
-    p.add_argument("--features", default=None, metavar="PATH", help="frozen-feature training file")
-    p.add_argument("--test-features", default=None, metavar="PATH", help="held-out feature file")
-    p.add_argument("--l2-lambda", type=float, default=1e-4)
-    p.add_argument("--holdout-fraction", type=float, default=0.2,
+    p.add_argument("--features", dest="train_path", metavar="PATH", help="frozen-feature training file")
+    p.add_argument("--test-features", dest="test_path", metavar="PATH", help="held-out feature file")
+    p.add_argument("--l2-lambda", type=float)
+    p.add_argument("--holdout-fraction", type=float,
                    help="test split carved from --features when no --test-features")
     p.add_argument("--quadratic", action="store_true", help="synthetic quadratic task instead of features")
-    p.add_argument("--dim", type=int, default=10)
+    p.add_argument("--dim", dest="d", type=int, default=10)
     p.add_argument("--mu", type=float, default=0.1)
     p.add_argument("--L", type=float, default=5.0)
-    p.add_argument("--heterogeneity", type=float, default=1.0)
-    p.add_argument("--shard-size", type=int, default=10)
+    p.add_argument("--heterogeneity", type=float)
+    p.add_argument("--shard-size", type=int)
+    # Each task flag is stored under its binding's field name, with that field's default where it has one.
+    p.set_defaults(**{f.name: f.default for binding in (FeatureTaskBinding, QuadraticTaskBinding)
+                      for f in fields(binding) if f.default is not MISSING})
     p.add_argument("--epsilon", type=float, default=None, help="privacy target (requires --delta, sigma_g = 0)")
     p.add_argument("--delta", type=float, default=None)
 
@@ -70,19 +73,10 @@ def _resolve_plan(args: argparse.Namespace, **extra) -> ExperimentPlan:
 
 
 def _resolve_binding(args: argparse.Namespace):
-    if args.quadratic == (args.features is not None):
+    if args.quadratic == (args.train_path is not None):
         raise ValueError("choose exactly one task: --features PATH or --quadratic")
-    if args.quadratic:
-        return QuadraticTaskBinding(
-            d=args.dim, mu=args.mu, L=args.L,
-            heterogeneity=args.heterogeneity, shard_size=args.shard_size,
-        )
-    return FeatureTaskBinding(
-        train_path=args.features,
-        test_path=args.test_features,
-        l2_lambda=args.l2_lambda,
-        holdout_fraction=args.holdout_fraction,
-    )
+    binding = QuadraticTaskBinding if args.quadratic else FeatureTaskBinding
+    return binding(**{f.name: getattr(args, f.name) for f in fields(binding)})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -160,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one federated experiment")
     _add_plan_flags(p_run)
-    p_run.add_argument("--eval-every", type=int, default=10, help="evaluate every K rounds and at the last")
+    p_run.add_argument("--eval-every", type=int, default=ExperimentPlan.eval_every,
+                       help="evaluate every K rounds and at the last")
     p_run.add_argument("--output", default=None, metavar="PATH", help="metrics file (stdout when omitted)")
     p_run.add_argument("--timing", action="store_true", help="record wall-clock in the elapsed column")
     p_run.set_defaults(handler=_cmd_run)

@@ -14,8 +14,8 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -241,10 +241,12 @@ def _inside_ball(g: np.ndarray, c_g: float) -> np.ndarray:
     return g * (c_g * (1.0 - 4.0 * np.finfo(np.float64).eps) / norm) if norm > c_g else g
 
 
-def round_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float, sigma_g: float, n: int, streams,
+def round_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float, sigma_g: float, streams,
                     batch_size: int = 0) -> np.ndarray:
-    """A round's aggregate at theta, for the run, the diagnostics and the suites alike: the n clients'
-    releases averaged by the server, inside the ball of radius c_g if noiseless.  Overflow is silent."""
+    """A round's aggregate at theta, for the run, the diagnostics and the suites alike: the releases of
+    the stack's n clients, one stream each, averaged by the server, inside the ball of radius c_g if
+    noiseless.  Overflow is silent."""
+    n = len(bundle.train.sizes)
     with np.errstate(over="ignore", invalid="ignore"):
         g = aggregate(release_round(bundle.train, theta, c_g, sigma_g, n, streams, bundle.task, batch_size), n)
         return _inside_ball(g, c_g) if sigma_g == 0 else g
@@ -253,7 +255,7 @@ def round_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float, sigma_g: 
 def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
     """One round: round_aggregate and the optimizer step, for the round's
     entry of round_streams(config).  Returns (new_state, aggregate)."""
-    g = round_aggregate(bundle, state.theta, config.clip_cg, config.sigma_g, config.n, streams, config.batch_size)
+    g = round_aggregate(bundle, state.theta, config.clip_cg, config.sigma_g, streams, config.batch_size)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
             return sofim_step(state, g, config), g
@@ -322,7 +324,12 @@ def run_experiment(plan: ExperimentPlan) -> MetricsTable:
 # ---------------------------------------------------------------------------
 # Metrics files
 
-_COLUMNS = ("round", "train_loss", "test_accuracy", "aggregate_grad_norm", "suboptimality_gap", "elapsed")
+# The columns are RoundMetrics's fields, in order, each with its (cast, may be empty):
+# the field's type, or X and True for Optional[X].  Only the Optional field's cell,
+# the gap's, may be empty, for None.
+_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
+_CELLS = tuple(((get_args(hint) or (hint,))[0], type(None) in get_args(hint))
+               for hint in map(get_type_hints(RoundMetrics).get, _COLUMNS))
 
 
 def emit_metrics(table: MetricsTable, fh) -> None:
@@ -334,36 +341,39 @@ def emit_metrics(table: MetricsTable, fh) -> None:
     """
     fh.write(",".join(_COLUMNS) + "\n")
     for row in table.rows:
-        gap = "" if row.suboptimality_gap is None else repr(float(row.suboptimality_gap))
-        fh.write(
-            f"{row.round},{float(row.train_loss)!r},{float(row.test_accuracy)!r},"
-            f"{float(row.aggregate_grad_norm)!r},{gap},{float(row.elapsed)!r}\n"
-        )
+        values = (getattr(row, name) for name in _COLUMNS)
+        fh.write(",".join("" if value is None and optional else repr(cast(value))
+                          for value, (cast, optional) in zip(values, _CELLS)) + "\n")
+
+
+def _parse_row(line: str) -> RoundMetrics:
+    cells = line.split(",")
+    if len(cells) != len(_COLUMNS):
+        raise ValueError(f"bad metrics row: {line!r}")
+    values = {}
+    for name, cell, (cast, optional) in zip(_COLUMNS, cells, _CELLS):
+        try:
+            values[name] = None if optional and cell == "" else cast(cell)
+        except ValueError:
+            raise ValueError(f"bad metrics row: {name}: cannot parse {cell!r} as {cast.__name__}") from None
+    return RoundMetrics(**values)
 
 
 def read_metrics(path) -> tuple:
-    """Parse a file written by emit_metrics back into RoundMetrics rows."""
+    """Parse a file written by emit_metrics back into RoundMetrics rows.
+    A row that does not parse raises ValueError naming its line in the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != ",".join(_COLUMNS):
         raise ValueError("not a metrics file: bad or missing header row")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        cells = line.split(",")
-        if len(cells) != len(_COLUMNS):
-            raise ValueError(f"bad metrics row: {line!r}")
-        rows.append(
-            RoundMetrics(
-                round=int(cells[0]),
-                train_loss=float(cells[1]),
-                test_accuracy=float(cells[2]),
-                aggregate_grad_norm=float(cells[3]),
-                suboptimality_gap=None if cells[4] == "" else float(cells[4]),
-                elapsed=float(cells[5]),
-            )
-        )
+        try:
+            rows.append(_parse_row(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return tuple(rows)
 
 
@@ -387,12 +397,11 @@ class GridSpec:
     betas: Optional[tuple] = None
 
     def __post_init__(self):
-        if not self.etas or not self.clip_cgs:
-            raise ValueError("grid must list at least one eta and one clip_cg")
-        if self.rhos is not None and not self.rhos:
-            raise ValueError("rho grid, when given, must be nonempty")
-        if self.betas is not None and not self.betas:
-            raise ValueError("beta grid, when given, must be nonempty")
+        raise_problems(
+            None if self.etas and self.clip_cgs else "grid must list at least one eta and one clip_cg",
+            *(f"{axis} grid, when given, must be nonempty"
+              for axis, grid in (("rho", self.rhos), ("beta", self.betas)) if grid is not None and not grid),
+        )
 
 
 def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tuple:
@@ -432,7 +441,7 @@ def grid_search(base_plan: ExperimentPlan, grid: GridSpec, seeds: int = 1) -> tu
 def clipped_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float) -> np.ndarray:
     """round_aggregate's noiseless full-batch aggregate at theta (no streams)."""
     n = len(bundle.train.sizes)
-    return round_aggregate(bundle, theta, c_g, 0.0, n, (None,) * n)
+    return round_aggregate(bundle, theta, c_g, 0.0, (None,) * n)
 
 
 def detect_early_instability(sofim_rows: Sequence[RoundMetrics], fedgd_rows: Sequence[RoundMetrics]) -> bool:

@@ -276,7 +276,7 @@ def _aggregate_noise_variance(sizes, c_g, sigma_g, draws, seed) -> float:
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     for streams in derive_noise_streams(seed, n, draws):
-        xi = round_aggregate(bundle, theta, c_g, sigma_g, n, streams) - noiseless
+        xi = round_aggregate(bundle, theta, c_g, sigma_g, streams) - noiseless
         acc += xi
         acc_sq += xi * xi
     var = (acc_sq - acc * acc / draws) / (draws - 1)

@@ -84,7 +84,7 @@ class TestSensitivity:
         assert sensitivity(5.0, 1) == 10.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="c_g must be positive"):
+        with pytest.raises(ValueError, match=r"^c_g must lie in \(0, inf\]$"):
             sensitivity(0.0, 1)
         with pytest.raises(ValueError, match="^d_min must be >= 1$"):
             sensitivity(1.0, 0)
@@ -123,13 +123,20 @@ class TestSingleRoundDelta:
                 assert 0.0 <= value <= 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="sigma_release must be positive"):
+        with pytest.raises(ValueError, match=r"^sigma_release must lie in \(0, inf\]$"):
             single_round_delta(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="delta_sens must be positive"):
+        with pytest.raises(ValueError, match=r"^delta_sens must lie in \(0, inf\)$"):
             single_round_delta(1.0, 0.0, 1.0)
         for epsilon in (-0.5, math.nan):
-            with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, inf\]$"):
                 single_round_delta(epsilon, 1.0, 1.0)
+        # An infinite sensitivity used to divide by zero; every problem is named at once.
+        with pytest.raises(ValueError, match=r"^delta_sens must lie in \(0, inf\)$"):
+            single_round_delta(1.0, math.inf, 1.0)
+        with pytest.raises(ValueError) as info:
+            single_round_delta(-1.0, 0.0, 0.0)
+        assert str(info.value) == ("epsilon must lie in [0, inf]; delta_sens must lie in (0, inf); "
+                                   "sigma_release must lie in (0, inf]")
 
 
 class TestComposedDelta:
@@ -185,7 +192,7 @@ class TestComposedDelta:
         assert 0.0 <= value <= 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="sigma_g must be positive"):
+        with pytest.raises(ValueError, match=r"^sigma_g must lie in \(0, inf\]$"):
             composed_delta(1.0, 0.0, 20, 70)
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             composed_delta(1.0, 1.0, 0, 70)
@@ -320,8 +327,12 @@ class TestNoiseFloor:
             with pytest.raises(ValueError) as info:
                 noise_floor(1.0, 1.0, 2, sizes)
             assert str(info.value) == message
-        with pytest.raises(ValueError, match="sigma_g must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^sigma_g must lie in \[0, inf\]$"):
             noise_floor(1.0, math.nan, 2, [5, 5])
+        # A bool noise multiplier used to run as 1.0.
+        with pytest.raises(ValueError, match=r"^c_g must lie in \(0, inf\]; sigma_g must be a real number; "
+                                             r"sizes\[1\] must be >= 1$"):
+            noise_floor(0.0, True, 2, [5, 0])
 
 
 class TestTheoreticalFloor:

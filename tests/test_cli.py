@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import textwrap
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from conftest import child_env
 from fedsofim import cli
 from fedsofim.accountant import calibrate_sigma, composed_delta
 from fedsofim.core import FederatedConfig
-from fedsofim.harness import ExperimentPlan, GridSpec, QuadraticTaskBinding, grid_search, read_metrics
+from fedsofim.harness import (
+    ExperimentPlan,
+    FeatureTaskBinding,
+    GridSpec,
+    QuadraticTaskBinding,
+    grid_search,
+    read_metrics,
+)
 from fedsofim.task import load_frozen_features
 
 QUAD_FLAGS = [
@@ -151,6 +159,32 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.strip() == "error: epsilon must lie in [0, inf)"
         assert captured.out == ""
+
+
+class TestTaskFlags:
+    GRID = ["--etas", "0.2", "--clip_cgs", "1"]
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_each_flag_defaults_to_its_binding_field(self, command):
+        # A binding field with a default is the one place that default is stated.
+        args = cli.build_parser().parse_args([command, *(self.GRID if command == "grid" else [])])
+        for binding in (FeatureTaskBinding, QuadraticTaskBinding):
+            for field in fields(binding):
+                if field.default is not MISSING:
+                    assert getattr(args, field.name) == field.default, field.name
+        if command == "run":
+            assert args.eval_every == ExperimentPlan.eval_every
+
+    def test_a_flag_value_reaches_its_field(self, tmp_path):
+        parse = cli.build_parser().parse_args
+        binding = cli._resolve_binding(parse(["run", *QUAD_FLAGS, "--heterogeneity", "0.5", "--shard-size", "3"]))
+        assert binding == QuadraticTaskBinding(d=6, mu=0.5, L=2.0, heterogeneity=0.5, shard_size=3)
+        path = str(tmp_path / "train.features")
+        binding = cli._resolve_binding(parse(["grid", "--features", path, "--holdout-fraction", "0.3",
+                                              "--l2-lambda", "0.01", *self.GRID]))
+        assert binding == FeatureTaskBinding(train_path=path, l2_lambda=0.01, holdout_fraction=0.3)
+        binding = cli._resolve_binding(parse(["run", "--features", path, "--test-features", path]))
+        assert binding == FeatureTaskBinding(train_path=path, test_path=path)
 
 
 class TestCalibrateCommand:

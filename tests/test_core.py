@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from fedsofim.accountant import calibrate_sigma, composed_delta, noise_floor, sensitivity
+from fedsofim.accountant import calibrate_sigma, composed_delta, noise_floor, sensitivity, single_round_delta
 from fedsofim.core import (
     CONFIG_TYPES,
     FederatedConfig,
@@ -346,6 +346,15 @@ REAL_ENTRY_POINTS = {
                                              lambda v: make_anisotropic_features(10, 2, 2, 10.0, v, 0)),
     "calibrate_sigma.epsilon": ("epsilon", "[0, inf)", 2.0, lambda v: calibrate_sigma(v, 0.5, 20, 70)),
     "calibrate_sigma.delta": ("delta", "(0, 1)", 1e-5, lambda v: calibrate_sigma(2.0, v, 20, 70)),
+    "sensitivity.c_g": ("c_g", "(0, inf]", 1.0, lambda v: sensitivity(v, 5)),
+    "single_round_delta.epsilon": ("epsilon", "[0, inf]", 1.0, lambda v: single_round_delta(v, 1.0, 1.0)),
+    "single_round_delta.delta_sens": ("delta_sens", "(0, inf)", 1.0, lambda v: single_round_delta(1.0, v, 1.0)),
+    "single_round_delta.sigma_release": ("sigma_release", "(0, inf]", 1.0,
+                                         lambda v: single_round_delta(1.0, 1.0, v)),
+    "composed_delta.epsilon": ("epsilon", "[0, inf]", 1.0, lambda v: composed_delta(v, 1.0, 20, 70)),
+    "composed_delta.sigma_g": ("sigma_g", "(0, inf]", 1.0, lambda v: composed_delta(1.0, v, 20, 70)),
+    "noise_floor.c_g": ("c_g", "(0, inf]", 10.0, lambda v: noise_floor(v, 2.0, 2, [5, 5])),
+    "noise_floor.sigma_g": ("sigma_g", "[0, inf]", 2.0, lambda v: noise_floor(10.0, v, 2, [5, 5])),
 }
 
 

@@ -6,7 +6,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -732,6 +732,7 @@ class TestMetricsIO:
         assert content == (
             "round,train_loss,test_accuracy,aggregate_grad_norm,suboptimality_gap,elapsed\n"
         )
+        assert content == ",".join(f.name for f in fields(RoundMetrics)) + "\n"
 
     def test_absent_gap_becomes_an_empty_cell(self, tmp_path):
         path = tmp_path / "metrics.csv"
@@ -766,6 +767,23 @@ class TestMetricsIO:
         with pytest.raises(ValueError, match="bad metrics row"):
             read_metrics(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("20,x,0.8125,0.05,,2.5", "bad metrics row: train_loss: cannot parse 'x' as float"),
+        ("20,0.5,0.8125,,,2.5", "bad metrics row: aggregate_grad_norm: cannot parse '' as float"),
+        ("20.5,0.5,0.8125,0.05,,2.5", "bad metrics row: round: cannot parse '20.5' as int"),
+        ("20,0.5,1.5,0.05,,2.5", "test_accuracy must lie in [0,1]"),
+    ])
+    def test_a_row_that_does_not_parse_names_its_line(self, tmp_path, row, message):
+        # A bad cell, an empty cell outside the gap column, a fractional round and
+        # a row RoundMetrics refuses; the blank line before it counts as line 3.
+        path = tmp_path / "metrics.csv"
+        self.write(path, self.rows())
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([*lines[:2], "", row, *lines[2:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_metrics(path)
+        assert str(info.value) == f"line 4: {message}"
+
 
 class TestGridSearch:
     def test_an_empty_axis_is_refused(self):
@@ -774,6 +792,9 @@ class TestGridSearch:
             (dict(etas=(0.1,), clip_cgs=()), "grid must list at least one eta and one clip_cg"),
             (dict(etas=(0.1,), clip_cgs=(1.0,), rhos=()), "rho grid, when given, must be nonempty"),
             (dict(etas=(0.1,), clip_cgs=(1.0,), betas=()), "beta grid, when given, must be nonempty"),
+            (dict(etas=(), clip_cgs=(), rhos=(), betas=()), "grid must list at least one eta and one clip_cg; "
+                                                           "rho grid, when given, must be nonempty; "
+                                                           "beta grid, when given, must be nonempty"),
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 GridSpec(**axes)
@@ -922,10 +943,20 @@ class TestDiagnostics:
         def streams():
             return [derive_noise_stream(7, i, 0) for i in range(3)]
 
-        g = harness_module.round_aggregate(bundle, theta, 0.1, 100.0, 3, streams())
+        g = harness_module.round_aggregate(bundle, theta, 0.1, 100.0, streams())
         releases = client_module.release_round(bundle.train, theta, 0.1, 100.0, 3, streams(), bundle.task)
         np.testing.assert_array_equal(g, harness_module.aggregate(releases, 3))
         assert np.linalg.norm(g) > 0.1
+
+    def test_a_round_takes_one_stream_per_shard_of_its_stack(self):
+        # The client count is the stack's: a config for 5 clients on a 3-shard bundle fails.
+        bundle = QuadraticTaskBinding(d=4, mu=0.5, L=2.0).bundle(3, 0)
+        streams = [derive_noise_stream(7, i, 0) for i in range(5)]
+        with pytest.raises(ValueError, match="^a round's release requires one stream per shard$"):
+            harness_module.round_aggregate(bundle, np.zeros(4), 1.0, 1.0, streams)
+        config = quad_config(n=5, T=1, optimizer=Optimizer.FEDGD)
+        with pytest.raises(ValueError, match="^a round's release requires one stream per shard$"):
+            run_round(bundle, ServerState.initial(np.zeros(4)), config, (None,) * 5)
 
     def assert_noiseless_aggregate_stays_inside_the_ball(self, bundle, theta, c_g):
         # run_round's noiseless aggregate has clipped_aggregate's bits (both
