@@ -72,8 +72,8 @@ def sensitivity(c_g: float, d_min: int) -> float:
 
 
 def _hockey_stick(epsilon: float, ratio: float) -> float:
-    """delta(eps) for a Gaussian with s/D = ratio, clamped into [0, 1]."""
-    half = 1.0 / (2.0 * ratio)
+    """delta(eps) for a Gaussian with s/D = ratio, clamped into [0, 1]; at ratio 0, its limit 1."""
+    half = 1.0 / (2.0 * ratio) if ratio else math.inf
     value = normal_cdf(half - epsilon * ratio) - math.exp(
         epsilon + log_normal_cdf(-half - epsilon * ratio)
     )
@@ -115,19 +115,21 @@ def calibrate_sigma(epsilon: float, delta: float, n: int, T: int) -> float:
     Bisects composed_delta (strictly decreasing in sigma_g) over the fixed
     bracket until the endpoints are within 0.1% of each other, returning the
     feasible upper endpoint.  Raises for a target that target_problems
-    refuses or if the top of the bracket cannot reach the target; if the
-    bottom already meets it, the bottom is returned (the true optimum is
-    below anything usable here).
+    refuses, counts that composed_delta refuses (checked once), or if the top
+    of the bracket cannot reach the target; if the bottom already meets it,
+    the bottom is returned (the true optimum is below anything usable here).
     """
     raise_problems(*target_problems(epsilon, delta))
+    raise_problems(count_problem("n", n), count_problem("T", T))
+    root = 2.0 * math.sqrt(n * T)
     lo, hi = CALIBRATION_BRACKET
-    if composed_delta(epsilon, hi, n, T) > delta:
+    if _hockey_stick(epsilon, hi / root) > delta:
         raise ValueError(f"target (eps={epsilon}, delta={delta}) unreachable within sigma_g <= {hi}")
-    if composed_delta(epsilon, lo, n, T) <= delta:
+    if _hockey_stick(epsilon, lo / root) <= delta:
         return lo
     while hi / lo > 1.0 + CALIBRATION_RTOL:
         mid = math.sqrt(lo * hi)
-        if composed_delta(epsilon, mid, n, T) <= delta:
+        if _hockey_stick(epsilon, mid / root) <= delta:
             hi = mid
         else:
             lo = mid

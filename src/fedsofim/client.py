@@ -1,15 +1,16 @@
 """Record-level DP release: clip each per-example gradient, sum, perturb, normalize.
 
-One round's releases are computed together, as the (n, d) array whose row i
-is client i's release.  In order: each client whose mini-batch is smaller
-than its shard picks its rows from its own stream; every shard's clipped
-per-example gradients are summed; each client's own stream adds its
-Gaussian noise to its sum; and each sum is divided by its client's example
-count.  The order is load-bearing: noise goes onto the *sum* of clipped
-gradients before dividing by the local dataset size, and the noise variance
-carries a 1/n factor.  The accountant's closed-form sensitivity and
-release-noise expressions assume exactly this arrangement, so do not "fix"
-it.  A single client's release is the one-shard round.
+One round's releases are computed together, as the (n, d) array whose row i is
+client i's release.  In order: each client whose mini-batch is smaller than its
+shard picks its rows from its own stream; every shard's clipped per-example
+gradients are summed; each client's own stream adds its Gaussian noise to its
+sum; and each sum is divided by its client's example count.  The noise is one
+(n, d) block, row i stream i's standard normals, scaled once: the bits of each
+stream's normal(0, s, d).  The order is load-bearing: noise goes onto the *sum*
+of clipped gradients before dividing by the local dataset size, and the noise
+variance carries a 1/n factor.  The accountant's closed-form sensitivity and
+release-noise expressions assume exactly this arrangement, so do not "fix" it.
+A single client's release is the one-shard round.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ if TYPE_CHECKING:  # task.py imports clip_rows from here
 # means the norm itself is broken (non-monotone in the scale), and looping on
 # would never end.
 MAX_ULP_PASSES = 8
+
+# numpy's standard normals stay below 14 in magnitude: no scale below this overflows one.
+_CALM_SCALE = float(np.finfo(np.float64).max) / 1024
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -96,13 +100,14 @@ def release_round(
 
     Row i is (S_i + E_i) / |D_i|, where S_i = task.clipped_sums(...)[i]
     sums the individually clipped per-example gradients of shard i at theta
-    and E_i ~ N(0, (c_g sigma_g)^2 / n I) is drawn from streams[i].  With
-    sigma_g = 0 the draw is skipped entirely, so non-private runs never touch
-    the streams.  A positive batch_size sub-samples that many examples of
-    each larger shard (drawn from its stream, before the noise) and
-    normalizes by the batch count; the accountant grants no amplification
-    credit for it.  ``streams`` holds one entry per shard; an entry may be
-    None only where nothing is drawn from it.
+    and E_i ~ N(0, s^2 I), s = c_g sigma_g / sqrt(n), is row i of one (n, d)
+    block: streams[i].standard_normal(out=row) in client order, then s z + 0.0,
+    the bits of streams[i].normal(0, s, d).  With sigma_g = 0 the draw is
+    skipped entirely, so non-private runs never touch the streams.  A positive
+    batch_size sub-samples that many examples of each larger shard (drawn from
+    its stream, before the noise) and normalizes by the batch count; the
+    accountant grants no amplification credit for it.  ``streams`` holds one
+    entry per shard; an entry may be None only where nothing is drawn from it.
     """
     sizes = stacked.sizes
     if min(sizes) < 1:
@@ -129,8 +134,17 @@ def release_round(
     if sigma_g > 0:
         if None in streams:
             raise ValueError("noise requires a stream")
+        noise = np.empty_like(sums)
+        for stream, row in zip(streams, noise):
+            stream.standard_normal(out=row)
         scale = c_g * sigma_g / math.sqrt(n)
-        sums += np.array([stream.normal(0.0, scale, sums.shape[1]) for stream in streams])
+        if scale < _CALM_SCALE:
+            noise *= scale
+        else:  # products may overflow, as silently as in numpy's normal
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise *= scale
+        noise += 0.0
+        sums += noise
     sums /= stacked.counts
     return sums
 

@@ -182,15 +182,15 @@ class SoftmaxHeadTask:
         reductions run over the class rows in order: the example-major form's
         bits below eight classes, and within a few ulps of its sum above."""
         logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ x_t
-        shifted = logits - np.maximum.reduce(logits, axis=0)
-        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0))
+        shifted = logits - (peak := np.maximum.reduce(logits, axis=0))
+        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0, out=peak), out=peak)
         return logits, shifted
 
     def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
         """(Z, R), class-major: logits and R = softmax(Z) - onehot, with the
         bits of subtracting 1 at each label, since p - 0.0 = p."""
-        logits, log_probs = self._log_probs(theta, stacked.x_t)
-        residuals = np.exp(log_probs)
+        logits, residuals = self._log_probs(theta, stacked.x_t)
+        np.exp(residuals, out=residuals)
         residuals -= stacked.onehot
         return logits, residuals
 
@@ -245,11 +245,11 @@ class SoftmaxHeadTask:
         scale_sums = np.empty(n)
         for first, count, size, col in stacked.runs:
             cols, shards = slice(col, col + count * size), slice(first, first + count)
-            sums[shards] = np.matmul(residuals[:, cols].reshape(classes, count, size).transpose(1, 0, 2),
-                                     x_t[:, cols].reshape(width, count, size).transpose(1, 2, 0))
-            scale_sums[shards] = np.add.reduce(scale[cols].reshape(count, size), axis=1)
+            np.matmul(residuals[:, cols].reshape(classes, count, size).transpose(1, 0, 2),
+                      x_t[:, cols].reshape(width, count, size).transpose(1, 2, 0), out=sums[shards])
+            np.add.reduce(scale[cols].reshape(count, size), axis=1, out=scale_sums[shards])
         sums = sums.reshape(n, self.dim)
-        sums += (self.l2_lambda * scale_sums)[:, None] * theta
+        sums += np.multiply(scale_sums, self.l2_lambda, out=scale_sums)[:, None] * theta
         return sums
 
     def _clip_scales(self, theta, x_sq_norms, logits, residuals, c_g) -> np.ndarray:
@@ -258,12 +258,16 @@ class SoftmaxHeadTask:
         the squares, so that no scaled row leaves the ball.  x_sq_norms holds
         the ||x_i||^2; the dots add the class rows in order."""
         lam = self.l2_lambda
-        squares = np.einsum("km,km->m", residuals, residuals) * x_sq_norms
-        squares += lam * lam * float(theta @ theta)
-        sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("km,km->m", residuals, logits), _TINY)
-        safety = 1.0 - 4.0 * _EPS * np.maximum(1.0, squares / sq_norms)
+        squares = np.einsum("km,km->m", residuals, residuals)
+        np.add(np.multiply(squares, x_sq_norms, out=squares), lam * lam * float(theta @ theta), out=squares)
+        sq_norms = np.einsum("km,km->m", residuals, logits)
+        np.maximum(np.add(np.multiply(sq_norms, 2.0 * lam, out=sq_norms), squares, out=sq_norms), _TINY, out=sq_norms)
+        # squares becomes the safety factor 1 - 4 eps max(1, squares / sq_norms).
+        safety = np.maximum(1.0, np.divide(squares, sq_norms, out=squares), out=squares)
+        np.subtract(1.0, np.multiply(safety, 4.0 * _EPS, out=safety), out=safety)
         # A NaN norm gives a NaN scale, as a NaN row norm does in clip_rows.
-        return np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
+        scale = np.multiply(np.divide(c_g, np.sqrt(sq_norms, out=sq_norms), out=sq_norms), safety, out=sq_norms)
+        return np.minimum(np.maximum(scale, 0.0, out=scale), 1.0, out=scale)
 
     def loss_and_accuracy(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
         """Loss and accuracy over every example of the stack, as one dataset."""

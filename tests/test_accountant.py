@@ -17,6 +17,8 @@ from scipy import stats
 
 import fedsofim.accountant as accountant_module
 from fedsofim.accountant import (
+    CALIBRATION_BRACKET,
+    CALIBRATION_RTOL,
     calibrate_sigma,
     compose_adaptive,
     composed_delta,
@@ -191,6 +193,12 @@ class TestComposedDelta:
         assert math.isfinite(value)
         assert 0.0 <= value <= 1.0
 
+    def test_a_ratio_that_underflows_to_zero_gives_the_limit(self):
+        # sigma_g / (2 sqrt(nT)) and sigma_release / delta_sens round to 0.0
+        # here, where Phi(+inf) - e^eps Phi(-inf) = 1.
+        assert composed_delta(1.0, 5e-324, 20, 70) == 1.0
+        assert single_round_delta(1.0, 1e300, 1e-300) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^sigma_g must lie in \(0, inf\]$"):
             composed_delta(1.0, 0.0, 20, 70)
@@ -253,12 +261,46 @@ class TestCalibrateSigma:
     def test_a_nan_or_infinite_epsilon_is_refused_before_bisecting(self, monkeypatch):
         # An infinite target used to return the bottom of the bracket.
         def refuse(*args):
-            raise AssertionError("composed_delta evaluated for a non-finite target")
+            raise AssertionError("delta evaluated for a non-finite target")
 
         monkeypatch.setattr(accountant_module, "composed_delta", refuse)
+        monkeypatch.setattr(accountant_module, "_hockey_stick", refuse)
         for epsilon in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, inf\)$"):
                 calibrate_sigma(epsilon, 1e-5, 20, 70)
+
+    def test_bisects_composed_delta_to_the_bit(self):
+        # The inputs are checked once and each step evaluates composed_delta's
+        # expression directly; the sigma found is the one a bisection over the
+        # checked composed_delta finds, and a target it cannot reach is refused.
+        def bisect_composed_delta(epsilon, delta, n, T):
+            lo, hi = CALIBRATION_BRACKET
+            if composed_delta(epsilon, hi, n, T) > delta:
+                return None
+            if composed_delta(epsilon, lo, n, T) <= delta:
+                return lo
+            while hi / lo > 1.0 + CALIBRATION_RTOL:
+                mid = math.sqrt(lo * hi)
+                if composed_delta(epsilon, mid, n, T) <= delta:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        reached = 0
+        for epsilon in (0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
+            for delta in (1e-12, 1e-5, 1e-2, 0.5):
+                for n in (1, 3, 20, 100):
+                    for T in (1, 7, 70, 1000):
+                        expected = bisect_composed_delta(epsilon, delta, n, T)
+                        if expected is None:
+                            with pytest.raises(ValueError, match="unreachable"):
+                                calibrate_sigma(epsilon, delta, n, T)
+                            continue
+                        reached += 1
+                        sigma = calibrate_sigma(epsilon, delta, n, T)
+                        assert sigma.hex() == expected.hex(), (epsilon, delta, n, T)
+        assert reached > 400
 
     def test_composed_delta_keeps_delta_zero_at_infinite_epsilon(self):
         assert composed_delta(math.inf, 1.0, 20, 70) == 0.0

@@ -1,6 +1,7 @@
 """Per-example clipping and the noisy normalized client release."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -623,3 +624,85 @@ class TestRoundRelease:
             expected = [task.loss_and_accuracy(theta, task.stack((shard,)))[0] for shard in shards]
             np.testing.assert_array_equal(task._train_losses(theta, stacked), expected)
             assert task.evaluate(theta, stacked, task.stack(shards[:1]))[0] == float(np.mean(expected))
+
+
+def normal_release(stacked, theta, c_g, sigma_g, n, streams, task, batch_size=0):
+    """The round release with each client's noise drawn as stream.normal(0,
+    s, d), numpy's own N(0, s^2 I) draw, after the same mini-batch picks:
+    the bits that release_round's (n, d) noise block keeps."""
+    if batch_size and batch_size < max(stacked.sizes):
+        stacked = stacked.subset([None if batch_size >= size else np.sort(stream.choice(size, size=batch_size,
+                                                                                       replace=False))
+                                  for size, stream in zip(stacked.sizes, streams)])
+    sums = task.clipped_sums(theta, stacked, c_g)
+    scale = c_g * sigma_g / math.sqrt(n)
+    sums += np.array([stream.normal(0.0, scale, sums.shape[1]) for stream in streams])
+    return sums / stacked.counts
+
+
+class TestNoiseBlock:
+    """A round's noise is one (n, d) block: row i is a standard normal draw
+    from stream i, in client order after the mini-batch picks, scaled once.
+    It must keep every bit of stream.normal(0, s, d), and leave each stream
+    in the state that draw leaves it in."""
+
+    SIZES = (3, 5, 8)
+
+    def softmax_case(self, rng, n, dim):
+        classes, feat = {68: (4, 16), 2570: (10, 256)}[dim]
+        task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=1e-3)
+        shards = tuple(FeatureDataset(rng.normal(size=(size, feat)), rng.integers(0, classes, size=size))
+                       for size in (self.SIZES[i % 3] for i in range(n)))
+        return task, task.stack(shards)
+
+    def quadratic_case(self, rng, n, dim):
+        task, shards = make_synthetic_quadratic(dim, n, mu=0.5, L=2.0, heterogeneity=1.0, seed=int(rng.integers(99)))
+        return task, task.stack(QuadraticShard(shard.a_matrix, shard.center, self.SIZES[i % 3])
+                                for i, shard in enumerate(shards))
+
+    def assert_keeps_the_normal_draw(self, task, stacked, theta, c_g, sigma_g, seed, batch_size):
+        n = len(stacked.sizes)
+        streams = [derive_noise_stream(seed, i, 0) for i in range(n)]
+        expected_streams = [derive_noise_stream(seed, i, 0) for i in range(n)]
+        releases = release_round(stacked, theta, c_g, sigma_g, n, streams, task, batch_size)
+        expected = normal_release(stacked, theta, c_g, sigma_g, n, expected_streams, task, batch_size)
+        assert releases.tobytes() == expected.tobytes(), (n, task.dim, sigma_g, batch_size)
+        assert [s.bit_generator.state for s in streams] == [s.bit_generator.state for s in expected_streams]
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    @pytest.mark.parametrize("dim", [1, 8, 68, 2570])
+    def test_block_keeps_the_bits_and_states_of_normal(self, n, dim):
+        rng = np.random.default_rng(1000 * n + dim)
+        task, stacked = (self.quadratic_case if dim < 10 else self.softmax_case)(rng, n, dim)
+        for case, batch_size in enumerate((0, 4, 0, 2)):
+            theta = rng.normal(size=task.dim)
+            # The last case's scale is subnormal, so that some products underflow.
+            sigma_g = (0.7, 3.0, 1e-3, 1e-320)[case]
+            self.assert_keeps_the_normal_draw(task, stacked, theta, float(rng.uniform(0.1, 2.0)), sigma_g,
+                                              int(rng.integers(2**32)), batch_size)
+
+    class NegativeZeroTask:
+        """Clipped sums of -0.0, to which only a noise of -0.0 adds -0.0."""
+
+        def clipped_sums(self, theta, stacked, c_g):
+            return np.full((len(stacked.sizes), 8), -0.0)
+
+    def test_signed_zero_noise_keeps_the_sign_of_normal(self):
+        # numpy's normal is 0.0 + s z, never -0.0, and neither is the block's;
+        # a subnormal scale makes many s z round to -0.0.
+        stacked = StubStack([StubDataset([[0.0] * 8]) for _ in range(3)])
+        for sigma_g in (1e-320, 5e-324, 1.0):
+            self.assert_keeps_the_normal_draw(self.NegativeZeroTask(), stacked, np.zeros(2), 1.0, sigma_g, 61, 0)
+
+    def test_a_finite_scale_that_overflows_a_draw_warns_of_nothing(self):
+        # s = 1e308: every draw above 1.8 in magnitude overflows to inf, as
+        # numpy's normal(0, s) lets it, silently.
+        task, shards = make_synthetic_quadratic(64, 2, mu=0.5, L=2.0, heterogeneity=1.0, seed=3)
+        stacked = task.stack(shards)
+        theta = np.zeros(64)
+        streams = [derive_noise_stream(67, i, 0) for i in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            releases = release_round(stacked, theta, 1e154, 1e154 * math.sqrt(2), 2, streams, task)
+        assert np.isinf(releases).any() and np.isfinite(releases).any()
+        self.assert_keeps_the_normal_draw(task, stacked, theta, 1e154, 1e154 * math.sqrt(2), 67, 0)

@@ -274,6 +274,30 @@ def ghost_scales(task, theta, dataset, c_g):
     return task._clip_scales(theta, stacked.sq_norms, logits, residuals, c_g)
 
 
+def allocating_clipped_sums(task, theta, stacked, c_g):
+    """clipped_sums as one expression per step, each into a fresh array: the
+    operands and rounding order the kernel keeps while it reuses its buffers."""
+    lam, classes, width = task.l2_lambda, task.num_classes, task.feature_dim + 1
+    logits = theta.reshape(classes, width) @ stacked.x_t
+    shifted = logits - np.maximum.reduce(logits, axis=0)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0))
+    residuals = np.exp(shifted) - stacked.onehot
+    squares = np.einsum("km,km->m", residuals, residuals) * stacked.sq_norms
+    squares += lam * lam * float(theta @ theta)
+    sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("km,km->m", residuals, logits), np.finfo(float).tiny)
+    safety = 1.0 - 4.0 * np.finfo(float).eps * np.maximum(1.0, squares / sq_norms)
+    scale = np.minimum(np.maximum(c_g / np.sqrt(sq_norms) * safety, 0.0), 1.0)
+    residuals = residuals * scale
+    n = len(stacked.sizes)
+    sums, scale_sums = np.empty((n, classes, width)), np.empty(n)
+    for first, count, size, col in stacked.runs:
+        cols, shards = slice(col, col + count * size), slice(first, first + count)
+        sums[shards] = np.matmul(residuals[:, cols].reshape(classes, count, size).transpose(1, 0, 2),
+                                 stacked.x_t[:, cols].reshape(width, count, size).transpose(1, 2, 0))
+        scale_sums[shards] = np.add.reduce(scale[cols].reshape(count, size), axis=1)
+    return sums.reshape(n, task.dim) + (lam * scale_sums)[:, None] * theta, scale
+
+
 class TestFeatureStack:
     """The per-run constants a stack holds: each example's ||x||^2, its
     one-hot label as a (K, M) column, and its label's flat index there."""
@@ -391,6 +415,53 @@ class TestGhostClipping:
         c_g = 2.0 * float(np.linalg.norm(grads, axis=1).max())
         np.testing.assert_array_equal(ghost_scales(task, theta, dataset, c_g), np.ones(12))
         np.testing.assert_allclose(clipped_sum(task, theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
+
+    def test_buffers_keep_the_bits_of_the_allocating_expression(self):
+        # Past eight classes included, over one run of equal shards and two,
+        # with rows clipped and unclipped, and a NaN theta giving NaN rows.
+        rng = np.random.default_rng(89)
+        clipped = unclipped = 0
+        for classes, feat in ((4, 16), (10, 7)):
+            for sizes in ((6, 6, 6), (9, 9, 4, 4, 4), (13,)):
+                for lam in (0.0, 1e-4, 0.1):
+                    task = SoftmaxHeadTask(num_classes=classes, feature_dim=feat, l2_lambda=lam)
+                    stacked = task.stack(tuple(
+                        FeatureDataset(rng.normal(size=(size, feat)) * 10.0 ** rng.uniform(-1.0, 1.0),
+                                       rng.integers(0, classes, size=size)) for size in sizes))
+                    assert len(stacked.runs) == len(dict.fromkeys(sizes))
+                    for _ in range(6):
+                        theta = rng.normal(size=task.dim) * 10.0 ** rng.uniform(-2.0, 1.0)
+                        c_g = 10.0 ** rng.uniform(-2.0, 2.0)
+                        expected, scale = allocating_clipped_sums(task, theta, stacked, c_g)
+                        sums = task.clipped_sums(theta, stacked, c_g)
+                        assert sums.tobytes() == expected.tobytes(), (classes, sizes, lam)
+                        clipped += int((scale < 1.0).sum())
+                        unclipped += int((scale == 1.0).sum())
+                    theta[1] = np.nan
+                    with np.errstate(invalid="ignore"):
+                        expected, _ = allocating_clipped_sums(task, theta, stacked, 1.0)
+                        sums = task.clipped_sums(theta, stacked, 1.0)
+                    assert np.isnan(sums).all() and sums.tobytes() == expected.tobytes()
+        assert clipped > 500 and unclipped > 500
+
+    def test_calls_return_fresh_writable_arrays_and_leave_the_stack_alone(self):
+        rng = np.random.default_rng(97)
+        task = SoftmaxHeadTask(num_classes=4, feature_dim=5, l2_lambda=1e-3)
+        stacked = task.stack(tuple(FeatureDataset(rng.normal(size=(size, 5)), rng.integers(0, 4, size=size))
+                                   for size in (7, 7, 5)))
+        kept = {name: getattr(stacked, name).copy() for name in ("x_t", "onehot", "sq_norms")}
+        theta = rng.normal(size=task.dim)
+        first = task.clipped_sums(theta, stacked, 0.5)
+        expected = first.copy()
+        second = task.clipped_sums(theta, stacked, 0.5)
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        second[:] = 0.0
+        np.testing.assert_array_equal(first, expected)
+        for name, copy in kept.items():
+            array = getattr(stacked, name)
+            assert array.tobytes() == copy.tobytes() and not array.flags.writeable, name
+            assert not np.shares_memory(array, first) and not np.shares_memory(array, second), name
 
     def test_radius_must_be_positive(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
