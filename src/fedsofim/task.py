@@ -177,20 +177,28 @@ class SoftmaxHeadTask:
     def dim(self) -> int:
         return self.num_classes * (self.feature_dim + 1)
 
-    def _log_probs(self, theta: np.ndarray, x_t: np.ndarray) -> tuple:
-        """(logits, log-softmax of the logits), class-major: (K, M) each.  Both
-        reductions run over the class rows in order: the example-major form's
-        bits below eight classes, and within a few ulps of its sum above."""
+    def _shifted_logits(self, theta: np.ndarray, x_t: np.ndarray) -> tuple:
+        """(Z, Z - max_k Z), class-major (K, M): the logits W x_t and their exact shift by each example's largest."""
         logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ x_t
-        shifted = logits - (peak := np.maximum.reduce(logits, axis=0))
-        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0, out=peak), out=peak)
-        return logits, shifted
+        return logits, logits - np.maximum.reduce(logits, axis=0)
+
+    def _log_probs(self, theta: np.ndarray, x_t: np.ndarray) -> np.ndarray:
+        """The log-softmax of the logits, class-major (K, M), for evaluation alone.
+        The sum over classes adds the class rows in order: the example-major
+        form's bits below eight classes, and within a few ulps of its sum above."""
+        shifted = self._shifted_logits(theta, x_t)[1]
+        sums = np.add.reduce(np.exp(shifted), axis=0)
+        shifted -= np.log(sums, out=sums)
+        return shifted
 
     def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
-        """(Z, R), class-major: logits and R = softmax(Z) - onehot, with the
-        bits of subtracting 1 at each label, since p - 0.0 = p."""
-        logits, residuals = self._log_probs(theta, stacked.x_t)
+        """(Z, R), class-major: logits and residuals R = E / sum_k E - onehot,
+        E = exp(Z - max_k Z): one exponential, no log.  E is 1 at the largest
+        class, so the sum lies in [1, K]; a NaN or +inf logit gives a NaN column.
+        Subtracting the one-hot has the bits of subtracting 1 at each label."""
+        logits, residuals = self._shifted_logits(theta, stacked.x_t)
         np.exp(residuals, out=residuals)
+        residuals /= np.add.reduce(residuals, axis=0)
         residuals -= stacked.onehot
         return logits, residuals
 
@@ -285,7 +293,7 @@ class SoftmaxHeadTask:
 
     def _nll(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
         """(each example's negative log-likelihood (M,), the log-softmax (K, M))."""
-        log_probs = self._log_probs(theta, stacked.x_t)[1]
+        log_probs = self._log_probs(theta, stacked.x_t)
         return -log_probs.take(stacked.label_index), log_probs
 
     def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 import fedsofim.task as task_module
 from fedsofim.client import clip_rows, private_release
@@ -134,7 +135,7 @@ class TestSoftmaxGradient:
                 shifted = x_aug @ theta.reshape(classes, 6).T
                 shifted -= shifted.max(axis=1, keepdims=True)
                 log_sums = np.log(np.exp(shifted).sum(axis=1))
-                log_probs = task._log_probs(theta, stacked.x_t)[1].T
+                log_probs = task._log_probs(theta, stacked.x_t).T
             # The largest logit's log-probability is 0.0 - log-sum, exactly.
             actual_log_sums = -log_probs[np.arange(40), np.argmax(shifted, axis=1)]
             np.testing.assert_array_equal(log_probs, shifted - actual_log_sums[:, None],
@@ -144,9 +145,10 @@ class TestSoftmaxGradient:
                                        err_msg=f"{classes} classes")
 
     def test_factors_keep_the_bits_of_the_label_scatter(self):
-        # Subtracting the stack's (K, M) one-hot labels must give exactly
-        # what subtracting 1 at each example's label gives, non-finite
-        # examples included, and the flat label index must pick those labels.
+        # The residuals must be exactly E / sum_k E with 1 subtracted at each
+        # example's label, E = exp(Z - max_k Z) summed over the class rows in
+        # order, non-finite examples included, and the flat label index must
+        # pick those labels.
         rng = np.random.default_rng(19)
         for classes in (2, 5, 10):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
@@ -157,12 +159,49 @@ class TestSoftmaxGradient:
             theta = rng.normal(size=task.dim)
             with np.errstate(invalid="ignore"):
                 logits, residuals = task._factors(theta, stacked)
-                expected_logits, log_probs = task._log_probs(theta, stacked.x_t)
-                expected = np.exp(log_probs)
+                log_probs = task._log_probs(theta, stacked.x_t)
+                expected_logits = theta.reshape(classes, 5) @ stacked.x_t
+                exps = np.exp(expected_logits - expected_logits.max(axis=0))
+                expected = exps / sum(exps[1:], exps[0])
             expected[labels, np.arange(30)] -= 1.0
+            assert np.isnan(residuals[:, 2]).all() and np.isfinite(np.delete(residuals, 2, axis=1)).all()
             np.testing.assert_array_equal(logits, expected_logits)
             np.testing.assert_array_equal(residuals, expected)
             np.testing.assert_array_equal(log_probs.take(stacked.label_index), log_probs[labels, np.arange(30)])
+
+    def test_residuals_match_the_log_softmax_form_and_scipy_within_two_eps(self):
+        # E / sum E, exp(log-softmax) and scipy's softmax over the class axis
+        # share the shifted logits and the sum over the class rows, and differ
+        # only in their last roundings: the division against the log, the
+        # subtraction and the exp, each within about an ulp of p <= 1 (the
+        # rounded arguments add at most eps/2e each), and the one-hot's
+        # subtraction, eps/4 at a label.  So each lies within 2 eps, absolute,
+        # of the residuals.  Each column
+        # then sums exactly (fsum) to 0 within K eps/2 from the sum's
+        # recursive bound plus eps/4 from the label: within K eps.  The sum
+        # is at least each E, so the label's entry p - 1 lies in [-1, 0] and
+        # the others in [0, 1].
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(29)
+        for classes in (*range(2, 11), 16, 130):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
+            for scale in 10.0 ** np.arange(-3, 4):
+                features = rng.normal(size=(60, 5)) * scale
+                labels = rng.integers(0, classes, size=60)
+                stacked = task.stack((FeatureDataset(features, labels),))
+                theta = rng.normal(size=task.dim)
+                logits, residuals = task._factors(theta, stacked)
+                onehot = np.zeros((classes, 60))
+                onehot[labels, np.arange(60)] = 1.0
+                for reference in (np.exp(task._log_probs(theta, stacked.x_t)), softmax(logits, axis=0)):
+                    np.testing.assert_allclose(residuals, reference - onehot, rtol=0, atol=2 * eps,
+                                               err_msg=f"{classes} classes, scale {scale}")
+                column_sums = [math.fsum(column) for column in residuals.T]
+                assert max(map(abs, column_sums)) <= classes * eps, (classes, scale)
+                picked = residuals[labels, np.arange(60)]
+                assert ((-1.0 <= picked) & (picked <= 0.0)).all()
+                others = residuals[onehot == 0.0]
+                assert ((0.0 <= others) & (others <= 1.0)).all()
 
     def test_theta_dimension_checked(self):
         task = SoftmaxHeadTask(num_classes=2, feature_dim=2)
@@ -279,9 +318,8 @@ def allocating_clipped_sums(task, theta, stacked, c_g):
     operands and rounding order the kernel keeps while it reuses its buffers."""
     lam, classes, width = task.l2_lambda, task.num_classes, task.feature_dim + 1
     logits = theta.reshape(classes, width) @ stacked.x_t
-    shifted = logits - np.maximum.reduce(logits, axis=0)
-    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=0))
-    residuals = np.exp(shifted) - stacked.onehot
+    exps = np.exp(logits - np.maximum.reduce(logits, axis=0))
+    residuals = exps / np.add.reduce(exps, axis=0) - stacked.onehot
     squares = np.einsum("km,km->m", residuals, residuals) * stacked.sq_norms
     squares += lam * lam * float(theta @ theta)
     sq_norms = np.maximum(squares + 2.0 * lam * np.einsum("km,km->m", residuals, logits), np.finfo(float).tiny)
