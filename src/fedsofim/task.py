@@ -182,15 +182,6 @@ class SoftmaxHeadTask:
         logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ x_t
         return logits, logits - np.maximum.reduce(logits, axis=0)
 
-    def _log_probs(self, theta: np.ndarray, x_t: np.ndarray) -> np.ndarray:
-        """The log-softmax of the logits, class-major (K, M), for evaluation alone.
-        The sum over classes adds the class rows in order: the example-major
-        form's bits below eight classes, and within a few ulps of its sum above."""
-        shifted = self._shifted_logits(theta, x_t)[1]
-        sums = np.add.reduce(np.exp(shifted), axis=0)
-        shifted -= np.log(sums, out=sums)
-        return shifted
-
     def _factors(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
         """(Z, R), class-major: logits and residuals R = E / sum_k E - onehot,
         E = exp(Z - max_k Z): one exponential, no log.  E is 1 at the largest
@@ -280,25 +271,26 @@ class SoftmaxHeadTask:
     def loss_and_accuracy(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
         """Loss and accuracy over every example of the stack, as one dataset."""
         theta = _as_theta(theta, self.dim)
-        labels = stacked.labels
-        if labels.size == 0:
+        if stacked.labels.size == 0:
             raise ValueError("empty dataset")
-        nll, log_probs = self._nll(theta, stacked)
-        loss = float(nll.mean() + 0.5 * self.l2_lambda * float(theta @ theta))
-        # np.argmax resolves ties toward the lowest class index, which is the
-        # documented deterministic tie-break.
-        predictions = np.argmax(log_probs, axis=0)
-        accuracy = float(np.mean(predictions == labels))
-        return loss, accuracy
+        loss = self._nll(theta, stacked).mean() + 0.5 * self.l2_lambda * float(theta @ theta)
+        return float(loss), self._accuracy(theta, stacked)
 
-    def _nll(self, theta: np.ndarray, stacked: FeatureStack) -> tuple:
-        """(each example's negative log-likelihood (M,), the log-softmax (K, M))."""
-        log_probs = self._log_probs(theta, stacked.x_t)
-        return -log_probs.take(stacked.label_index), log_probs
+    def _nll(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
+        """Each example's negative log-likelihood (M,), log sum_k exp(Z - max Z) less its label's shifted logit;
+        the sum adds the class rows in order (the example-major form's bits below eight classes)."""
+        shifted = self._shifted_logits(theta, stacked.x_t)[1]
+        sums = np.add.reduce(np.exp(shifted), axis=0)
+        return np.subtract(np.log(sums, out=sums), shifted.take(stacked.label_index), out=sums)
+
+    def _accuracy(self, theta: np.ndarray, stacked: FeatureStack) -> float:
+        """The share of examples whose largest logit is their label's; ties go to the lowest class index."""
+        logits = theta.reshape(self.num_classes, self.feature_dim + 1) @ stacked.x_t
+        return float(np.mean(np.argmax(logits, axis=0) == stacked.labels))
 
     def _train_losses(self, theta: np.ndarray, stacked: FeatureStack) -> np.ndarray:
         """Each shard's loss_and_accuracy loss, from one pass over the stack."""
-        nll = self._nll(theta, stacked)[0]
+        nll = self._nll(theta, stacked)
         means = np.empty(len(stacked.sizes))
         for first, count, size, col in stacked.runs:
             means[first:first + count] = np.add.reduce(nll[col:col + count * size].reshape(count, size), axis=1) / size
@@ -307,9 +299,7 @@ class SoftmaxHeadTask:
     def evaluate(self, theta: np.ndarray, train: FeatureStack, test: FeatureStack) -> tuple:
         """(train_loss, test_accuracy, None) at theta; train_loss, the federated objective, is the mean shard loss."""
         theta = _as_theta(theta, self.dim)
-        loss = float(np.mean(self._train_losses(theta, train)))
-        _, accuracy = self.loss_and_accuracy(theta, test)
-        return loss, accuracy, None
+        return float(np.mean(self._train_losses(theta, train))), self._accuracy(theta, test), None
 
 
 class QuadraticTask:
@@ -488,7 +478,7 @@ def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
     # The buffer has a column per line left at the first row, but no more
     # than the bytes hold (a row takes 2 * dim + 1); it is copied only if
     # separators other than \n leave it short, or blank lines long.
-    x_t, count, lineno, non_finite, labels = None, 0, 2, None, []
+    x_t, count, lineno, fault, labels = None, 0, 2, None, []
     for lines in itertools.chain([lines], chunks):
         rows = [(k, line) for k, line in enumerate(lines, start=lineno) if line.strip()]
         lineno += len(lines)
@@ -502,15 +492,13 @@ def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
             x_t = np.concatenate([x_t[:, :count], np.empty((dim + 1, max(x_t.shape[1], len(rows))))], axis=1)
         x_t[:-1, count:count + len(rows)] = values.T
         count += len(rows)
-        if non_finite is None and not np.isfinite(values).all():
-            # A nan or inf would otherwise surface later as an inf loss,
-            # which reads like a diverged run rather than bad data.
-            non_finite = rows[int(np.argmin(np.isfinite(values).all(axis=1)))][0]
+        if fault is None and (bad := _bad_row(values)):
+            fault = f"line {rows[bad[0]][0]}: {bad[1]}"
         del rows  # before the next chunk is decoded
     if not count:
         raise ValueError("no example rows")
-    if non_finite is not None:
-        raise ValueError(f"line {non_finite}: non-finite feature value")
+    if fault is not None:
+        raise ValueError(fault)
     if count < x_t.shape[1]:
         x_t = x_t[:, :count].copy()
     x_t[-1] = 1.0
@@ -518,6 +506,15 @@ def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
     # Frozen before the view is taken: freezing a buffer leaves earlier views writable.
     x_t.flags.writeable = labels.flags.writeable = False
     return FeatureDataset(x_t[:-1].T, labels), classes
+
+
+def _bad_row(values: np.ndarray):
+    """(the first row of values with a NaN or an infinity or whose squared norm overflows, which fault it is) or
+    None.  Either row would surface as a NaN release or an inf loss, which reads like a diverged run."""
+    finite = np.isfinite(np.einsum("ij,ij->i", values, values))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        return first, "non-finite feature value" if not np.isfinite(values[first]).all() else "squared norm overflows"
 
 
 def _read_rows(rows, dim: int, classes: int, labels: list) -> np.ndarray:
@@ -565,8 +562,8 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append(f"labels must be integers, not {dataset.labels.dtype}")
     elif integral and not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
         problems.append(f"labels must lie in [0, {num_classes})")
-    if not np.isfinite(dataset.features).all():
-        problems.append("feature values must be finite")
+    if bad := _bad_row(np.asarray(dataset.features, dtype=np.float64)):
+        problems.append(f"row {bad[0]}: {bad[1]}")
     raise_problems(*problems)
     # Written beside the target and renamed over it, so a write that stops
     # part-way leaves the old file or none, never one cut at a row boundary

@@ -23,7 +23,7 @@ from .client import clip_rows
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_streams
 from .harness import TaskBundle, clipped_aggregate, round_aggregate, round_streams, run_round
 from .oracles import dense_preconditioner
-from .server import precondition_apply, sofim_step
+from .server import precondition_apply, sofim_step, update_momentum
 from .task import QuadraticShard, make_synthetic_quadratic
 
 
@@ -214,26 +214,18 @@ def suite_momentum_moment(seed: int = 0) -> tuple:
     bound = c_g**2 + (1.0 - beta) * d * nu_sq
 
     momenta = np.zeros((paths, d))
-    worst = -math.inf
-    worst_round = -1
-    measured_at_worst = 0.0
+    worst, worst_round, measured_at_worst = -math.inf, -1, 0.0
     for t in range(rounds):
         noise = rng.normal(scale=math.sqrt(nu_sq), size=(paths, d))
-        momenta = beta * momenta + (1.0 - beta) * (signal[None, :] + noise)
+        momenta = update_momentum(momenta, signal + noise, beta)
         sq_norms = np.einsum("pd,pd->p", momenta, momenta)
         mean_sq = float(sq_norms.mean())
         stderr = float(sq_norms.std(ddof=1)) / math.sqrt(paths)
         excess = mean_sq - (bound + 5.0 * stderr)
         if excess > worst:
             worst, worst_round, measured_at_worst = excess, t, mean_sq
-    return (
-        _check_max(
-            "second_moment_excess",
-            worst,
-            0.0,
-            f"worst round {worst_round}: sample mean {measured_at_worst:.4f} vs bound {bound:.4f} + 5x stderr",
-        ),
-    )
+    note = f"worst round {worst_round}: sample mean {measured_at_worst:.4f} vs bound {bound:.4f} + 5x stderr"
+    return (_check_max("second_moment_excess", worst, 0.0, note),)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +241,7 @@ def suite_variance_reduction(seed: int = 0) -> tuple:
     constant = 0.3  # any fixed drive; variance is shift-invariant
     momenta = np.zeros((paths, d))
     for _ in range(rounds):
-        momenta = beta * momenta + (1.0 - beta) * (constant + rng.normal(size=(paths, d)))
+        momenta = update_momentum(momenta, constant + rng.normal(size=(paths, d)), beta)
     measured = float(momenta.var(axis=0, ddof=1).mean())
     rel_err = abs(measured - target) / target
     return (_check_max("stationary_variance_rel_err", rel_err, 0.03,

@@ -128,6 +128,18 @@ class TestRunCommand:
             assert cli.main(["run", *flags]) == 2
             assert capsys.readouterr().err.strip() == message
 
+    def test_a_feature_row_whose_squared_norm_overflows_fails_naming_its_line(self, tmp_path, capsys):
+        # Loaded, the row would make every metrics row read as a diverged run.
+        features = tmp_path / "train.features"
+        assert cli.main(["gen-task", "--examples", "400", "--dim", "4", "--classes", "2",
+                         "--output", str(features)]) == 0
+        capsys.readouterr()
+        lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[57] = "0," + ",".join(["1e200"] * 4) + "\n"
+        features.write_text("".join(lines), encoding="utf-8")
+        assert cli.main(["run", "--features", str(features), *QUAD_FLAGS[7:]]) == 2
+        assert capsys.readouterr().err.strip() == "error: line 58: squared norm overflows"
+
     def test_test_file_with_another_class_count_fails_cleanly(self, tmp_path, capsys):
         paths = []
         for classes in (2, 3):
@@ -296,6 +308,7 @@ class TestGenTaskCommand:
             (["--classes", "1"], "error: num_classes must be >= 2"),
             (["--classes", "2", "--condition", "nan"], "error: condition must lie in [1, inf)"),
             (["--classes", "2", "--separation", "inf"], "error: separation must lie in (-inf, inf)"),
+            (["--classes", "2", "--separation", "1e200"], "error: row 0: squared norm overflows"),
         ):
             assert cli.main([*base, *flags]) == 2
             assert capsys.readouterr().err.strip() == message

@@ -685,8 +685,8 @@ class TestSoftmaxRunPath:
     def test_only_training_stacks_build_a_one_hot(self, tmp_path):
         # A stack builds its one-hot labels and flat label index on first
         # read.  Nothing reads a file's whole stack but its gathers, the test
-        # stack reads only its label index, and with mini-batches only the
-        # batches' stacks are released; a training stack's one-hot has the
+        # stack's accuracy reads only its labels, and with mini-batches only
+        # the batches' stacks are released; a training stack's one-hot has the
         # bits of the eager construction.
         path = write_feature_file(tmp_path, count=48, dim=3, classes=3)
         test = write_feature_file(tmp_path, count=12, dim=3, classes=3, seed=1, name="test.features")
@@ -696,7 +696,7 @@ class TestSoftmaxRunPath:
             run_experiment(ExperimentPlan(config=config, binding=binding, eval_every=2))
             bundle, whole = binding.bundle(config.n, config.master_seed), binding._files[1]
             assert "onehot" not in whole.__dict__ and "label_index" not in whole.__dict__
-            assert "onehot" not in bundle.test.__dict__ and "label_index" in bundle.test.__dict__
+            assert "onehot" not in bundle.test.__dict__ and "label_index" not in bundle.test.__dict__
             train = bundle.train
             assert ("onehot" in train.__dict__) == (batch_size == 0)
             count = train.labels.shape[0]

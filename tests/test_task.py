@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import log_softmax, softmax
 
 import fedsofim.task as task_module
 from fedsofim.client import clip_rows, private_release
@@ -28,6 +28,7 @@ from fedsofim.task import (
     quadratic_problems,
     save_frozen_features,
 )
+from reference import softmax_gradients
 
 
 def finite_difference_gradient(func, theta, h=1e-5):
@@ -109,16 +110,19 @@ class TestSoftmaxGradient:
         ])
         np.testing.assert_allclose(batch, singles, rtol=1e-13, atol=1e-15)
 
-    def test_log_probs_keep_the_bits_of_the_reduce_formulation(self):
-        # The stack's transposed augmented matrix and the class-major row
-        # maximum must give exactly what np.hstack and max(axis=1) give on
-        # the example-major logits, ties and non-finite logits included.
-        # The sum over classes adds the class rows in order where
-        # sum(axis=1) adds a row pairwise from eight classes on, so its log
-        # is exact below eight classes and otherwise within the two orders'
-        # error bounds, 2 (K - 1) eps relative to a sum >= 1, plus each
-        # log's rounding, eps log K: across the pairwise sum's eight partial
-        # sums and past its split at 128.
+    def test_nll_keeps_the_bits_of_the_reduce_formulation(self):
+        # Each example's loss must be exactly the log of the sum of
+        # exp(Z - max_k Z) over the class rows in order, less its label's
+        # shifted logit, and so exactly -(the log-softmax at its label) formed
+        # as shifted - log-sum, since negation is exact.  The stack's
+        # transposed augmented matrix and the class-major row maximum must
+        # give exactly what np.hstack and max(axis=1) give on the
+        # example-major logits, ties and non-finite logits included.  The sum
+        # over classes adds the class rows in order where sum(axis=1) adds a
+        # row pairwise from eight classes on, so its log is exact below eight
+        # classes and otherwise within the two orders' error bounds, 2 (K - 1)
+        # eps relative to a sum >= 1, plus each log's rounding, eps log K:
+        # across the pairwise sum's eight partial sums and past its split at 128.
         rng = np.random.default_rng(17)
         for classes in (*range(2, 11), 15, 16, 17, 20, 24, 130):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=5)
@@ -127,28 +131,30 @@ class TestSoftmaxGradient:
             features[5, 0] = np.inf
             theta = rng.normal(size=task.dim)
             theta[: task.feature_dim + 1] = theta[task.feature_dim + 1: 2 * (task.feature_dim + 1)]
+            labels = rng.integers(0, classes, size=40)
             x_aug = np.hstack([features, np.ones((40, 1))])
-            stacked = task.stack((FeatureDataset(features, np.zeros(40, dtype=np.int64)),))
+            stacked = task.stack((FeatureDataset(features, labels),))
             np.testing.assert_array_equal(stacked.x_t, x_aug.T)
             assert stacked.x_t.flags.c_contiguous
             with np.errstate(invalid="ignore"):
                 shifted = x_aug @ theta.reshape(classes, 6).T
                 shifted -= shifted.max(axis=1, keepdims=True)
                 log_sums = np.log(np.exp(shifted).sum(axis=1))
-                log_probs = task._log_probs(theta, stacked.x_t).T
-            # The largest logit's log-probability is 0.0 - log-sum, exactly.
-            actual_log_sums = -log_probs[np.arange(40), np.argmax(shifted, axis=1)]
-            np.testing.assert_array_equal(log_probs, shifted - actual_log_sums[:, None],
-                                          err_msg=f"{classes} classes")
+                exps = np.exp(shifted.T)
+                in_order = np.log(sum(exps[1:], exps[0]))
+                log_softmax_at_labels = (shifted.T - in_order)[labels, np.arange(40)]
+                nll = task._nll(theta, stacked)
+            np.testing.assert_array_equal(nll, in_order - shifted[np.arange(40), labels], err_msg=f"{classes} classes")
+            np.testing.assert_array_equal(nll, -log_softmax_at_labels, err_msg=f"{classes} classes")
+            assert np.isnan(nll[5]) and np.isfinite(np.delete(nll, 5)).all()
             tolerance = 0.0 if classes < 8 else (2 * (classes - 1) + math.log(classes)) * np.finfo(float).eps
-            np.testing.assert_allclose(actual_log_sums, log_sums, rtol=0, atol=tolerance,
-                                       err_msg=f"{classes} classes")
+            np.testing.assert_allclose(in_order, log_sums, rtol=0, atol=tolerance, err_msg=f"{classes} classes")
 
     def test_factors_keep_the_bits_of_the_label_scatter(self):
         # The residuals must be exactly E / sum_k E with 1 subtracted at each
         # example's label, E = exp(Z - max_k Z) summed over the class rows in
-        # order, non-finite examples included, and the flat label index must
-        # pick those labels.
+        # order, non-finite examples included, and each example's loss, which
+        # picks its shifted logit with the flat label index, must pick its label's.
         rng = np.random.default_rng(19)
         for classes in (2, 5, 10):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
@@ -159,15 +165,17 @@ class TestSoftmaxGradient:
             theta = rng.normal(size=task.dim)
             with np.errstate(invalid="ignore"):
                 logits, residuals = task._factors(theta, stacked)
-                log_probs = task._log_probs(theta, stacked.x_t)
+                nll = task._nll(theta, stacked)
                 expected_logits = theta.reshape(classes, 5) @ stacked.x_t
-                exps = np.exp(expected_logits - expected_logits.max(axis=0))
+                shifted = expected_logits - expected_logits.max(axis=0)
+                exps = np.exp(shifted)
                 expected = exps / sum(exps[1:], exps[0])
+                expected_nll = np.log(sum(exps[1:], exps[0])) - shifted[labels, np.arange(30)]
             expected[labels, np.arange(30)] -= 1.0
             assert np.isnan(residuals[:, 2]).all() and np.isfinite(np.delete(residuals, 2, axis=1)).all()
             np.testing.assert_array_equal(logits, expected_logits)
             np.testing.assert_array_equal(residuals, expected)
-            np.testing.assert_array_equal(log_probs.take(stacked.label_index), log_probs[labels, np.arange(30)])
+            np.testing.assert_array_equal(nll, expected_nll)
 
     def test_residuals_match_the_log_softmax_form_and_scipy_within_two_eps(self):
         # E / sum E, exp(log-softmax) and scipy's softmax over the class axis
@@ -193,7 +201,7 @@ class TestSoftmaxGradient:
                 logits, residuals = task._factors(theta, stacked)
                 onehot = np.zeros((classes, 60))
                 onehot[labels, np.arange(60)] = 1.0
-                for reference in (np.exp(task._log_probs(theta, stacked.x_t)), softmax(logits, axis=0)):
+                for reference in (np.exp(log_softmax(logits, axis=0)), softmax(logits, axis=0)):
                     np.testing.assert_allclose(residuals, reference - onehot, rtol=0, atol=2 * eps,
                                                err_msg=f"{classes} classes, scale {scale}")
                 column_sums = [math.fsum(column) for column in residuals.T]
@@ -454,6 +462,30 @@ class TestGhostClipping:
         np.testing.assert_array_equal(ghost_scales(task, theta, dataset, c_g), np.ones(12))
         np.testing.assert_allclose(clipped_sum(task, theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
 
+    def test_ghost_clipping_matches_the_reference_gradients_at_every_feature_magnitude(self):
+        # Features of magnitude 10^k, k from -300 to 150, and subnormal ones:
+        # each shard's clipped sum must lie within 4e-15 of the sum of the
+        # norms of its rows clipped by clip_rows, the scale the sum is made of
+        # (largest measured: 1.2e-15).  Shards of one row and of many, two
+        # and ten classes.  The sweep stops at 10^150: a feature file refuses
+        # a row whose squared norm overflows, from about 1.3e154 for one
+        # feature, and just below that edge the kernel's ||r||^2 ||x||^2, with
+        # ||r||^2 up to 2, overflows where ||x||^2 does not, so the two differ.
+        rng = np.random.default_rng(73)
+        magnitudes = [10.0 ** k for k in range(-300, 151, 5)] + [1e-310, 1e-320, 5e-324]
+        for classes in (2, 10):
+            task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
+            for magnitude in magnitudes:
+                shards = tuple(FeatureDataset(rng.normal(size=(size, 4)) * magnitude,
+                                              rng.integers(0, classes, size=size)) for size in (1, 9, 5))
+                theta = rng.normal(size=task.dim)
+                sums = task.clipped_sums(theta, task.stack(shards), 1.0)
+                for shard, row in zip(shards, sums):
+                    rows = clip_rows(softmax_gradients(theta, (shard.features, shard.labels), classes,
+                                                       task.l2_lambda), 1.0)
+                    error = np.linalg.norm(row - np.add.reduce(rows, axis=0))
+                    assert error <= 4e-15 * np.linalg.norm(rows, axis=1).sum(), (classes, magnitude, shard.size)
+
     def test_buffers_keep_the_bits_of_the_allocating_expression(self):
         # Past eight classes included, over one run of equal shards and two,
         # with rows clipped and unclipped, and a NaN theta giving NaN rows.
@@ -673,8 +705,9 @@ def whole_text_oracle(data: bytes):
 def whole_text_error(data: bytes, dim: int, classes: int):
     """The error the reader's rules give a file whose header is dim=<dim>,
     classes=<classes>, found on its whole text, or None: the first bad row
-    in line order, else a file without rows, else the first non-finite row."""
-    rows, non_finite = 0, None
+    in line order, else a file without rows, else the first row with a
+    non-finite value or, its values finite, a squared norm that overflows."""
+    rows, fault = 0, None
     for lineno, line in enumerate(data.decode("utf-8").splitlines()[1:], start=2):
         if not line.strip():
             continue
@@ -688,11 +721,13 @@ def whole_text_error(data: bytes, dim: int, classes: int):
         if not 0 <= label < classes:
             return f"line {lineno}: label {label} out of range [0, {classes})"
         rows += 1
-        if non_finite is None and not all(map(math.isfinite, values)):
-            non_finite = lineno
+        if fault is None and not all(map(math.isfinite, values)):
+            fault = f"line {lineno}: non-finite feature value"
+        elif fault is None and not math.isfinite(sum(value * value for value in values)):
+            fault = f"line {lineno}: squared norm overflows"
     if not rows:
         return "no example rows"
-    return None if non_finite is None else f"line {non_finite}: non-finite feature value"
+    return fault
 
 
 def load_fresh(path):
@@ -759,6 +794,32 @@ class TestFrozenFeatureFiles:
         path.write_text("dim=1,classes=2\n0,1.0\n\n1,-inf\n0,2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 4: non-finite feature value"):
             load_frozen_features(path)
+
+    def test_a_row_whose_squared_norm_overflows_is_refused_naming_its_line(self, tmp_path, monkeypatch):
+        # A finite row of 1e200 values would load, and ghost clipping would
+        # turn its ||x||^2 = inf into a NaN release: every metrics row of the
+        # run would read as diverged.  The first faulty row is named, whether
+        # it holds a NaN or its squared norm overflows.
+        dataset = make_anisotropic_features(400, 4, 2, condition=10.0, separation=1.0, seed=5)
+        path = tmp_path / "wide.features"
+        save_frozen_features(path, dataset, num_classes=2)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[138] = "1," + ",".join(["1e200"] * 4) + "\n"
+        for chunk_bytes in (1 << 16, 64):
+            monkeypatch.setattr(task_module, "_CHUNK_BYTES", chunk_bytes)
+            for text, message in (
+                (lines, "line 139: squared norm overflows"),
+                (lines[:300] + ["0,1.0,nan,2.0,3.0\n"] + lines[300:], "line 139: squared norm overflows"),
+                (lines[:100] + ["0,1.0,nan,2.0,3.0\n"] + lines[100:], "line 101: non-finite feature value"),
+            ):
+                path.write_text("".join(text), encoding="utf-8")
+                with pytest.raises(ValueError) as info:
+                    load_fresh(path)
+                assert str(info.value) == message, chunk_bytes
+        # Below the overflow a row loads.
+        lines[138] = "1," + ",".join(["1e150"] * 4) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert load_fresh(path)[0].features[137, 0] == 1e150
 
     def test_errors_after_a_blank_line_name_the_file_line(self, tmp_path):
         path = tmp_path / "bad.features"
@@ -827,13 +888,19 @@ class TestFrozenFeatureFiles:
             (FeatureDataset(np.ones((0, 2)), np.array([], dtype=np.int64)), 2, "no example rows"),
             (FeatureDataset(np.ones((2, 2)), np.array([0, 2])), 2, "labels must lie in [0, 2)"),
             (FeatureDataset(np.ones((2, 2)), np.array([-1, 0])), 2, "labels must lie in [0, 2)"),
-            (nan_row, 2, "feature values must be finite"),
-            (FeatureDataset(np.full((1, 2), np.inf), np.array([0])), 2, "feature values must be finite"),
+            (nan_row, 2, "row 0: non-finite feature value"),
+            (FeatureDataset(np.full((1, 2), np.inf), np.array([0])), 2, "row 0: non-finite feature value"),
+            (FeatureDataset(np.array([[1.0, 2.0], [1e200, 0.0], [np.nan, 0.0]]), np.array([0, 1, 1])), 2,
+             "row 1: squared norm overflows"),
         ):
             with pytest.raises(ValueError) as info:
                 save_frozen_features(path, dataset, num_classes=classes)
             assert str(info.value) == message
             assert not path.exists()
+        # The rule reads the values as they are written, in float64, where
+        # these float32 values' squares do not overflow.
+        save_frozen_features(path, FeatureDataset(np.full((2, 2), 1e20, dtype=np.float32), np.array([0, 1])), 2)
+        assert load_fresh(path)[0].features[1, 1] == np.float32(1e20)
 
     def test_writer_refuses_labels_of_a_non_integer_dtype(self, tmp_path):
         # int() would cut 0.7 and 1.9 to 0 and 1, and write True as 1.
@@ -966,11 +1033,11 @@ class TestFrozenFeatureFiles:
 
     # The fuzz's traps: cells that numpy's C parser and int or float read
     # apart or that either refuses (\x1f it strips as whitespace, where
-    # float refuses it), every str.splitlines separator, and blank lines
-    # that only str.strip sees as blank.
+    # float refuses it), a value whose square overflows, every
+    # str.splitlines separator, and blank lines that only str.strip sees as blank.
     FUZZ_LABELS = ("1.0", "+1", " 1", "0001", "\u0661", "1_0", "1e0", "-1", "9" * 20, "", "#1")
     FUZZ_CELLS = ("1_000", "0x10", "Infinity", "1e400", "nan", "1\x002", "\u0661\u0662", "#", "1#2", " 2.5 ",
-                  "\x1f1.5", "1.5\x1f", "\t3", "", "1e", "\xa04", "-0.0", "5e-324", "1e-400")
+                  "\x1f1.5", "1.5\x1f", "\t3", "", "1e", "\xa04", "-0.0", "5e-324", "1e-400", "1e200")
     SEPARATORS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
     BLANKS = ("", " ", "\t", "\x1f", "\u3000")
 
@@ -1018,7 +1085,7 @@ class TestFrozenFeatureFiles:
             assert dataset.features.tobytes() == features.reshape(-1, dim).tobytes(), data
             np.testing.assert_array_equal(dataset.labels, labels)
             assert SoftmaxHeadTask(classes, dim).stack((dataset,)).x_t is dataset.features.base
-        assert outcomes == {"accepted", "expected", "unparseable", "label", "non-finite", "no"}
+        assert outcomes == {"accepted", "expected", "unparseable", "label", "non-finite", "squared", "no"}
         # numpy's parser read some chunks and refused others.
         assert True in reads and False in reads
 
