@@ -42,7 +42,7 @@ from .harness import (
     emit_metrics,
     grid_search,
     read_metrics,
-    round_streams,
+    rounds,
     run_experiment,
     run_round,
 )

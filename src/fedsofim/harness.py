@@ -2,7 +2,7 @@
 
 A plan resolves to (task bundle, config) deterministically from the master
 seed, and every client-round draws from its own derived stream, handed out by
-the run's one schedule, round_streams.  Nothing in this module may import
+the run's one loop, rounds.  Nothing in this module may import
 ``fedsofim.oracles`` — the dense preconditioner must stay unreachable from
 production runs.
 """
@@ -253,8 +253,8 @@ def round_aggregate(bundle: TaskBundle, theta: np.ndarray, c_g: float, sigma_g: 
 
 
 def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, streams) -> tuple:
-    """One round: round_aggregate and the optimizer step, for the round's
-    entry of round_streams(config).  Returns (new_state, aggregate)."""
+    """One round: round_aggregate and the optimizer step, on the n streams
+    that rounds hands it.  Returns (new_state, aggregate)."""
     g = round_aggregate(bundle, state.theta, config.clip_cg, config.sigma_g, streams, config.batch_size)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.optimizer is Optimizer.SOFIM:
@@ -262,13 +262,18 @@ def run_round(bundle: TaskBundle, state: ServerState, config: FederatedConfig, s
         return fedgd_step(state, g, config.eta), g
 
 
-def round_streams(config: FederatedConfig):
-    """The run's stream schedule: for each of the T rounds, the n client
-    streams ``derive_noise_stream(master_seed, i, t)``.  Releases that draw
-    nothing (no noise and no mini-batches) get None for a stream."""
+def rounds(bundle: TaskBundle, config: FederatedConfig, theta0: np.ndarray):
+    """The run from theta0: yields (t, state after round t, round t's aggregate) for each of the T rounds,
+    client i's stream in round t being ``derive_noise_stream(master_seed, i, t)``, derived once per run,
+    or None where the releases draw nothing (no noise and no mini-batches)."""
     if config.sigma_g > 0 or config.batch_size > 0:
-        return derive_noise_streams(config.master_seed, config.n, config.T)
-    return itertools.repeat((None,) * config.n, config.T)
+        schedule = derive_noise_streams(config.master_seed, config.n, config.T)
+    else:
+        schedule = itertools.repeat((None,) * config.n, config.T)
+    state = ServerState.initial(theta0)
+    for t, streams in enumerate(schedule):
+        state, g = run_round(bundle, state, config, streams)
+        yield t, state, g
 
 
 @dataclass(frozen=True)
@@ -290,19 +295,16 @@ class MetricsTable:
 
 
 def run_experiment(plan: ExperimentPlan) -> MetricsTable:
-    """Run a full T-round experiment from a validated plan: run_round over
-    round_streams(config).
+    """Run a full T-round experiment from a validated plan: rounds from theta = 0.
 
     Metrics are evaluated every eval_every rounds and always at the final
     round; elapsed is recorded only under record_timing.
     """
     config = resolve_sigma(plan)
     bundle = build_bundle(plan.binding, config.n, config.master_seed)
-    state = ServerState.initial(np.zeros(bundle.task.dim))
     rows = []
     start = time.perf_counter()
-    for t, streams in enumerate(round_streams(config)):
-        state, g = run_round(bundle, state, config, streams)
+    for t, state, g in rounds(bundle, config, np.zeros(bundle.task.dim)):
         if (t + 1) % plan.eval_every == 0 or t == config.T - 1:
             train_loss, test_accuracy, gap = bundle.evaluate(state.theta)
             elapsed = time.perf_counter() - start if plan.record_timing else 0.0

@@ -25,6 +25,9 @@ from .client import clip_rows
 from .core import count_problem, raise_problems, real_problem
 
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+# The largest ||x||^2 a feature row may have.  Ghost clipping forms ||r||^2 ||x||^2 with
+# ||r||^2 = ||p - e_y||^2 <= 2, so a quarter of the largest float keeps that product and its rounding finite.
+_MAX_SQ_NORM = np.finfo(np.float64).max / 4
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,8 @@ class SoftmaxHeadTask:
         row and its ||x||^2, which every gathered stack (take) keeps.  A lone
         shard whose features are the [:-1].T view of a read-only C-ordered
         float64 array with a last row of ones, as a loaded file's are, is
-        wrapped, not copied."""
+        wrapped, not copied.  A row a feature file refuses is refused here,
+        by its index among the shards' rows in order."""
         if any(shard.features.shape[1] != self.feature_dim for shard in shards):
             raise ValueError(f"features must have dimension {self.feature_dim}")
         sizes = tuple(shard.size for shard in shards)
@@ -221,8 +225,10 @@ class SoftmaxHeadTask:
             x_t = np.empty((self.feature_dim + 1, sum(sizes)))
             np.concatenate([shard.features for shard in shards], out=x_t[:-1].T)
             x_t[-1] = 1.0
-        labels = np.concatenate([shard.labels for shard in shards])
-        return FeatureStack(x_t, labels, sizes, np.einsum("ji,ji->i", x_t, x_t), self.num_classes)
+        sq_norms = np.einsum("ji,ji->i", x_t, x_t)
+        if bad := _bad_row(x_t.T, sq_norms):
+            raise ValueError(f"row {bad[0]}: {bad[1]}")
+        return FeatureStack(x_t, np.concatenate([shard.labels for shard in shards]), sizes, sq_norms, self.num_classes)
 
     def clipped_sums(self, theta: np.ndarray, stacked: FeatureStack, c_g: float) -> np.ndarray:
         """Row i: the sum over shard i of the per-example gradients
@@ -492,7 +498,7 @@ def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
             x_t = np.concatenate([x_t[:, :count], np.empty((dim + 1, max(x_t.shape[1], len(rows))))], axis=1)
         x_t[:-1, count:count + len(rows)] = values.T
         count += len(rows)
-        if fault is None and (bad := _bad_row(values)):
+        if fault is None and (bad := _bad_row(values, np.einsum("ij,ij->i", values, values))):
             fault = f"line {rows[bad[0]][0]}: {bad[1]}"
         del rows  # before the next chunk is decoded
     if not count:
@@ -508,12 +514,13 @@ def _parse_frozen_features(chunks, most_lines: int, size: int) -> tuple:
     return FeatureDataset(x_t[:-1].T, labels), classes
 
 
-def _bad_row(values: np.ndarray):
-    """(the first row of values with a NaN or an infinity or whose squared norm overflows, which fault it is) or
-    None.  Either row would surface as a NaN release or an inf loss, which reads like a diverged run."""
-    finite = np.isfinite(np.einsum("ij,ij->i", values, values))
-    if not finite.all():
-        first = int(np.argmin(finite))
+def _bad_row(values: np.ndarray, sq_norms: np.ndarray):
+    """(the first row of values with a NaN or an infinity or whose squared norm, given in sq_norms, is above
+    _MAX_SQ_NORM, which fault it is) or None.  Either row would surface as a NaN release or an inf loss, which
+    reads like a diverged run."""
+    fits = sq_norms <= _MAX_SQ_NORM
+    if not fits.all():
+        first = int(np.argmin(fits))
         return first, "non-finite feature value" if not np.isfinite(values[first]).all() else "squared norm overflows"
 
 
@@ -562,7 +569,8 @@ def save_frozen_features(path, dataset: FeatureDataset, num_classes: int) -> Non
         problems.append(f"labels must be integers, not {dataset.labels.dtype}")
     elif integral and not np.all((dataset.labels >= 0) & (dataset.labels < num_classes)):
         problems.append(f"labels must lie in [0, {num_classes})")
-    if bad := _bad_row(np.asarray(dataset.features, dtype=np.float64)):
+    features = np.asarray(dataset.features, dtype=np.float64)
+    if bad := _bad_row(features, np.einsum("ij,ij->i", features, features)):
         problems.append(f"row {bad[0]}: {bad[1]}")
     raise_problems(*problems)
     # Written beside the target and renamed over it, so a write that stops

@@ -21,7 +21,7 @@ import numpy as np
 from . import accountant
 from .client import clip_rows
 from .core import FederatedConfig, Optimizer, ServerState, derive_noise_streams
-from .harness import TaskBundle, clipped_aggregate, round_aggregate, round_streams, run_round
+from .harness import TaskBundle, clipped_aggregate, round_aggregate, rounds
 from .oracles import dense_preconditioner
 from .server import precondition_apply, sofim_step, update_momentum
 from .task import QuadraticShard, make_synthetic_quadratic
@@ -301,7 +301,6 @@ def suite_noise_floor(seed: int = 0) -> tuple:
 def suite_descent(seed: int = 0) -> tuple:
     """Noiseless preconditioned rounds strictly decrease F when eta sits in
     the stability range (and under the smoothness threshold)."""
-    rounds = 200
     task, shards = make_synthetic_quadratic(d=12, n=5, mu=0.1, L=5.0, heterogeneity=1.0, seed=seed)
     bundle = TaskBundle(task=task, train=task.stack(shards))
     theta0 = np.zeros(task.dim)
@@ -315,14 +314,11 @@ def suite_descent(seed: int = 0) -> tuple:
     eta = 0.5 * rho**2 / (task.L * (rho + signal_bound**2))
     assert eta < rho / task.mu  # inside the contraction range too
     config = FederatedConfig(
-        n=len(shards), T=rounds, eta=eta, clip_cg=c_g, sigma_g=0.0, beta=beta, rho=rho,
+        n=len(shards), T=200, eta=eta, clip_cg=c_g, sigma_g=0.0, beta=beta, rho=rho,
         master_seed=seed, optimizer=Optimizer.SOFIM,
     )
-    state = ServerState.initial(theta0)
-    values = [task.global_value(state.theta)]
-    for streams in round_streams(config):
-        state, _ = run_round(bundle, state, config, streams)
-        values.append(task.global_value(state.theta))
+    values = [task.global_value(theta0)]
+    values += [task.global_value(state.theta) for _, state, _ in rounds(bundle, config, theta0)]
     decreases = np.diff(values)
     return (_check_max("worst_round_increase", float(decreases.max()), 0.0,
                        f"min decrease {-decreases.max():.3e}, eta={eta:.3e}"),)
@@ -339,7 +335,7 @@ def suite_convergence_floor(seed: int = 0) -> tuple:
     vary only the noise streams.  G_max and zeta_max are the maxima observed
     along all simulated trajectories, as the report notes.
     """
-    d, n, m, num_seeds, rounds = 20, 20, 10, 20, 500
+    d, n, m, num_seeds, T = 20, 20, 10, 20, 500
     mu_target, L_target = 0.05, 5.0
     # eta/rho = 0.25 < 2/L keeps the unclipped iteration stable, so the run
     # actually contracts (rate 0.9875) instead of riding the clipping bound.
@@ -350,21 +346,21 @@ def suite_convergence_floor(seed: int = 0) -> tuple:
     )
     bundle = TaskBundle(task=task, train=task.stack(shards))
     config = FederatedConfig(
-        n=n, T=rounds, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho, optimizer=Optimizer.SOFIM,
+        n=n, T=T, eta=eta, clip_cg=c_g, sigma_g=sigma_g, beta=beta, rho=rho, optimizer=Optimizer.SOFIM,
     )
     g_max = 0.0
     zeta_max = 0.0
     terminal_gaps = []
     for k in range(num_seeds):
         seed_config = replace(config, master_seed=seed + 1000 + k)
-        state = ServerState.initial(np.zeros(d))
-        for streams in round_streams(seed_config):
-            grad = bundle.task.global_gradient(state.theta)
+        theta = np.zeros(d)
+        for _, state, _ in rounds(bundle, seed_config, theta):
+            grad = bundle.task.global_gradient(theta)
             g_max = max(g_max, float(np.linalg.norm(grad)))
-            zeta = clipped_aggregate(bundle, state.theta, c_g) - grad
+            zeta = clipped_aggregate(bundle, theta, c_g) - grad
             zeta_max = max(zeta_max, float(np.linalg.norm(zeta)))
-            state, _ = run_round(bundle, state, seed_config, streams)
-        terminal_gaps.append(task.gap(state.theta))
+            theta = state.theta
+        terminal_gaps.append(task.gap(theta))
     _, nu_uniform = accountant.noise_floor(c_g, sigma_g, n, [m] * n)
     gamma, floor, rate = accountant.theoretical_floor(
         task.mu, task.L, eta, rho, beta, c_g, nu_uniform, d, zeta_max, g_max, tau, tau

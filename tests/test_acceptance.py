@@ -3,7 +3,8 @@ pass/fail line) each.
 
 Criteria backed by a named verification suite assert the relevant checks
 from the suite's report plus its wall-time budget; the suite runs once per
-session via the shared cache.  Criteria 9-11 drive the round loop directly.
+session via the shared cache.  Criteria 9 and 10 read their runs from
+``rounds``, and criterion 11 tunes through ``grid_search``.
 """
 
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 from conftest import child_env
 
 from fedsofim.accountant import theoretical_floor
-from fedsofim.core import FederatedConfig, Optimizer, ServerState, validate_config
+from fedsofim.core import FederatedConfig, Optimizer, validate_config
 from fedsofim.harness import (
     ExperimentPlan,
     FeatureTaskBinding,
@@ -24,8 +25,7 @@ from fedsofim.harness import (
     build_bundle,
     clipped_aggregate,
     grid_search,
-    round_streams,
-    run_round,
+    rounds,
 )
 from fedsofim.task import make_anisotropic_features, save_frozen_features
 
@@ -167,18 +167,20 @@ def test_criterion_09_noiseless_per_round_contraction():
         master_seed=0, optimizer=Optimizer.SOFIM,
     ))
     bundle = build_bundle(QuadraticTaskBinding(d=d, mu=mu, L=L, heterogeneity=1.0), n, 0)
-    state = ServerState.initial(np.zeros(d))
+    theta = np.zeros(d)
 
-    gaps = [bundle.task.gap(state.theta)]
+    gaps = [bundle.task.gap(theta)]
     g_max = 0.0
     zeta_max = 0.0
-    for streams in round_streams(config):
-        agg = clipped_aggregate(bundle, state.theta, c_g)
+    # Without noise, the aggregate round t releases at theta_t is the clipped aggregate there.
+    for t, state, agg in rounds(bundle, config, theta):
+        if t == 0:
+            np.testing.assert_array_equal(agg, clipped_aggregate(bundle, theta, c_g))
         g_max = max(g_max, float(np.linalg.norm(agg)))
-        zeta = float(np.linalg.norm(agg - bundle.task.global_gradient(state.theta)))
+        zeta = float(np.linalg.norm(agg - bundle.task.global_gradient(theta)))
         zeta_max = max(zeta_max, zeta)
-        state, _ = run_round(bundle, state, config, streams)
-        gaps.append(bundle.task.gap(state.theta))
+        theta = state.theta
+        gaps.append(bundle.task.gap(theta))
 
     assert c_g >= g_max, f"clipping radius {c_g} below observed maximum {g_max}"
     gamma_no_noise, _, rate = theoretical_floor(
@@ -202,14 +204,14 @@ def test_criterion_09_noiseless_per_round_contraction():
 
 def test_criterion_10_first_order_limit_equivalence():
     start = time.perf_counter()
-    d, n, rounds = 8, 4, 50
+    d, n, T = 8, 4, 50
     eta_fedgd = 0.1
     rho = 1e6
     binding = QuadraticTaskBinding(d=d, mu=0.2, L=1.0, heterogeneity=0.5)
     bundle = build_bundle(binding, n, 5)
     theta0 = bundle.task.theta_star + 0.1 * np.ones(d) / np.sqrt(d)
 
-    base = dict(n=n, T=rounds, clip_cg=10.0, sigma_g=0.0, beta=0.0, master_seed=5)
+    base = dict(n=n, T=T, clip_cg=10.0, sigma_g=0.0, beta=0.0, master_seed=5)
     config_sofim = validate_config(FederatedConfig(
         eta=rho * eta_fedgd, rho=rho, optimizer=Optimizer.SOFIM, **base,
     ))
@@ -217,12 +219,9 @@ def test_criterion_10_first_order_limit_equivalence():
         eta=eta_fedgd, rho=0.5, optimizer=Optimizer.FEDGD, **base,
     ))
 
-    state_s = ServerState.initial(theta0.copy())
-    state_f = ServerState.initial(theta0.copy())
     worst_rel = 0.0
-    for streams_s, streams_f in zip(round_streams(config_sofim), round_streams(config_fedgd)):
-        state_s, _ = run_round(bundle, state_s, config_sofim, streams_s)
-        state_f, _ = run_round(bundle, state_f, config_fedgd, streams_f)
+    runs = rounds(bundle, config_sofim, theta0), rounds(bundle, config_fedgd, theta0)
+    for (_, state_s, _), (_, state_f, _) in zip(*runs):
         rel = float(
             np.linalg.norm(state_s.theta - state_f.theta)
             / max(np.linalg.norm(state_f.theta), 1e-12)
@@ -234,7 +233,7 @@ def test_criterion_10_first_order_limit_equivalence():
     announce(
         "criterion 10",
         f"rate-rescaled trajectories (rho=1e6, beta=0, sigma_g=0) agree to "
-        f"{worst_rel:.2e} relative over {rounds} rounds; {elapsed:.1f}s < 10s",
+        f"{worst_rel:.2e} relative over {T} rounds; {elapsed:.1f}s < 10s",
     )
 
 

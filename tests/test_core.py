@@ -244,7 +244,7 @@ class TestBatchedStreamDerivation:
                 derive_noise_streams(0, n_clients, 3)
 
     def test_each_stream_is_a_fresh_generator(self):
-        streams = [s for round_streams in derive_noise_streams(5, 4, 3) for s in round_streams]
+        streams = [s for block in derive_noise_streams(5, 4, 3) for s in block]
         assert len({id(s) for s in streams}) == len({id(s.bit_generator) for s in streams}) == 12
 
 

@@ -105,14 +105,14 @@ def grid_2x2(work_dir: Path) -> bytes:
 def features_small(work_dir: Path) -> bytes:
     """The bytes save_frozen_features writes for a small crafted dataset:
     a signed zero, the smallest subnormal, values on either side of repr's
-    switch to exponent form, a 17-digit value near the largest whose square
-    still fits a float64 (as a row's squared norm must), and every label up
-    to classes - 1."""
+    switch to exponent form, a 17-digit value three ulps below the largest
+    whose square is at most a quarter of the largest float64 (as a row's
+    squared norm must be), and every label up to classes - 1."""
     features = np.array([
         [-0.0, 5e-324, 1e16, 0.5],
         [1e-7, 0.1, 123456789.0, -2.0],
         [1e-5, 1e15, 2.0 / 3.0, 0.0],
-        [-1.2345678901234568e154, 1e-4, 9007199254740993.0, 3.0],
+        [-6.7039039649712956e153, 1e-4, 9007199254740993.0, 3.0],
     ])
     path = work_dir / "small.features"
     save_frozen_features(path, FeatureDataset(features, np.array([0, 2, 3, 1])), num_classes=4)

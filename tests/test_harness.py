@@ -40,7 +40,7 @@ from fedsofim.harness import (
     grid_search,
     read_metrics,
     resolve_sigma,
-    round_streams,
+    rounds,
     run_experiment,
     run_round,
 )
@@ -467,21 +467,18 @@ class TestRunRound:
         # theta_star, so theta moves by at most a few ulps.
         binding = QuadraticTaskBinding(d=4, mu=0.5, L=2.0, heterogeneity=0.0)
         bundle = build_bundle(binding, 3, 0)
-        state = ServerState.initial(bundle.task.theta_star.copy())
-        config = quad_config(n=3)
-        new_state, g = run_round(bundle, state, config, next(round_streams(config)))
-        np.testing.assert_allclose(new_state.theta, state.theta, rtol=0.0, atol=1e-13)
+        theta_star = bundle.task.theta_star
+        _, state, g = next(rounds(bundle, quad_config(n=3), theta_star.copy()))
+        np.testing.assert_allclose(state.theta, theta_star, rtol=0.0, atol=1e-13)
         np.testing.assert_allclose(np.linalg.norm(g), 0.0, atol=1e-13)
-        np.testing.assert_allclose(bundle.task.gap(new_state.theta), 0.0, atol=1e-15)
+        np.testing.assert_allclose(bundle.task.gap(state.theta), 0.0, atol=1e-15)
 
     def test_single_client_fedgd_is_centralized_gradient_descent(self):
         binding = QuadraticTaskBinding(d=5, mu=0.4, L=1.6, heterogeneity=0.7)
         bundle = build_bundle(binding, 1, 3)
         config = quad_config(n=1, eta=0.5, clip_cg=1e9, optimizer=Optimizer.FEDGD)
-        state = ServerState.initial(np.zeros(5))
         reference = np.zeros(5)
-        for streams in round_streams(config):
-            state, _ = run_round(bundle, state, config, streams)
+        for _, state, _ in rounds(bundle, config, np.zeros(5)):
             reference = reference - config.eta * bundle.task.global_gradient(reference)
             assert np.linalg.norm(state.theta - reference) <= 1e-12
 
@@ -490,11 +487,10 @@ class TestRunRound:
         # norms overflow; the whole round runs under the same errstate.
         config = quad_config(n=3, T=6, eta=1e300, clip_cg=100.0)
         bundle = build_bundle(QuadraticTaskBinding(d=4, mu=0.5, L=2.0, heterogeneity=1.0), 3, 0)
-        state = ServerState.initial(np.zeros(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for streams in round_streams(config):
-                state, _ = run_round(bundle, state, config, streams)
+            for _, state, _ in rounds(bundle, config, np.zeros(4)):
+                pass
             with pytest.raises(ValueError, match="one stream per shard"):
                 run_round(bundle, state, config, (None,) * 2)
             with pytest.raises(ValueError, match="theta must have dimension 4"):
@@ -502,23 +498,39 @@ class TestRunRound:
 
 
 class TestRoundStreams:
-    def test_each_round_gets_the_n_derived_streams(self):
+    """The streams each round of ``rounds`` hands to run_round, as run_round receives them."""
+
+    @staticmethod
+    def received(config, monkeypatch):
+        """Each round's streams, as their bit generators' states (None for None), before run_round draws."""
+        received, run_round = [], harness_module.run_round
+
+        def recording(bundle, state, config, streams):
+            received.append([None if stream is None else stream.bit_generator.state for stream in streams])
+            return run_round(bundle, state, config, streams)
+
+        monkeypatch.setattr(harness_module, "run_round", recording)
+        bundle = build_bundle(QuadraticTaskBinding(d=3, mu=0.5, L=2.0), config.n, config.master_seed)
+        assert [t for t, _, _ in rounds(bundle, config, np.zeros(3))] == list(range(config.T))
+        return received
+
+    def test_each_round_gets_the_n_derived_streams(self, monkeypatch):
         config = quad_config(n=3, T=5, sigma_g=0.5)
-        schedule = list(round_streams(config))
+        schedule = self.received(config, monkeypatch)
         assert len(schedule) == config.T
         for t, streams in enumerate(schedule):
             assert len(streams) == config.n
-            for i, stream in enumerate(streams):
-                expected = derive_noise_stream(config.master_seed, i, t)
-                assert stream.bit_generator.state == expected.bit_generator.state, (i, t)
+            for i, state in enumerate(streams):
+                assert state == derive_noise_stream(config.master_seed, i, t).bit_generator.state, (i, t)
 
-    def test_mini_batches_draw_streams_without_noise(self):
+    def test_mini_batches_draw_streams_without_noise(self, monkeypatch):
         config = quad_config(n=2, T=3, batch_size=4)
-        assert all(stream is not None for streams in round_streams(config) for stream in streams)
+        schedule = self.received(config, monkeypatch)
+        assert len(schedule) == config.T and all(state is not None for streams in schedule for state in streams)
 
-    def test_rounds_that_draw_nothing_get_none(self):
+    def test_rounds_that_draw_nothing_get_none(self, monkeypatch):
         config = quad_config(n=3, T=4)
-        assert list(round_streams(config)) == [(None, None, None)] * 4
+        assert self.received(config, monkeypatch) == [[None, None, None]] * 4
 
 
 class TestEvaluate:
@@ -551,10 +563,8 @@ class TestRunExperiment:
     def test_rows_equal_a_hand_driven_round_loop(self, config):
         plan = quad_plan(config=config, eval_every=5)
         bundle = build_bundle(plan.binding, config.n, config.master_seed)
-        state = ServerState.initial(np.zeros(bundle.task.dim))
         rows = []
-        for t, streams in enumerate(round_streams(config)):
-            state, g = run_round(bundle, state, config, streams)
+        for t, state, g in rounds(bundle, config, np.zeros(bundle.task.dim)):
             if (t + 1) % 5 == 0:
                 loss, accuracy, gap = bundle.evaluate(state.theta)
                 rows.append(RoundMetrics(t + 1, loss, accuracy, float(np.linalg.norm(g)), gap))
@@ -642,6 +652,26 @@ class TestRunExperiment:
         table = run_experiment(plan)
         assert all(r.suboptimality_gap is None for r in table.rows)
         assert all(0.0 <= r.test_accuracy <= 1.0 for r in table.rows)
+
+
+class TestCommunication:
+    def test_the_server_reads_one_d_vector_per_client_per_round(self, tmp_path, monkeypatch):
+        # harness.aggregate is the server's only read of the clients: one call
+        # a round, of one (n, d) float64 array, so a round carries d floats
+        # per client, communication in proportion to the model size.
+        calls, aggregate = [], harness_module.aggregate
+
+        def counted(releases, n):
+            calls.append((type(releases), releases.dtype, releases.shape, n))
+            return aggregate(releases, n)
+
+        monkeypatch.setattr(harness_module, "aggregate", counted)
+        config = quad_config(n=4, T=7, sigma_g=0.5)
+        softmax = FeatureTaskBinding(train_path=write_feature_file(tmp_path, count=80, dim=3, classes=3))
+        for plan, d in ((quad_plan(config=config), 6), (quad_plan(softmax, config=config), 3 * 4)):
+            calls.clear()
+            run_experiment(plan)
+            assert calls == [(np.ndarray, np.float64, (4, d), 4)] * 7
 
 
 class TestSoftmaxRunPath:

@@ -119,14 +119,13 @@ def test_the_sweep_covers_every_mode_and_unequal_shards():
                                              f"{'batch' if c['batched'] else 'full'}" for c in CASES])
 def test_a_run_matches_the_method_written_plainly(case, tmp_path, monkeypatch):
     plan, data = _plan(case, tmp_path)
-    recorded, schedule = [], harness.round_streams
+    recorded, run_round = [], harness.run_round
 
-    def recording_streams(config):
-        for streams in schedule(config):
-            recorded.append([None if stream is None else _Recorder(stream) for stream in streams])
-            yield recorded[-1]
+    def recording_round(bundle, state, config, streams):
+        recorded.append([None if stream is None else _Recorder(stream) for stream in streams])
+        return run_round(bundle, state, config, recorded[-1])
 
-    monkeypatch.setattr(harness, "round_streams", recording_streams)
+    monkeypatch.setattr(harness, "run_round", recording_round)
     rows = run_experiment(plan).rows
     expected, draws = reference_run(plan, data)
 

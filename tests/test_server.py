@@ -1,6 +1,7 @@
 """Aggregation, momentum, rank-one preconditioning, and the two step rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestDensePreconditionerOracle:
 
 
 class TestSofimStep:
+    def test_peak_allocation_doubles_with_d(self):
+        # The step's O(d) cost, by count rather than by clock: its peak
+        # allocation at 2^16 coordinates is twice that at 2^15 (a d x d term
+        # would make it four times), whatever else the host is running.
+        rng = np.random.default_rng(67)
+        peaks = []
+        for d in (2**15, 2**16):
+            state, g = ServerState(theta=rng.normal(size=d), momentum=rng.normal(size=d)), rng.normal(size=d)
+            tracemalloc.start()
+            try:
+                sofim_step(state, g, sofim_config())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 1.9 <= peaks[1] / peaks[0] <= 2.1, peaks
+
     def test_zero_gradient_zero_buffer_is_a_fixed_point(self):
         state = ServerState.initial(np.array([1.0, -2.0]))
         config = sofim_config()

@@ -18,6 +18,7 @@ import fedsofim.task as task_module
 from fedsofim.client import clip_rows, private_release
 from fedsofim.task import (
     FeatureDataset,
+    FeatureStack,
     QuadraticShard,
     QuadraticTask,
     SoftmaxHeadTask,
@@ -46,6 +47,14 @@ def dense_theta_star(a_matrices, centers):
     lhs = a_matrices.sum(axis=0)
     rhs = sum(a @ c for a, c in zip(a_matrices, centers))
     return np.linalg.solve(lhs, rhs)
+
+
+def unchecked_stack(task, features, labels):
+    """The one-shard stack task.stack builds of these rows, without its row
+    check: task.stack refuses a non-finite row, so a non-finite column reaches
+    the kernel only from theta; this puts one there from the features."""
+    x_t = np.vstack([features.T, np.ones(len(labels))])
+    return FeatureStack(x_t, labels, (len(labels),), np.einsum("ji,ji->i", x_t, x_t), task.num_classes)
 
 
 def single_example_dataset(features, label):
@@ -133,9 +142,12 @@ class TestSoftmaxGradient:
             theta[: task.feature_dim + 1] = theta[task.feature_dim + 1: 2 * (task.feature_dim + 1)]
             labels = rng.integers(0, classes, size=40)
             x_aug = np.hstack([features, np.ones((40, 1))])
-            stacked = task.stack((FeatureDataset(features, labels),))
-            np.testing.assert_array_equal(stacked.x_t, x_aug.T)
-            assert stacked.x_t.flags.c_contiguous
+            with pytest.raises(ValueError, match="^row 5: non-finite feature value$"):
+                task.stack((FeatureDataset(features, labels),))
+            finite = task.stack((FeatureDataset(np.delete(features, 5, axis=0), np.delete(labels, 5)),))
+            np.testing.assert_array_equal(finite.x_t, np.delete(x_aug, 5, axis=0).T)
+            assert finite.x_t.flags.c_contiguous
+            stacked = unchecked_stack(task, features, labels)
             with np.errstate(invalid="ignore"):
                 shifted = x_aug @ theta.reshape(classes, 6).T
                 shifted -= shifted.max(axis=1, keepdims=True)
@@ -161,7 +173,7 @@ class TestSoftmaxGradient:
             features = rng.normal(size=(30, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(30, 1))
             features[2, 1] = np.inf
             labels = rng.integers(0, classes, size=30)
-            stacked = task.stack((FeatureDataset(features, labels),))
+            stacked = unchecked_stack(task, features, labels)
             theta = rng.normal(size=task.dim)
             with np.errstate(invalid="ignore"):
                 logits, residuals = task._factors(theta, stacked)
@@ -463,21 +475,26 @@ class TestGhostClipping:
         np.testing.assert_allclose(clipped_sum(task, theta, dataset, c_g), grads.sum(axis=0), rtol=1e-13, atol=1e-15)
 
     def test_ghost_clipping_matches_the_reference_gradients_at_every_feature_magnitude(self):
-        # Features of magnitude 10^k, k from -300 to 150, and subnormal ones:
+        # Features of magnitude 10^k, k from -300 to 153, rows whose ||x||^2
+        # lies within 2e-15 of the largest a stack takes (a quarter of the
+        # largest float, about 6.7e153 for one feature), and subnormal ones:
         # each shard's clipped sum must lie within 4e-15 of the sum of the
         # norms of its rows clipped by clip_rows, the scale the sum is made of
         # (largest measured: 1.2e-15).  Shards of one row and of many, two
-        # and ten classes.  The sweep stops at 10^150: a feature file refuses
-        # a row whose squared norm overflows, from about 1.3e154 for one
-        # feature, and just below that edge the kernel's ||r||^2 ||x||^2, with
-        # ||r||^2 up to 2, overflows where ||x||^2 does not, so the two differ.
+        # and ten classes.
         rng = np.random.default_rng(73)
-        magnitudes = [10.0 ** k for k in range(-300, 151, 5)] + [1e-310, 1e-320, 5e-324]
+        edge = math.sqrt(task_module._MAX_SQ_NORM) * (1.0 - 1e-15)
+        magnitudes = [10.0 ** k for k in range(-300, 151, 5)] + [1e152, 1e153, edge, 1e-310, 1e-320, 5e-324]
         for classes in (2, 10):
             task = SoftmaxHeadTask(num_classes=classes, feature_dim=4)
             for magnitude in magnitudes:
-                shards = tuple(FeatureDataset(rng.normal(size=(size, 4)) * magnitude,
-                                              rng.integers(0, classes, size=size)) for size in (1, 9, 5))
+                shards = []
+                for size in (1, 9, 5):
+                    features = rng.normal(size=(size, 4))
+                    if magnitude == edge:
+                        features /= np.linalg.norm(features, axis=1, keepdims=True)
+                    features *= magnitude
+                    shards.append(FeatureDataset(features, rng.integers(0, classes, size=size)))
                 theta = rng.normal(size=task.dim)
                 sums = task.clipped_sums(theta, task.stack(shards), 1.0)
                 for shard, row in zip(shards, sums):
@@ -485,6 +502,33 @@ class TestGhostClipping:
                                                        task.l2_lambda), 1.0)
                     error = np.linalg.norm(row - np.add.reduce(rows, axis=0))
                     assert error <= 4e-15 * np.linalg.norm(rows, axis=1).sum(), (classes, magnitude, shard.size)
+
+    def test_a_row_past_the_kernels_edge_is_refused_at_load_save_and_stack(self, tmp_path):
+        # A feature of -1.2e154 has a finite ||x||^2 of 1.44e308, but the
+        # example is misclassified at this theta, so ||r||^2 = 2 and the
+        # kernel's ||r||^2 ||x||^2 overflowed: its clipped sum was all NaN
+        # where clip_rows clips the gradient to c_g.  A file, the writer and
+        # the stack each refuse the row; just inside the edge the kernel
+        # agrees with clip_rows.
+        task = SoftmaxHeadTask(num_classes=2, feature_dim=4)
+        theta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        path = tmp_path / "edge.features"
+        for value, refused in ((-1.2e154, True), (-6.7e153, False)):
+            dataset = FeatureDataset(np.array([[1.0, 2.0, 3.0, 4.0], [value, 0.0, 0.0, 0.0]]), np.array([1, 0]))
+            if refused:
+                for refusal in (lambda: save_frozen_features(path, dataset, 2), lambda: task.stack((dataset,))):
+                    with pytest.raises(ValueError, match="^row 1: squared norm overflows$"):
+                        refusal()
+                path.write_text(f"dim=4,classes=2\n1,1.0,2.0,3.0,4.0\n0,{value!r},0.0,0.0,0.0\n", encoding="utf-8")
+                with pytest.raises(ValueError, match="^line 3: squared norm overflows$"):
+                    load_fresh(path)
+                continue
+            save_frozen_features(path, dataset, 2)
+            loaded = load_fresh(path)[0]
+            sums = task.clipped_sums(theta, task.stack((loaded,)), 1.0)
+            rows = clip_rows(task.per_example_gradients(theta, loaded), 1.0)
+            np.testing.assert_allclose(sums[0], rows.sum(axis=0), rtol=0, atol=4e-15)
+            assert abs(rows[1, 0] - 1 / math.sqrt(2)) < 1e-15
 
     def test_buffers_keep_the_bits_of_the_allocating_expression(self):
         # Past eight classes included, over one run of equal shards and two,
@@ -706,7 +750,8 @@ def whole_text_error(data: bytes, dim: int, classes: int):
     """The error the reader's rules give a file whose header is dim=<dim>,
     classes=<classes>, found on its whole text, or None: the first bad row
     in line order, else a file without rows, else the first row with a
-    non-finite value or, its values finite, a squared norm that overflows."""
+    non-finite value or, its values finite, a squared norm above a quarter of
+    the largest float."""
     rows, fault = 0, None
     for lineno, line in enumerate(data.decode("utf-8").splitlines()[1:], start=2):
         if not line.strip():
@@ -723,7 +768,7 @@ def whole_text_error(data: bytes, dim: int, classes: int):
         rows += 1
         if fault is None and not all(map(math.isfinite, values)):
             fault = f"line {lineno}: non-finite feature value"
-        elif fault is None and not math.isfinite(sum(value * value for value in values)):
+        elif fault is None and not sum(value * value for value in values) <= task_module._MAX_SQ_NORM:
             fault = f"line {lineno}: squared norm overflows"
     if not rows:
         return "no example rows"
@@ -816,10 +861,15 @@ class TestFrozenFeatureFiles:
                 with pytest.raises(ValueError) as info:
                     load_fresh(path)
                 assert str(info.value) == message, chunk_bytes
-        # Below the overflow a row loads.
-        lines[138] = "1," + ",".join(["1e150"] * 4) + "\n"
+        # A row loads up to the edge, a squared norm of a quarter of the largest float.
+        for value in ("1e150", "3.351951982485649e153"):
+            lines[138] = "1," + ",".join([value] * 4) + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            assert load_fresh(path)[0].features[137, 0] == float(value)
+        lines[138] = "1," + ",".join(["3.35195198248565e153"] * 4) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        assert load_fresh(path)[0].features[137, 0] == 1e150
+        with pytest.raises(ValueError, match="^line 139: squared norm overflows$"):
+            load_fresh(path)
 
     def test_errors_after_a_blank_line_name_the_file_line(self, tmp_path):
         path = tmp_path / "bad.features"
